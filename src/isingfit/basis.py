@@ -8,6 +8,7 @@ the orthonormalized basis A_1..A_k'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,34 @@ from .errors import (
     NotBinary,
     ShapeMismatch,
 )
+
+
+@dataclass(frozen=True)
+class EdgeView:
+    """A basis over the union of its strictly-upper supports.
+
+    Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], and
+    ``coef[e, s]`` is A_s at that pair, so the upper entries of
+    sum_s beta_s A_s are ``coef @ beta``.  ``incident[indptr[i]:indptr[i+1]]``
+    lists the edges that touch node i in increasing order of the other
+    endpoint, which is also increasing edge order.
+    """
+
+    n: int
+    rows: np.ndarray     # (m,)
+    cols: np.ndarray     # (m,)
+    coef: np.ndarray     # (m, k)
+    indptr: np.ndarray   # (n + 1,)
+    incident: np.ndarray
+
+    def row_abs_sums(self, u):
+        """sum_j |U_ij| for every node i, given the edge values u of U."""
+        a = np.abs(u)
+        return (np.bincount(self.rows, a, self.n)
+                + np.bincount(self.cols, a, self.n))
+
+    def node_edges(self, i):
+        return self.incident[self.indptr[i]:self.indptr[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -38,6 +67,21 @@ class MatrixBasis:
 
     def stacked(self):
         return np.stack(self.ortho)
+
+    @cached_property
+    def edges(self):
+        """Edge-coordinate view of ``ortho``, built on first use."""
+        n = self.n
+        support = np.zeros((n, n), dtype=bool)
+        for A in self.ortho:
+            support |= A != 0.0
+        rows, cols = np.nonzero(np.triu(support, 1))
+        coef = np.stack([A[rows, cols] for A in self.ortho], axis=1)
+        ends = np.concatenate([cols, rows])  # node i's edges by column
+        order = np.argsort(ends, kind="stable")
+        incident = np.concatenate([np.arange(rows.size)] * 2)[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        return EdgeView(n, rows, cols, coef, indptr, incident)
 
 
 def _fix_sign(A, coeffs):

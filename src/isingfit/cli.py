@@ -82,6 +82,8 @@ def cmd_fit(args):
         "inf_norm_hat": res.inf_norm_hat,
         "iterations": res.iterations,
         "over_budget": res.over_budget,
+        "stop_reason": res.stop_reason,
+        "grad_norm": res.grad_norm,
     })
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import gram_schmidt, project
 from .core import IsingSpec, frobenius_norm, infinity_norm, matrix_to_json
-from .errors import NormBudgetExceeded, TooManyGroups
+from .errors import IsingfitError, NormBudgetExceeded, TooManyGroups
 from .mple import MpleConfig, fit, psi
 from .sampler import (
     GlauberConfig,
@@ -245,7 +245,11 @@ _CSV_FIELDS = [
 
 
 def run_sweep(cfg, out_dir=None, save_instances=False):
-    """Run every (k, trial) cell; failures are recorded, never fatal."""
+    """Run every (k, trial) cell.
+
+    A package error (``IsingfitError``) in a cell is recorded in its row
+    and the sweep continues; any other exception is a bug and propagates.
+    """
     records = []
     instances = {}
     for k in cfg.k_grid:
@@ -254,7 +258,7 @@ def run_sweep(cfg, out_dir=None, save_instances=False):
                 rec, basis_obj, J_star, _ = run_trial(cfg, k, trial)
                 if save_instances:
                     instances[(k, trial)] = J_star
-            except Exception as exc:  # recorded per-trial, sweep continues
+            except IsingfitError as exc:  # recorded per-trial, sweep continues
                 rec = TrialRecord(cfg.generator, cfg.n, k, trial,
                                   trial_seed(cfg.seed, k, trial),
                                   math.nan, math.nan, math.nan, math.nan,

@@ -146,6 +146,8 @@ class EstimationResult:
     beta_best: np.ndarray = None
     psi_best: float = math.inf
     over_budget: bool = False  # true when ||J_hat||_inf in (2M, 3M]
+    stop_reason: str = ""      # "grad_tol" (early stop) or "iter_cap"
+    grad_norm: float = math.nan  # subgradient norm at the last iterate seen
 
 
 def fit(basis, x, cfg, trace_every=0):
@@ -155,14 +157,22 @@ def fit(basis, x, cfg, trace_every=0):
     objective, stopping early when grad_tol > 0, the subgradient is small
     and the iterate is inside the infinity-norm budget.  The reported
     estimate is the running average of iterates; the best iterate seen by
-    objective value is kept for diagnostics.
+    objective value is kept for diagnostics.  ``stop_reason`` says which
+    of the two ends was reached and ``grad_norm`` is the subgradient norm
+    at the last iterate evaluated.
+
+    Each step costs O(n k + m k) for the m edges of the basis support:
+    the fields are beta @ Bx with Bx = (A_i x)_i formed once (each A_i is
+    symmetric), and the row sums and the penalty subgradient are read off
+    the edge values of A_beta through ``basis.edges``.  No step forms an
+    n x n matrix.
     """
     x = check_spins(x, basis.n)
     n, k = basis.n, basis.k
     lam, T, eta = cfg.resolve(n, k)
-    A = basis.stacked()
-    Bx = A @ x
-    row_abs = np.abs  # local alias for the hot loop
+    Bx = basis.stacked() @ x
+    edges = basis.edges
+    C = edges.coef
 
     beta = np.zeros(k)
     beta_sum = np.zeros(k)
@@ -170,12 +180,15 @@ def fit(basis, x, cfg, trace_every=0):
     best_beta = beta.copy()
     trace = []
     it = 0
+    stop_reason = "iter_cap"
+    gnorm = math.nan
     for it in range(1, T + 1):
-        U = np.tensordot(beta, A, axes=1)
-        f = U @ x
+        u = C @ beta
+        f = beta @ Bx
         tanh_f = np.tanh(f)
         g = Bx @ (tanh_f - x)
-        inf_norm = float(np.max(np.sum(row_abs(U), axis=1))) if n else 0.0
+        row_sums = edges.row_abs_sums(u)
+        inf_norm = float(row_sums.max())
         h_val = float(np.sum(log_cosh(f) - x * f)) + n * math.log(2.0)
         h_val += lam * max(0.0, inf_norm - cfg.M)
         if not math.isfinite(h_val):
@@ -186,10 +199,13 @@ def fit(basis, x, cfg, trace_every=0):
         if trace_every and (it % trace_every == 0 or it == 1):
             trace.append(h_val)
         if inf_norm > cfg.M:
-            g = g + infnorm_subgradient(basis, U, lam)
+            # differentiate through the largest row (lowest index on ties)
+            e = edges.node_edges(int(np.argmax(row_sums)))
+            g = g + lam * (C[e].T @ np.sign(u[e]))
         gnorm = float(np.linalg.norm(g))
         if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
             beta_sum += beta * (T - it + 1)  # hold the converged iterate
+            stop_reason = "grad_tol"
             break
         beta_sum += beta
         beta = beta - eta * g
@@ -213,4 +229,6 @@ def fit(basis, x, cfg, trace_every=0):
         beta_best=best_beta,
         psi_best=best_h,
         over_budget=inf_hat > 2.0 * cfg.M,
+        stop_reason=stop_reason,
+        grad_norm=gnorm,
     )

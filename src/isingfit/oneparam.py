@@ -63,15 +63,14 @@ def fit_scalar(J, x, M, tol=1e-10):
     with an infinite certificate.
     """
     f, xv = _prep(J, x)
-    jx_sq = float(np.sum(f ** 2))
-    if jx_sq == 0.0:
+    if not np.any(f):
         return ScalarFitResult(0.0, 0.0, 0.0, math.inf, (-M, M),
                                degenerate=True)
-    floor = jx_sq / math.cosh(M * float(np.max(np.abs(f)))) ** 2
+    floor = _curvature_floor(f, M)
     lo, hi = -float(M), float(M)
     d_lo = phi_prime(lo, J, x)
     d_hi = phi_prime(hi, J, x)
-    cert = _certificate(max(abs(d_lo), abs(d_hi)), jx_sq, M)
+    cert = _certificate(max(abs(d_lo), abs(d_hi)), floor)
     if d_lo > 0:  # phi' nondecreasing and positive everywhere
         return ScalarFitResult(lo, d_lo, floor, cert, (-M, M), boundary=True)
     if d_hi < 0:
@@ -89,26 +88,33 @@ def fit_scalar(J, x, M, tol=1e-10):
     return ScalarFitResult(mid, phi_prime(mid, J, x), floor, cert, (-M, M))
 
 
-def _certificate(deriv_mag, jx_sq, M):
-    """Error bound |beta_hat - beta*| <= |phi'| / (c ||Jx||_2^2) with the
-    uniform curvature constant c = sech^2(M)."""
-    denom = jx_sq / math.cosh(M) ** 2
-    return deriv_mag / denom
+def _curvature_floor(f, M):
+    """Lower bound on phi'' over [-M, M] given f = Jx:
+    sech^2(M ||Jx||_inf) ||Jx||_2^2, since |beta f_i| <= M ||Jx||_inf."""
+    t = M * float(np.max(np.abs(f)))
+    if t > 300.0:  # cosh(t)^2 overflows past t ~ 354; 0 is still a floor
+        return 0.0
+    return float(np.sum(f ** 2)) / math.cosh(t) ** 2
+
+
+def _certificate(deriv_mag, floor):
+    """Error bound |beta_hat - beta*| <= max |phi'(+-M)| / floor, valid for
+    any beta* in [-M, M] because phi' is monotone and phi'' >= floor."""
+    return deriv_mag / floor if floor > 0.0 else math.inf
 
 
 def partition_certificate(J, x, beta_hat, M=1.0):
     """Observable error certificate and the partition-function proxy.
 
     Returns (x'Jx, certificate) where the certificate divides the largest
-    |phi'| over the search-bracket endpoints by the uniform curvature
-    floor sech^2(M) ||Jx||_2^2.
+    |phi'| over the search-bracket endpoints by the curvature floor
+    sech^2(M ||Jx||_inf) ||Jx||_2^2.
     """
     if beta_hat == 0.0:
         raise DegenerateDerivative("certificate needs a nonzero beta_hat")
     f, xv = _prep(J, x)
-    jx_sq = float(np.sum(f ** 2))
-    if jx_sq == 0.0:
+    if not np.any(f):
         raise ZeroDenominator("Jx = 0: curvature floor vanishes")
     xJx = float(xv @ f)
     deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
-    return xJx, _certificate(deriv, jx_sq, M)
+    return xJx, _certificate(deriv, _curvature_floor(f, M))

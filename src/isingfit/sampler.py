@@ -125,6 +125,11 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     Each chain performs burn_in_sweeps * n single-site updates: pick a
     uniform site, resample it from its conditional.  Returns a
     (count, n) int matrix of final states.
+
+    An update costs O(count * n).  With ``count == 1`` it is one row dot
+    product and two scalar draws; these take the same values from the
+    generator as the size-1 draws of the vectorised path, so the result
+    does not depend on which path ran.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -138,6 +143,13 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     else:
         X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
     steps = cfg.burn_in_sweeps * n
+    if count == 1:
+        J, h, x = spec.J, spec.h, X[0]
+        for _ in range(steps):
+            s = rng.integers(0, n)
+            p_plus = 0.5 * (1.0 + np.tanh(J[s] @ x + h[s]))
+            x[s] = 1.0 if rng.random() < p_plus else -1.0
+        return X.astype(np.int64)
     rows = np.arange(count)
     for _ in range(steps):
         sites = rng.integers(0, n, size=count)

@@ -17,6 +17,7 @@ from isingfit.errors import (
     NotBinary,
     ShapeMismatch,
 )
+from isingfit.experiments import gen_blocks, gen_matchings
 from isingfit.sampler import make_rng
 
 
@@ -187,3 +188,27 @@ def test_beta_error_bound_arithmetic():
     assert beta_error_bound([3.0, 3.0], 0.0) == 0.0
     with pytest.raises(DegenerateFamily):
         beta_error_bound([1.0, 0.0], 1.0)
+
+
+def test_edge_view_reproduces_dense_rows():
+    rng = make_rng(60)
+    for raw in (random_family(9, 3, seed=61), gen_matchings(12, 3, rng),
+                gen_blocks(12, 3), [edge_matrix(7, [(0, 3), (3, 5)])]):
+        b = gram_schmidt(raw)
+        ev = b.edges
+        assert ev is b.edges  # built once
+        assert np.all(ev.rows < ev.cols)
+        beta = rng.normal(size=b.k)
+        U = combine(b, beta)
+        u = ev.coef @ beta
+        assert np.allclose(U[ev.rows, ev.cols], u, rtol=0, atol=1e-14)
+        upper = np.zeros_like(U)
+        upper[ev.rows, ev.cols] = u
+        assert np.allclose(upper + upper.T, U, rtol=0, atol=1e-14)
+        assert np.allclose(ev.row_abs_sums(u), np.abs(U).sum(axis=1),
+                           rtol=0, atol=1e-13)
+        for i in range(b.n):
+            e = ev.node_edges(i)
+            others = np.where(ev.rows[e] == i, ev.cols[e], ev.rows[e])
+            assert np.array_equal(others, np.flatnonzero(U[i]))
+            assert np.all(np.diff(e) > 0)

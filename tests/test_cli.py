@@ -6,6 +6,7 @@ import pytest
 from isingfit.cli import main
 from isingfit.core import save_matrix, save_spins
 from isingfit.experiments import ExperimentConfig, gen_matchings
+from isingfit.mple import MpleConfig
 
 
 @pytest.fixture
@@ -76,6 +77,12 @@ def test_fit_roundtrip(tmp_path, small_model):
     res = json.loads(out.read_text())
     assert len(res["beta_hat"]) == 1
     assert res["inf_norm_hat"] <= 1.5 + 1e-9
+    _, T, _ = MpleConfig(M=0.5, max_iters=5000).resolve(6, 1)
+    if res["stop_reason"] == "grad_tol":
+        assert res["iterations"] < T and 0.0 <= res["grad_norm"] <= 1e-5
+    else:
+        assert res["stop_reason"] == "iter_cap"
+        assert res["iterations"] == T and res["grad_norm"] >= 0.0
 
 
 def test_cover(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from isingfit import experiments
 from isingfit.basis import gram_schmidt, trace_inner, unique_edge_counts
 from isingfit.errors import NormBudgetExceeded, TooManyGroups
 from isingfit.experiments import (
@@ -158,3 +159,13 @@ def test_sweep_records_errors_without_aborting():
     records, summary = run_sweep(cfg)
     assert len(records) == 2
     assert all(r.error for r in records)
+
+
+def test_sweep_propagates_non_package_errors(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("bug in fit")
+
+    monkeypatch.setattr(experiments, "fit", broken_fit)
+    cfg = ExperimentConfig(n=8, k_grid=(1,), trials=1, M=0.5, max_iters=100)
+    with pytest.raises(TypeError, match="bug in fit"):
+        run_sweep(cfg)

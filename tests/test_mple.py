@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from isingfit.basis import combine, gram_schmidt, project
-from isingfit.core import IsingSpec, conditional_prob_plus
-from isingfit.errors import DimensionMismatch
+from isingfit.basis import MatrixBasis, combine, gram_schmidt, project
+from isingfit.core import IsingSpec, check_spins, conditional_prob_plus
+from isingfit.errors import DimensionMismatch, NonFinite
+from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.mple import (
     MpleConfig,
     directional_derivative,
     directional_second_derivative,
     fit,
     grad_beta,
+    infnorm_subgradient,
+    log_cosh,
     neg_log_pl,
     psi,
     regularized_objective,
@@ -267,3 +270,116 @@ def test_fit_result_bookkeeping():
     assert res.iterations == 500
     assert len(res.objective_trace) >= 2
     assert res.psi_best <= res.objective_trace[0]
+
+
+def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
+    b = gram_schmidt(random_family(10, 3, seed=40))
+    rng = make_rng(41)
+    x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
+    calls = []
+    stacked = MatrixBasis.stacked
+    monkeypatch.setattr(MatrixBasis, "stacked",
+                        lambda self: calls.append(1) or stacked(self))
+    fit(b, x, _fit_cfg(M=0.05, T=2_000, grad_tol=0.0))
+    assert len(calls) <= 2  # Bx before the loop, combine after it
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dense loop that fit ran before the edge view, kept verbatim
+# apart from its return value and a count of penalty steps.  fit must give
+# the same numbers bit for bit on matchings, where every row has one edge,
+# and up to summation order elsewhere.
+
+
+def _dense_fit(basis, x, cfg, trace_every=0):
+    x = check_spins(x, basis.n)
+    n, k = basis.n, basis.k
+    lam, T, eta = cfg.resolve(n, k)
+    A = basis.stacked()
+    Bx = A @ x
+    row_abs = np.abs  # local alias for the hot loop
+
+    beta = np.zeros(k)
+    beta_sum = np.zeros(k)
+    best_h = math.inf
+    best_beta = beta.copy()
+    trace = []
+    penalty_steps = 0
+    it = 0
+    for it in range(1, T + 1):
+        U = np.tensordot(beta, A, axes=1)
+        f = U @ x
+        tanh_f = np.tanh(f)
+        g = Bx @ (tanh_f - x)
+        inf_norm = float(np.max(np.sum(row_abs(U), axis=1))) if n else 0.0
+        h_val = float(np.sum(log_cosh(f) - x * f)) + n * math.log(2.0)
+        h_val += lam * max(0.0, inf_norm - cfg.M)
+        if not math.isfinite(h_val):
+            raise NonFinite(f"objective became non-finite at iteration {it}")
+        if h_val < best_h:
+            best_h = h_val
+            best_beta = beta.copy()
+        if trace_every and (it % trace_every == 0 or it == 1):
+            trace.append(h_val)
+        if inf_norm > cfg.M:
+            g = g + infnorm_subgradient(basis, U, lam)
+            penalty_steps += 1
+        gnorm = float(np.linalg.norm(g))
+        if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
+            beta_sum += beta * (T - it + 1)  # hold the converged iterate
+            break
+        beta_sum += beta
+        beta = beta - eta * g
+
+    beta_hat = beta_sum / T
+    psi_hat = neg_log_pl(combine(basis, beta_hat), x)
+    return dict(beta_hat=beta_hat, psi_hat=psi_hat, iterations=it,
+                beta_best=best_beta, psi_best=best_h, trace=np.array(trace),
+                grad_norm=gnorm, penalty_steps=penalty_steps)
+
+
+def _support(kind, n, k):
+    if kind == "matchings":
+        return gen_matchings(n, k)
+    if kind == "blocks":
+        return gen_blocks(n, k)
+    return gen_erdos_renyi_incidence(n, k, 0.3, make_rng(43))
+
+
+# (M, eta, grad_tol, trace_every): a budget small enough that many steps
+# take the penalty branch, an early gradient stop, and a traced run
+_ORACLE_CASES = [
+    (0.05, 0.002, 0.0, 0),
+    (2.0, 0.01, 1e-3, 0),
+    (0.5, 0.002, 1e-4, 97),
+]
+
+
+@pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
+@pytest.mark.parametrize("M,eta,grad_tol,trace_every", _ORACLE_CASES)
+def test_fit_matches_dense_oracle(kind, M, eta, grad_tol, trace_every):
+    b = gram_schmidt(_support(kind, 24, 3))
+    # 5 of every 8 spins up: the pseudo-likelihood has a finite minimizer
+    # on every support, so the gradient stop can trigger
+    x = np.tile([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 3)
+    cfg = MpleConfig(M=M, T=3_000, eta=eta, grad_tol=grad_tol)
+    res = fit(b, x, cfg, trace_every=trace_every)
+    ref = _dense_fit(b, x, cfg, trace_every=trace_every)
+
+    assert res.iterations == ref["iterations"]
+    assert res.stop_reason == ("grad_tol" if ref["iterations"] < 3_000 else "iter_cap")
+    if grad_tol and not trace_every:
+        assert res.stop_reason == "grad_tol"
+        assert res.grad_norm <= grad_tol
+    if M < 0.1:
+        assert ref["penalty_steps"] > 100
+    got = [res.beta_hat, res.psi_hat, res.beta_best, res.psi_best,
+           res.objective_trace, res.grad_norm]
+    want = [ref["beta_hat"], ref["psi_hat"], ref["beta_best"], ref["psi_best"],
+            ref["trace"], ref["grad_norm"]]
+    assert len(res.objective_trace) == len(ref["trace"])
+    for a, r in zip(got, want):
+        if kind == "matchings":
+            assert np.array_equal(a, r)
+        else:
+            assert np.allclose(a, r, rtol=0.0, atol=1e-12)

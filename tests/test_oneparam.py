@@ -176,3 +176,24 @@ def test_certificate_covers_true_error():
         if abs(res.beta_hat - beta_star) <= res.certificate:
             covered += 1
     assert covered / trials >= 0.95
+
+
+def test_certificate_valid_when_row_sums_exceed_one():
+    # ||J||_inf = 3, so |beta (Jx)_i| reaches past M and sech^2(M) is not
+    # a curvature floor; the certificate must use sech^2(M ||Jx||_inf)
+    n, M, beta_star = 14, 1.0, 0.3
+    J = random_spec(n, 3.0, seed=21).J
+    assert infinity_norm(J) == pytest.approx(3.0)
+    dist = enumerate_distribution(IsingSpec.zero_field(beta_star * J))
+    rng = make_rng(22)
+    grid = np.linspace(-M, M, 401)
+    for _ in range(60):
+        x = exact_sample(dist, rng)
+        res = fit_scalar(J, x, M=M, tol=1e-13)
+        min_curv = min(phi_double_prime(b, J, x) for b in grid)
+        assert res.second_deriv_floor <= min_curv * (1 + 1e-12)
+        deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
+        assert res.certificate >= deriv / min_curv * (1 - 1e-12)
+        assert abs(res.beta_hat - beta_star) <= res.certificate
+        _, cert = partition_certificate(J, x, res.beta_hat or 1.0, M=M)
+        assert cert == res.certificate

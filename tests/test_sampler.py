@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import isingfit as isf
-from isingfit.core import IsingSpec
+from isingfit.core import IsingSpec, check_spins
 from isingfit.errors import DimensionTooLarge
+from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import (
     GlauberConfig,
     empirical_distribution,
@@ -167,3 +168,62 @@ def test_glauber_deterministic_given_seed():
     a = glauber_sample_many(spec, 4, cfg)
     b = glauber_sample_many(spec, 4, cfg)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the vectorised multi-chain loop, kept verbatim, which single
+# chains ran before they had a scalar path.
+
+
+def _vectorised_glauber(spec, count, cfg, rng=None, init_state=None):
+    if rng is None:
+        rng = make_rng(cfg.seed)
+    n = spec.n
+    if cfg.init == "all_plus":
+        X = np.ones((count, n))
+    elif cfg.init == "provided":
+        if init_state is None:
+            raise ValueError("init='provided' needs init_state")
+        X = np.tile(check_spins(init_state, n), (count, 1))
+    else:
+        X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
+    steps = cfg.burn_in_sweeps * n
+    rows = np.arange(count)
+    for _ in range(steps):
+        sites = rng.integers(0, n, size=count)
+        fields = np.einsum("cj,cj->c", spec.J[sites], X) + spec.h[sites]
+        p_plus = 0.5 * (1.0 + np.tanh(fields))
+        X[rows, sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
+    return X.astype(np.int64)
+
+
+def _model(kind, n, with_field):
+    k = 3
+    if kind == "matchings":
+        raw = gen_matchings(n, k, make_rng(50))
+    elif kind == "blocks":
+        raw = gen_blocks(n, k)
+    else:
+        raw = gen_erdos_renyi_incidence(n, k, 0.2, make_rng(51))
+    J = sum(c * R for c, R in zip(make_rng(52).uniform(-1.0, 1.0, k), raw))
+    J *= 0.9 / isf.infinity_norm(J)
+    h = make_rng(53).normal(size=n) * 0.3 if with_field else np.zeros(n)
+    return IsingSpec(J, h)
+
+
+@pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
+@pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
+@pytest.mark.parametrize("with_field", [False, True])
+def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
+    n = 30
+    spec = _model(kind, n, with_field)
+    cfg = GlauberConfig(40, seed=54, init=init)
+    start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
+    rng_a, rng_b = make_rng(56), make_rng(56)
+    got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=start)
+    want = _vectorised_glauber(spec, 1, cfg, rng_b, init_state=start)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()  # both consumed the same draws
+    # without an explicit generator both seed one from cfg.seed
+    assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
+                          _vectorised_glauber(spec, 1, cfg, init_state=start))

@@ -73,10 +73,6 @@ class ZeroDenominator(IsingfitError):
     pass
 
 
-class DegenerateDerivative(IsingfitError):
-    pass
-
-
 class NormBudgetExceeded(IsingfitError):
     pass
 

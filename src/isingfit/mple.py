@@ -7,6 +7,15 @@ coordinates beta is
 
 which is convex; an infinity-norm penalty lam * max(0, ||A_beta||_inf - M)
 keeps iterates in the trust region without projections.
+
+Each quantity has one implementation, in terms of the fields f = J x
+(beta @ Bx in basis coordinates, Bx = (A_i x)_i, as each A_i is symmetric):
+``value_at_fields`` for neg_log_pl, psi and regularized_objective;
+``gradient_at_fields`` for directional_derivative, grad_beta,
+regularized_subgradient and oneparam's bisection;
+``directional_second_derivative`` for the curvature; and
+``infnorm_subgradient`` over ``basis.edges`` for the budget.
+``regularized_step`` combines them for ``fit``'s loop and regularized_*.
 """
 
 from __future__ import annotations
@@ -18,15 +27,23 @@ import numpy as np
 
 from .basis import combine
 from .core import check_spins, infinity_norm, validate_interaction
-from .errors import DimensionMismatch, IsingfitError, NonFinite
+from .errors import DimensionMismatch, IsingfitError, LengthMismatch, NonFinite
 
 DEFAULT_MAX_ITERS = 2_000_000
 
 
-def log_cosh(y):
-    """Overflow-safe log cosh: |y| + log1p(exp(-2|y|)) - log 2."""
-    a = np.abs(y)
-    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+def value_at_fields(f, x):
+    """phi at the fields f = J x: sum_i [log cosh(f_i) - x_i f_i] + n log 2,
+    with the overflow-safe log cosh(y) = |y| + log1p(exp(-2|y|)) - log 2."""
+    a = np.abs(f)
+    lc = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    return float(np.sum(lc - x * f)) + len(x) * math.log(2.0)
+
+
+def gradient_at_fields(D, f, x):
+    """Derivatives of phi at the fields f along the directions whose fields
+    are the rows of D (a single vector D gives a scalar): D @ (tanh f - x)."""
+    return D @ (np.tanh(f) - x)
 
 
 def _check_pair(J, x):
@@ -40,76 +57,80 @@ def _check_pair(J, x):
 def neg_log_pl(J, x):
     """phi(J) = sum_i [log cosh(J_i x) - x_i J_i x + log 2]."""
     J, x = _check_pair(J, x)
-    f = J @ x
-    return float(np.sum(log_cosh(f) - x * f) + len(x) * math.log(2.0))
+    return value_at_fields(J @ x, x)
+
+
+def _direction_fields(J, A, x):
+    J, x = _check_pair(J, x)
+    A = validate_interaction(A)
+    if A.shape != J.shape:
+        raise DimensionMismatch("direction matrix shape mismatch")
+    return J @ x, A @ x, x
 
 
 def directional_derivative(J, A, x):
     """d phi(J + tA)/dt at t=0: sum_i (A_i x)(tanh(J_i x) - x_i)."""
-    J, x = _check_pair(J, x)
-    A = validate_interaction(A)
-    if A.shape != J.shape:
-        raise DimensionMismatch("direction matrix shape mismatch")
-    return float(np.sum((A @ x) * (np.tanh(J @ x) - x)))
+    f, d, x = _direction_fields(J, A, x)
+    return float(gradient_at_fields(d, f, x))
 
 
 def directional_second_derivative(J, A, x):
     """Second derivative along A: sum_i (A_i x)^2 sech^2(J_i x)."""
-    J, x = _check_pair(J, x)
-    A = validate_interaction(A)
-    if A.shape != J.shape:
-        raise DimensionMismatch("direction matrix shape mismatch")
-    return float(np.sum((A @ x) ** 2 / np.cosh(J @ x) ** 2))
+    f, d, _ = _direction_fields(J, A, x)
+    return float(np.sum(d ** 2 / np.cosh(f) ** 2))
+
+
+def _basis_fields(basis, beta, x):
+    """Validated beta and spins x, and Bx = (A_i x)_i: the fields are beta @ Bx."""
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (basis.k,):
+        raise LengthMismatch(f"beta length {beta.shape} vs basis rank {basis.k}")
+    x = check_spins(x, basis.n)
+    return beta, x, basis.stacked() @ x
 
 
 def psi(basis, beta, x):
     """Objective in basis coordinates."""
-    return neg_log_pl(combine(basis, beta), x)
+    beta, x, Bx = _basis_fields(basis, beta, x)
+    return value_at_fields(beta @ Bx, x)
 
 
-def grad_beta(basis, beta, x, Bx=None):
-    """Gradient of psi; component i is the derivative along A_i.
-
-    ``Bx`` may carry the precomputed (k, n) matrix of A_i x products.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if Bx is None:
-        Bx = basis.stacked() @ x
-    U = combine(basis, np.asarray(beta, dtype=np.float64))
-    return Bx @ (np.tanh(U @ x) - x)
+def grad_beta(basis, beta, x):
+    """Gradient of psi; component i is the derivative along A_i."""
+    beta, x, Bx = _basis_fields(basis, beta, x)
+    return gradient_at_fields(Bx, beta @ Bx, x)
 
 
-def infnorm_subgradient(basis, U, lam, A_rows=None):
-    """Subgradient of lam * ||A_beta||_inf in beta coordinates.
-
-    Picks the row with the largest absolute sum (lowest index on ties) and
-    differentiates through it; sgn(0) = 0.
-    """
-    r = int(np.argmax(np.sum(np.abs(U), axis=1)))
-    signs = np.sign(U[r])
-    if A_rows is None:
-        A_rows = basis.stacked()[:, r, :]
-    else:
-        A_rows = A_rows[:, r, :]
-    return lam * (A_rows @ signs)
+def infnorm_subgradient(edges, u, lam):
+    """Subgradient of lam * ||A_beta||_inf in beta coordinates from the edge
+    values u = edges.coef @ beta: differentiates through the row with the
+    largest absolute sum (lowest index on ties); sgn(0) = 0."""
+    e = edges.node_edges(int(np.argmax(edges.row_abs_sums(u))))
+    return lam * (edges.coef[e].T @ np.sign(u[e]))
 
 
-def regularized_subgradient(basis, beta, x, M, lam, Bx=None):
+def regularized_step(edges, Bx, beta, x, M, lam):
+    """Value, subgradient and ||A_beta||_inf of psi + lam * max(0,
+    ||A_beta||_inf - M) at beta, in O(n k + m k) for the m support edges."""
+    u = edges.coef @ beta
+    f = beta @ Bx
+    inf_norm = float(edges.row_abs_sums(u).max())
+    h = value_at_fields(f, x) + lam * max(0.0, inf_norm - M)
+    g = gradient_at_fields(Bx, f, x)
+    if inf_norm > M:
+        g = g + infnorm_subgradient(edges, u, lam)
+    return h, g, inf_norm
+
+
+def regularized_subgradient(basis, beta, x, M, lam):
     """grad psi plus the penalty subgradient when ||A_beta||_inf > M."""
-    beta = np.asarray(beta, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if Bx is None:
-        Bx = basis.stacked() @ x
-    U = combine(basis, beta)
-    g = Bx @ (np.tanh(U @ x) - x)
-    if infinity_norm(U) > M:
-        g = g + infnorm_subgradient(basis, U, lam)
-    return g
+    beta, x, Bx = _basis_fields(basis, beta, x)
+    return regularized_step(basis.edges, Bx, beta, x, M, lam)[1]
 
 
 def regularized_objective(basis, beta, x, M, lam):
-    U = combine(basis, np.asarray(beta, dtype=np.float64))
-    return neg_log_pl(U, x) + lam * max(0.0, infinity_norm(U) - M)
+    beta, x, Bx = _basis_fields(basis, beta, x)
+    return regularized_step(basis.edges, Bx, beta, x, M, lam)[0]
 
 
 @dataclass
@@ -161,21 +182,15 @@ def fit(basis, x, cfg, trace_every=0):
     of the two ends was reached and ``grad_norm`` is the subgradient norm
     at the last iterate evaluated.
 
-    Each step costs O(n k + m k) for the m edges of the basis support:
-    the fields are beta @ Bx with Bx = (A_i x)_i formed once (each A_i is
-    symmetric), and the row sums and the penalty subgradient are read off
-    the edge values of A_beta through ``basis.edges``.  No step forms an
-    n x n matrix.
+    Each step is one ``regularized_step``, with Bx = (A_i x)_i formed once.
     """
     x = check_spins(x, basis.n)
-    n, k = basis.n, basis.k
-    lam, T, eta = cfg.resolve(n, k)
+    lam, T, eta = cfg.resolve(basis.n, basis.k)
     Bx = basis.stacked() @ x
     edges = basis.edges
-    C = edges.coef
 
-    beta = np.zeros(k)
-    beta_sum = np.zeros(k)
+    beta = np.zeros(basis.k)
+    beta_sum = np.zeros(basis.k)
     best_h = math.inf
     best_beta = beta.copy()
     trace = []
@@ -183,14 +198,7 @@ def fit(basis, x, cfg, trace_every=0):
     stop_reason = "iter_cap"
     gnorm = math.nan
     for it in range(1, T + 1):
-        u = C @ beta
-        f = beta @ Bx
-        tanh_f = np.tanh(f)
-        g = Bx @ (tanh_f - x)
-        row_sums = edges.row_abs_sums(u)
-        inf_norm = float(row_sums.max())
-        h_val = float(np.sum(log_cosh(f) - x * f)) + n * math.log(2.0)
-        h_val += lam * max(0.0, inf_norm - cfg.M)
+        h_val, g, inf_norm = regularized_step(edges, Bx, beta, x, cfg.M, lam)
         if not math.isfinite(h_val):
             raise NonFinite(f"objective became non-finite at iteration {it}")
         if h_val < best_h:
@@ -198,10 +206,6 @@ def fit(basis, x, cfg, trace_every=0):
             best_beta = beta.copy()
         if trace_every and (it % trace_every == 0 or it == 1):
             trace.append(h_val)
-        if inf_norm > cfg.M:
-            # differentiate through the largest row (lowest index on ties)
-            e = edges.node_edges(int(np.argmax(row_sums)))
-            g = g + lam * (C[e].T @ np.sign(u[e]))
         gnorm = float(np.linalg.norm(g))
         if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
             beta_sum += beta * (T - it + 1)  # hold the converged iterate

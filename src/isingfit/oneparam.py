@@ -1,8 +1,8 @@
 """Single-parameter estimation: fit beta in the model with interaction
-beta * J from one sample by minimizing the scalar pseudo-likelihood.
-
-phi is convex with nonnegative second derivative, so the stationary
-equation phi'(beta) = 0 is solved by bisection on the monotone phi'.
+beta * J from one sample by minimizing the scalar pseudo-likelihood
+phi(beta) = neg_log_pl(beta J), with mple's derivatives along J.  phi is
+convex, so phi'(beta) = 0 is solved by bisection on the monotone phi',
+read off the fields Jx (formed once) by ``mple.gradient_at_fields``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import validate_interaction
-from .errors import DegenerateDerivative, DimensionMismatch, ZeroDenominator
+from .errors import DimensionMismatch, ZeroDenominator
+from .mple import (
+    directional_derivative,
+    directional_second_derivative,
+    gradient_at_fields,
+    neg_log_pl,
+)
 
 
 def _prep(J, x):
@@ -24,24 +30,26 @@ def _prep(J, x):
     return J @ x, x
 
 
+def _slope(beta, f, x):
+    """phi'(beta) given the fields f = Jx: beta J has fields beta f."""
+    return float(gradient_at_fields(f, beta * f, x))
+
+
 def phi_scalar(beta, J, x):
-    f, x = _prep(J, x)
-    bf = beta * f
-    a = np.abs(bf)
-    log_cosh = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-    return float(np.sum(log_cosh - x * bf) + len(x) * math.log(2.0))
+    """phi(beta) = neg_log_pl(beta J)."""
+    return neg_log_pl(beta * validate_interaction(J), x)
 
 
 def phi_prime(beta, J, x):
-    """d phi / d beta: sum_i (J_i x)(tanh(beta J_i x) - x_i)."""
-    f, x = _prep(J, x)
-    return float(np.sum(f * (np.tanh(beta * f) - x)))
+    """d phi / d beta: the derivative of neg_log_pl along J at beta J."""
+    J = validate_interaction(J)
+    return directional_derivative(beta * J, J, x)
 
 
 def phi_double_prime(beta, J, x):
-    """Second derivative sum_i (J_i x)^2 sech^2(beta J_i x); nonnegative."""
-    f, x = _prep(J, x)
-    return float(np.sum(f ** 2 / np.cosh(beta * f) ** 2))
+    """Second derivative: the curvature along J at beta J; nonnegative."""
+    J = validate_interaction(J)
+    return directional_second_derivative(beta * J, J, x)
 
 
 @dataclass
@@ -62,22 +70,19 @@ def fit_scalar(J, x, M, tol=1e-10):
     whole interval; a zero Jx yields the degenerate result beta_hat = 0
     with an infinite certificate.
     """
-    f, xv = _prep(J, x)
+    f, x = _prep(J, x)
     if not np.any(f):
         return ScalarFitResult(0.0, 0.0, 0.0, math.inf, (-M, M),
                                degenerate=True)
-    floor = _curvature_floor(f, M)
     lo, hi = -float(M), float(M)
-    d_lo = phi_prime(lo, J, x)
-    d_hi = phi_prime(hi, J, x)
-    cert = _certificate(max(abs(d_lo), abs(d_hi)), floor)
+    d_lo, d_hi, floor, cert = _certificate(f, x, M)
     if d_lo > 0:  # phi' nondecreasing and positive everywhere
         return ScalarFitResult(lo, d_lo, floor, cert, (-M, M), boundary=True)
     if d_hi < 0:
         return ScalarFitResult(hi, d_hi, floor, cert, (-M, M), boundary=True)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        d = phi_prime(mid, J, x)
+        d = _slope(mid, f, x)
         if abs(d) <= tol:
             return ScalarFitResult(mid, d, floor, cert, (-M, M))
         if d < 0:
@@ -85,22 +90,20 @@ def fit_scalar(J, x, M, tol=1e-10):
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return ScalarFitResult(mid, phi_prime(mid, J, x), floor, cert, (-M, M))
+    return ScalarFitResult(mid, _slope(mid, f, x), floor, cert, (-M, M))
 
 
-def _curvature_floor(f, M):
-    """Lower bound on phi'' over [-M, M] given f = Jx:
-    sech^2(M ||Jx||_inf) ||Jx||_2^2, since |beta f_i| <= M ||Jx||_inf."""
+def _certificate(f, x, M):
+    """phi'(-M), phi'(M), the floor sech^2(M ||Jx||_inf) ||Jx||_2^2 on phi''
+    over [-M, M] (|beta f_i| <= M ||Jx||_inf there) and the error bound
+    max |phi'(+-M)| / floor, valid for any beta* in [-M, M] because phi' is
+    monotone and phi'' >= floor."""
+    d_lo, d_hi = _slope(-M, f, x), _slope(M, f, x)
     t = M * float(np.max(np.abs(f)))
-    if t > 300.0:  # cosh(t)^2 overflows past t ~ 354; 0 is still a floor
-        return 0.0
-    return float(np.sum(f ** 2)) / math.cosh(t) ** 2
-
-
-def _certificate(deriv_mag, floor):
-    """Error bound |beta_hat - beta*| <= max |phi'(+-M)| / floor, valid for
-    any beta* in [-M, M] because phi' is monotone and phi'' >= floor."""
-    return deriv_mag / floor if floor > 0.0 else math.inf
+    # cosh(t)^2 overflows past t ~ 354; 0 is still a floor
+    floor = 0.0 if t > 300.0 else float(np.sum(f ** 2)) / math.cosh(t) ** 2
+    cert = max(abs(d_lo), abs(d_hi)) / floor if floor > 0.0 else math.inf
+    return d_lo, d_hi, floor, cert
 
 
 def partition_certificate(J, x, beta_hat, M=1.0):
@@ -108,13 +111,9 @@ def partition_certificate(J, x, beta_hat, M=1.0):
 
     Returns (x'Jx, certificate) where the certificate divides the largest
     |phi'| over the search-bracket endpoints by the curvature floor
-    sech^2(M ||Jx||_inf) ||Jx||_2^2.
+    sech^2(M ||Jx||_inf) ||Jx||_2^2; neither depends on ``beta_hat``.
     """
-    if beta_hat == 0.0:
-        raise DegenerateDerivative("certificate needs a nonzero beta_hat")
-    f, xv = _prep(J, x)
+    f, x = _prep(J, x)
     if not np.any(f):
         raise ZeroDenominator("Jx = 0: curvature floor vanishes")
-    xJx = float(xv @ f)
-    deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
-    return xJx, _certificate(deriv, _curvature_floor(f, M))
+    return float(x @ f), _certificate(f, x, M)[3]

@@ -5,7 +5,7 @@ import pytest
 
 from isingfit.basis import MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus
-from isingfit.errors import DimensionMismatch, NonFinite
+from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.mple import (
     MpleConfig,
@@ -13,8 +13,6 @@ from isingfit.mple import (
     directional_second_derivative,
     fit,
     grad_beta,
-    infnorm_subgradient,
-    log_cosh,
     neg_log_pl,
     psi,
     regularized_objective,
@@ -286,9 +284,17 @@ def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Oracle: the dense loop that fit ran before the edge view, kept verbatim
-# apart from its return value and a count of penalty steps.  fit must give
-# the same numbers bit for bit on matchings, where every row has one edge,
-# and up to summation order elsewhere.
+# apart from its return value, a count of penalty steps and the dense
+# row-argmax penalty subgradient written out in place of the call.  fit
+# must give the same numbers bit for bit on matchings, where every row has
+# one edge, and up to summation order elsewhere.
+
+
+def log_cosh(y):
+    """The package's overflow-safe log cosh before it moved into the value
+    kernel; the oracles below use this copy."""
+    a = np.abs(y)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
 def _dense_fit(basis, x, cfg, trace_every=0):
@@ -322,7 +328,9 @@ def _dense_fit(basis, x, cfg, trace_every=0):
         if trace_every and (it % trace_every == 0 or it == 1):
             trace.append(h_val)
         if inf_norm > cfg.M:
-            g = g + infnorm_subgradient(basis, U, lam)
+            # the largest row (lowest index on ties), sgn(0) = 0
+            r = int(np.argmax(np.sum(np.abs(U), axis=1)))
+            g = g + lam * (A[:, r, :] @ np.sign(U[r]))
             penalty_steps += 1
         gnorm = float(np.linalg.norm(g))
         if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
@@ -336,6 +344,23 @@ def _dense_fit(basis, x, cfg, trace_every=0):
     return dict(beta_hat=beta_hat, psi_hat=psi_hat, iterations=it,
                 beta_best=best_beta, psi_best=best_h, trace=np.array(trace),
                 grad_norm=gnorm, penalty_steps=penalty_steps)
+
+
+# Oracles: psi and grad_beta as they were before the shared kernels, on
+# the dense combine(basis, beta) and its fields U x.
+
+
+def _combine_psi(basis, beta, x):
+    U = combine(basis, beta)
+    f = U @ x
+    return float(np.sum(log_cosh(f) - x * f) + len(x) * math.log(2.0))
+
+
+def _combine_grad_beta(basis, beta, x):
+    x = np.asarray(x, dtype=np.float64)
+    Bx = basis.stacked() @ x
+    U = combine(basis, np.asarray(beta, dtype=np.float64))
+    return Bx @ (np.tanh(U @ x) - x)
 
 
 def _support(kind, n, k):
@@ -383,3 +408,32 @@ def test_fit_matches_dense_oracle(kind, M, eta, grad_tol, trace_every):
             assert np.array_equal(a, r)
         else:
             assert np.allclose(a, r, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
+def test_psi_and_grad_beta_match_combine_oracle(kind):
+    b = gram_schmidt(_support(kind, 24, 3))
+    rng = make_rng(44)
+    for _ in range(20):
+        beta = rng.normal(size=b.k)
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=b.n)
+        pairs = [(psi(b, beta, x), _combine_psi(b, beta, x)),
+                 (grad_beta(b, beta, x), _combine_grad_beta(b, beta, x))]
+        for got, want in pairs:
+            if kind == "matchings":
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fn,extra",
+    [(psi, ()), (grad_beta, ()), (regularized_objective, (0.5, 10.0)),
+     (regularized_subgradient, (0.5, 10.0))],
+    ids=["psi", "grad_beta", "regularized_objective", "regularized_subgradient"])
+def test_basis_coordinates_reject_wrong_lengths(fn, extra):
+    b = gram_schmidt(random_family(6, 2, seed=8))
+    with pytest.raises(LengthMismatch):
+        fn(b, np.zeros(3), np.ones(6), *extra)
+    with pytest.raises(DimensionMismatch):
+        fn(b, np.zeros(2), np.ones(5), *extra)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from isingfit.basis import gram_schmidt
-from isingfit.core import IsingSpec, infinity_norm
-from isingfit.errors import ZeroDenominator
+from isingfit.core import IsingSpec, infinity_norm, validate_interaction
+from isingfit.errors import DimensionMismatch, ZeroDenominator
 from isingfit.mple import MpleConfig, fit
 from isingfit.oneparam import (
+    ScalarFitResult,
     fit_scalar,
     partition_certificate,
     phi_double_prime,
@@ -195,5 +196,96 @@ def test_certificate_valid_when_row_sums_exceed_one():
         deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
         assert res.certificate >= deriv / min_curv * (1 - 1e-12)
         assert abs(res.beta_hat - beta_star) <= res.certificate
-        _, cert = partition_certificate(J, x, res.beta_hat or 1.0, M=M)
+        _, cert = partition_certificate(J, x, res.beta_hat, M=M)
         assert cert == res.certificate
+
+
+def test_partition_certificate_at_zero_estimate():
+    J = unit_inf_matrix(14, seed=19)
+    dist = enumerate_distribution(IsingSpec.zero_field(0.4 * J))
+    rng = make_rng(23)
+    for _ in range(5):
+        x = exact_sample(dist, rng)
+        xJx, cert = partition_certificate(J, x, 0.0)
+        assert xJx == pytest.approx(float(x @ J @ x))
+        assert cert == fit_scalar(J, x, M=1.0).certificate
+
+
+# ---------------------------------------------------------------------------
+# Oracle: fit_scalar as it was before it shared mple's gradient kernel,
+# kept verbatim apart from its name: every bisection step calls its own
+# phi', which re-validates J and re-forms Jx.
+
+
+def _parent_prep(J, x):
+    J = validate_interaction(J)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (J.shape[0],):
+        raise DimensionMismatch("sample length does not match J")
+    return J @ x, x
+
+
+def _parent_phi_prime(beta, J, x):
+    f, x = _parent_prep(J, x)
+    return float(np.sum(f * (np.tanh(beta * f) - x)))
+
+
+def _parent_curvature_floor(f, M):
+    t = M * float(np.max(np.abs(f)))
+    if t > 300.0:
+        return 0.0
+    return float(np.sum(f ** 2)) / math.cosh(t) ** 2
+
+
+def _parent_certificate(deriv_mag, floor):
+    return deriv_mag / floor if floor > 0.0 else math.inf
+
+
+def _parent_fit_scalar(J, x, M, tol=1e-10):
+    f, xv = _parent_prep(J, x)
+    if not np.any(f):
+        return ScalarFitResult(0.0, 0.0, 0.0, math.inf, (-M, M),
+                               degenerate=True)
+    floor = _parent_curvature_floor(f, M)
+    lo, hi = -float(M), float(M)
+    d_lo = _parent_phi_prime(lo, J, x)
+    d_hi = _parent_phi_prime(hi, J, x)
+    cert = _parent_certificate(max(abs(d_lo), abs(d_hi)), floor)
+    if d_lo > 0:
+        return ScalarFitResult(lo, d_lo, floor, cert, (-M, M), boundary=True)
+    if d_hi < 0:
+        return ScalarFitResult(hi, d_hi, floor, cert, (-M, M), boundary=True)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        d = _parent_phi_prime(mid, J, x)
+        if abs(d) <= tol:
+            return ScalarFitResult(mid, d, floor, cert, (-M, M))
+        if d < 0:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return ScalarFitResult(mid, _parent_phi_prime(mid, J, x), floor, cert, (-M, M))
+
+
+# the n = 14 draws of test_certificate_covers_true_error and
+# test_certificate_valid_when_row_sums_exceed_one: (||J||_inf, J seed,
+# beta*, draw seed, draws)
+_DRAWS = [(1.0, 19, 0.4, 20, 100), (3.0, 21, 0.3, 22, 60)]
+
+
+@pytest.mark.parametrize("row_sum,j_seed,beta_star,draw_seed,draws", _DRAWS)
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_fit_scalar_matches_bisection_oracle(row_sum, j_seed, beta_star,
+                                             draw_seed, draws, tol):
+    J = random_spec(14, row_sum, seed=j_seed).J
+    dist = enumerate_distribution(IsingSpec.zero_field(beta_star * J))
+    rng = make_rng(draw_seed)
+    for _ in range(draws):
+        x = exact_sample(dist, rng)
+        got = fit_scalar(J, x, M=1.0, tol=tol)
+        want = _parent_fit_scalar(J, x, M=1.0, tol=tol)
+        assert got.beta_hat == want.beta_hat
+        assert (got.boundary, got.degenerate) == (want.boundary, want.degenerate)
+        assert got.second_deriv_floor == want.second_deriv_floor
+        assert got.certificate == pytest.approx(want.certificate, rel=1e-12)

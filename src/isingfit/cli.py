@@ -81,9 +81,9 @@ def cmd_fit(args):
         "psi_hat": res.psi_hat,
         "inf_norm_hat": res.inf_norm_hat,
         "iterations": res.iterations,
-        "over_budget": res.over_budget,
         "stop_reason": res.stop_reason,
-        "grad_norm": res.grad_norm,
+        "kkt_residual": res.kkt_residual,
+        "budget_active": res.budget_active,
     })
 
 

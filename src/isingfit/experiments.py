@@ -138,7 +138,7 @@ class ExperimentConfig:
     glauber_sweeps: int = 300
     epsilon: float = 1.0
     max_iters: int = 200_000
-    eta: float = None
+    eta: float = None             # unused since fit solves exactly; callers still pass it
     grad_tol: float = 1e-4
     shuffle_support: bool = False
 
@@ -213,7 +213,7 @@ def run_trial(cfg, k, trial):
         sampler = "glauber"
     beta_star, _ = project(basis, J_star)
     mcfg = MpleConfig(M=cfg.M, epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                      T=cfg.max_iters, eta=cfg.eta, grad_tol=cfg.grad_tol)
+                      T=cfg.max_iters, grad_tol=cfg.grad_tol)
     t0 = time.perf_counter()
     res = fit(basis, x, mcfg)
     wall = time.perf_counter() - t0

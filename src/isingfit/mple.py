@@ -1,21 +1,24 @@
-"""Negative log pseudo-likelihood and its subgradient-descent minimizer.
+"""Negative log pseudo-likelihood and its exact budgeted minimizer.
 
 Given one observed configuration x, the objective over the basis
 coordinates beta is
 
     psi(beta) = sum_i [log cosh((A_beta)_i x) - x_i (A_beta)_i x + log 2]
 
-which is convex; an infinity-norm penalty lam * max(0, ||A_beta||_inf - M)
-keeps iterates in the trust region without projections.
+which is convex.  ``fit`` minimizes it subject to the budget
+||A_beta||_inf <= M by a damped Newton method whose k-dimensional steps
+respect linear cuts of the budget.  ``regularized_*`` give the hinge
+penalty form psi + lam * max(0, ||A_beta||_inf - M) and its subgradient,
+the objective of the paper's averaged subgradient method.
 
 Each quantity has one implementation, in terms of the fields f = J x
 (beta @ Bx in basis coordinates, Bx = (A_i x)_i, as each A_i is symmetric):
-``value_at_fields`` for neg_log_pl, psi and regularized_objective;
+``value_at_fields`` for neg_log_pl, psi, regularized_objective and fit;
 ``gradient_at_fields`` for directional_derivative, grad_beta,
-regularized_subgradient and oneparam's bisection;
-``directional_second_derivative`` for the curvature; and
-``infnorm_subgradient`` over ``basis.edges`` for the budget.
-``regularized_step`` combines them for ``fit``'s loop and regularized_*.
+regularized_subgradient, fit and oneparam's bisection;
+``curvature_at_fields`` for directional_second_derivative and fit's
+Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for the budget
+(fit's cuts and the penalty subgradient).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .basis import combine
 from .core import check_spins, infinity_norm, validate_interaction
-from .errors import DimensionMismatch, IsingfitError, LengthMismatch, NonFinite
+from .errors import DimensionMismatch, IsingfitError, LengthMismatch
 
 DEFAULT_MAX_ITERS = 2_000_000
 
@@ -44,6 +47,13 @@ def gradient_at_fields(D, f, x):
     """Derivatives of phi at the fields f along the directions whose fields
     are the rows of D (a single vector D gives a scalar): D @ (tanh f - x)."""
     return D @ (np.tanh(f) - x)
+
+
+def curvature_at_fields(D, f):
+    """Second derivatives of phi at the fields f along the directions whose
+    fields are the rows of D: (D diag(sech^2 f)) D' (a scalar for a single
+    vector D)."""
+    return (D / np.cosh(f) ** 2) @ D.T
 
 
 def _check_pair(J, x):
@@ -77,7 +87,7 @@ def directional_derivative(J, A, x):
 def directional_second_derivative(J, A, x):
     """Second derivative along A: sum_i (A_i x)^2 sech^2(J_i x)."""
     f, d, _ = _direction_fields(J, A, x)
-    return float(np.sum(d ** 2 / np.cosh(f) ** 2))
+    return float(curvature_at_fields(d, f))
 
 
 def _basis_fields(basis, beta, x):
@@ -111,7 +121,8 @@ def infnorm_subgradient(edges, u, lam):
 
 def regularized_step(edges, Bx, beta, x, M, lam):
     """Value, subgradient and ||A_beta||_inf of psi + lam * max(0,
-    ||A_beta||_inf - M) at beta, in O(n k + m k) for the m support edges."""
+    ||A_beta||_inf - M) at beta, in O(n k + m k) for the m support edges;
+    shared by regularized_objective and regularized_subgradient."""
     u = edges.coef @ beta
     f = beta @ Bx
     inf_norm = float(edges.row_abs_sums(u).max())
@@ -137,11 +148,11 @@ def regularized_objective(basis, beta, x, M, lam):
 class MpleConfig:
     M: float
     epsilon: float = 1.0
-    lam: float = None          # default 5n, resolved at fit time
-    T: int = None              # default ceil(M^2 n^4 k / eps^2), capped
-    eta: float = None          # default M / (n sqrt(k) sqrt(T))
+    lam: float = None          # penalty weight, default 5n; not used by fit
+    T: int = None              # cap on fit's programs, default ceil(M^2 n^4 k / eps^2)
+    eta: float = None          # subgradient step, default M / (n sqrt(k) sqrt(T)); not used by fit
     max_iters: int = DEFAULT_MAX_ITERS
-    grad_tol: float = 0.0      # 0 disables early stopping
+    grad_tol: float = 0.0      # KKT residual target; 0 runs to the floating-point optimum
 
     def resolve(self, n, k):
         lam = 5.0 * n if self.lam is None else self.lam
@@ -159,80 +170,168 @@ class MpleConfig:
 class EstimationResult:
     beta_hat: np.ndarray
     J_hat: np.ndarray
-    objective_trace: np.ndarray
+    objective_trace: np.ndarray  # psi at beta = 0 and at every Newton iterate
     psi_hat: float
     inf_norm_hat: float
-    iterations: int
+    iterations: int              # quadratic programs solved (steps and cuts)
     config: MpleConfig
-    beta_best: np.ndarray = None
-    psi_best: float = math.inf
-    over_budget: bool = False  # true when ||J_hat||_inf in (2M, 3M]
-    stop_reason: str = ""      # "grad_tol" (early stop) or "iter_cap"
-    grad_norm: float = math.nan  # subgradient norm at the last iterate seen
+    stop_reason: str = ""        # "kkt", "stalled" or "iter_cap"
+    kkt_residual: float = math.nan
+    budget_active: bool = False  # ||J_hat||_inf within relative 1e-9 of M
 
 
-def fit(basis, x, cfg, trace_every=0):
-    """Averaged subgradient descent from beta = 0.
+# relative to M: cuts this close to M are tight at beta, and trial points
+# at most this far above M are scaled onto the budget instead of cut off
+_BALL_RTOL = 1e-9
+_ARMIJO = 1e-4
+_HALVINGS = 60
 
-    Runs T steps of beta <- beta - eta * g(beta) on the regularized
-    objective, stopping early when grad_tol > 0, the subgradient is small
-    and the iterate is inside the infinity-norm budget.  The reported
-    estimate is the running average of iterates; the best iterate seen by
-    objective value is kept for diagnostics.  ``stop_reason`` says which
-    of the two ends was reached and ``grad_norm`` is the subgradient norm
-    at the last iterate evaluated.
 
-    Each step is one ``regularized_step``, with Bx = (A_i x)_i formed once.
+def _active_set_qp(Q, q, G, h, tol):
+    """argmin 1/2 z'Qz + q'z subject to G z <= h, by a primal active-set
+    method from the feasible z = 0 (every row with h_i <= tol starts in the
+    working set).  Each equality-constrained step is the minimum-norm
+    solution of its KKT system, so Q and the working set may be singular.
+    The objective never increases, so a capped run still returns a point
+    no worse than 0."""
+    k = len(q)
+    z = np.zeros(k)
+    work = [i for i in range(len(h)) if h[i] <= tol]
+    for _ in range(4 * (k + len(h)) + 4):
+        A = G[work]
+        K = np.block([[Q, A.T], [A, np.zeros((len(work), len(work)))]])
+        rhs = np.concatenate([-(Q @ z + q), np.zeros(len(work))])
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        p, mu = sol[:k], sol[k:]
+        if np.linalg.norm(p) <= 1e-12 * (1.0 + np.linalg.norm(z)):
+            if not work or mu.min() >= -1e-12 * (1.0 + np.abs(mu).max()):
+                break
+            del work[int(np.argmin(mu))]
+            continue
+        Gp = G @ p
+        room = h - G @ z
+        alpha, block = 1.0, None
+        for i in np.flatnonzero(Gp > 0.0):
+            if i not in work and room[i] < alpha * Gp[i]:
+                alpha, block = max(room[i] / Gp[i], 0.0), int(i)
+        z = z + alpha * p
+        if block is not None:
+            work.append(block)
+    return z
+
+
+def _kkt_residual(g, C):
+    """min over mu >= 0 of ||g + C' mu||: how far -g is from the cone of
+    the rows of C (the norm of g when C has no rows)."""
+    if not len(C):
+        return float(np.linalg.norm(g))
+    mu = _active_set_qp(C @ C.T, C @ g, -np.eye(len(C)), np.zeros(len(C)), 0.0)
+    return float(np.linalg.norm(g + C.T @ mu))
+
+
+def fit(basis, x, cfg):
+    """The budgeted maximum pseudo-likelihood estimate: argmin psi(beta)
+    subject to ||A_beta||_inf <= M, by a damped Newton method from the
+    feasible beta = 0.
+
+    With f = beta @ Bx (Bx = (A_i x)_i formed once), each step solves the
+    Newton quadratic program min_d 1/2 d'Hd + g'd, with g the gradient
+    kernel and H = curvature_at_fields(Bx, f) (k x k), subject to the cuts
+    c'(beta + d) <= M found so far, then backtracks (Armijo) on psi.  A
+    trial point beta + d outside the budget adds the cut
+    c = infnorm_subgradient at that point and the program is solved again
+    from the same beta.  c is a subgradient of a norm, so
+    c'beta' <= ||A_beta'||_inf for every beta': each cut holds on the
+    whole budget, the iterates never leave it and psi never increases.  A
+    trial point within relative 1e-9 above M is scaled onto the budget
+    instead, and a cut is never added twice.
+
+    ``kkt_residual`` is min over mu >= 0 of ||g + sum_i mu_i c_i|| over the
+    cuts tight at beta; tight cuts are subgradients of the budget, so by
+    convexity psi(beta) - min psi <= kkt_residual * ||beta - beta*|| (up
+    to sum_i mu_i times the 1e-9 M tightness tolerance), and
+    ||beta||_2 = ||A_beta||_F <= sqrt(n) M on the budget.  ``stop_reason``
+    is "kkt" once the residual is <= cfg.grad_tol (with grad_tol = 0: once
+    no step decreases psi in floating point), "stalled" when no step
+    decreases psi while the residual is still above grad_tol > 0, and
+    "iter_cap" after T quadratic programs, T from ``cfg.resolve``; the
+    paper's T = M^2 n^4 k / eps^2 is a bound, not a step count.
+
+    ``cfg.eta`` and ``cfg.lam`` do not affect ``fit``; they stay on
+    ``MpleConfig`` because callers pass them and ``resolve`` returns them.
     """
     x = check_spins(x, basis.n)
-    lam, T, eta = cfg.resolve(basis.n, basis.k)
+    _, T, _ = cfg.resolve(basis.n, basis.k)
+    M = float(cfg.M)
     Bx = basis.stacked() @ x
     edges = basis.edges
 
     beta = np.zeros(basis.k)
-    beta_sum = np.zeros(basis.k)
-    best_h = math.inf
-    best_beta = beta.copy()
-    trace = []
-    it = 0
+    f = beta @ Bx
+    value = value_at_fields(f, x)
+    cuts = np.zeros((0, basis.k))
+    trace = [value]
     stop_reason = "iter_cap"
-    gnorm = math.nan
-    for it in range(1, T + 1):
-        h_val, g, inf_norm = regularized_step(edges, Bx, beta, x, cfg.M, lam)
-        if not math.isfinite(h_val):
-            raise NonFinite(f"objective became non-finite at iteration {it}")
-        if h_val < best_h:
-            best_h = h_val
-            best_beta = beta.copy()
-        if trace_every and (it % trace_every == 0 or it == 1):
-            trace.append(h_val)
-        gnorm = float(np.linalg.norm(g))
-        if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
-            beta_sum += beta * (T - it + 1)  # hold the converged iterate
-            stop_reason = "grad_tol"
+    it = 0
+    while True:
+        g = gradient_at_fields(Bx, f, x)
+        slack = M - cuts @ beta
+        residual = _kkt_residual(g, cuts[slack <= _BALL_RTOL * M])
+        if residual <= cfg.grad_tol:
+            stop_reason = "kkt"
             break
-        beta_sum += beta
-        beta = beta - eta * g
+        if it == T:
+            break
+        it += 1
+        d = _active_set_qp(curvature_at_fields(Bx, f), g, cuts, slack,
+                           _BALL_RTOL * M)
+        trial = beta + d
+        u = edges.coef @ trial
+        peak = float(edges.row_abs_sums(u).max())
+        if peak > M * (1.0 + _BALL_RTOL):
+            c = infnorm_subgradient(edges, u, 1.0)
+            if not any(np.array_equal(c, old) for old in cuts):
+                cuts = np.vstack([cuts, c])
+                continue
+        if peak > M:
+            d = trial * (M / peak) - beta
+        step = _armijo(Bx, x, beta, value, g @ d, d)
+        if step is None:
+            stop_reason = "kkt" if cfg.grad_tol == 0 else "stalled"
+            break
+        beta, f, value = step
+        trace.append(value)
 
-    beta_hat = beta_sum / T
-    J_hat = combine(basis, beta_hat)
-    psi_hat = neg_log_pl(J_hat, x)
+    J_hat = combine(basis, beta)
     inf_hat = infinity_norm(J_hat)
-    if inf_hat > 3.0 * cfg.M + 1e-9:
-        raise IsingfitError(
-            f"averaged iterate escaped the 3M budget: {inf_hat:g} > 3*{cfg.M:g}"
-        )
+    if inf_hat > M * (1.0 + _BALL_RTOL):
+        raise IsingfitError(f"estimate escaped the budget: {inf_hat!r} > {M!r}")
     return EstimationResult(
-        beta_hat=beta_hat,
+        beta_hat=beta,
         J_hat=J_hat,
         objective_trace=np.array(trace),
-        psi_hat=psi_hat,
+        psi_hat=neg_log_pl(J_hat, x),
         inf_norm_hat=inf_hat,
         iterations=it,
         config=cfg,
-        beta_best=best_beta,
-        psi_best=best_h,
-        over_budget=inf_hat > 2.0 * cfg.M,
         stop_reason=stop_reason,
-        grad_norm=gnorm,
+        kkt_residual=residual,
+        budget_active=inf_hat >= M * (1.0 - _BALL_RTOL),
     )
+
+
+def _armijo(Bx, x, beta, value, slope, d):
+    """(beta + t d, its fields, psi there) for the largest t in 1, 1/2,
+    1/4, ... with psi below both value and value + 1e-4 t slope; None when
+    d is not a descent direction or no t decreases psi."""
+    if not slope < 0.0:
+        return None
+    t = 1.0
+    for _ in range(_HALVINGS):
+        nb = beta + t * d
+        nf = nb @ Bx
+        nv = value_at_fields(nf, x)
+        if nv < value and nv <= value + _ARMIJO * t * slope:
+            return nb, nf, nv
+        t *= 0.5
+    return None

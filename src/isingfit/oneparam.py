@@ -106,12 +106,13 @@ def _certificate(f, x, M):
     return d_lo, d_hi, floor, cert
 
 
-def partition_certificate(J, x, beta_hat, M=1.0):
+def partition_certificate(J, x, *, M):
     """Observable error certificate and the partition-function proxy.
 
     Returns (x'Jx, certificate) where the certificate divides the largest
-    |phi'| over the search-bracket endpoints by the curvature floor
-    sech^2(M ||Jx||_inf) ||Jx||_2^2; neither depends on ``beta_hat``.
+    |phi'| over the search bracket [-M, M]'s endpoints by the curvature
+    floor sech^2(M ||Jx||_inf) ||Jx||_2^2; neither depends on the
+    estimate, so M is the only argument beyond J and x.
     """
     f, x = _prep(J, x)
     if not np.any(f):

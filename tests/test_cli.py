@@ -76,13 +76,12 @@ def test_fit_roundtrip(tmp_path, small_model):
           "--out", str(out)])
     res = json.loads(out.read_text())
     assert len(res["beta_hat"]) == 1
-    assert res["inf_norm_hat"] <= 1.5 + 1e-9
+    assert res["inf_norm_hat"] <= 0.5 * (1 + 1e-9)
     _, T, _ = MpleConfig(M=0.5, max_iters=5000).resolve(6, 1)
-    if res["stop_reason"] == "grad_tol":
-        assert res["iterations"] < T and 0.0 <= res["grad_norm"] <= 1e-5
-    else:
-        assert res["stop_reason"] == "iter_cap"
-        assert res["iterations"] == T and res["grad_norm"] >= 0.0
+    assert res["stop_reason"] == "kkt" and res["iterations"] < T
+    assert 0.0 <= res["kkt_residual"] <= 1e-5
+    assert res["budget_active"] == (res["inf_norm_hat"] >= 0.5 * (1 - 1e-9))
+    assert "grad_norm" not in res and "over_budget" not in res
 
 
 def test_cover(tmp_path):

@@ -159,7 +159,7 @@ def test_partition_tail_bound():
 
 def test_partition_certificate_zero_matrix():
     with pytest.raises(ZeroDenominator):
-        partition_certificate(np.zeros((4, 4)), np.ones(4), 0.3)
+        partition_certificate(np.zeros((4, 4)), np.ones(4), M=0.3)
 
 
 def test_certificate_covers_true_error():
@@ -196,7 +196,7 @@ def test_certificate_valid_when_row_sums_exceed_one():
         deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
         assert res.certificate >= deriv / min_curv * (1 - 1e-12)
         assert abs(res.beta_hat - beta_star) <= res.certificate
-        _, cert = partition_certificate(J, x, res.beta_hat, M=M)
+        _, cert = partition_certificate(J, x, M=M)
         assert cert == res.certificate
 
 
@@ -206,9 +206,11 @@ def test_partition_certificate_at_zero_estimate():
     rng = make_rng(23)
     for _ in range(5):
         x = exact_sample(dist, rng)
-        xJx, cert = partition_certificate(J, x, 0.0)
+        xJx, cert = partition_certificate(J, x, M=1.0)
         assert xJx == pytest.approx(float(x @ J @ x))
         assert cert == fit_scalar(J, x, M=1.0).certificate
+        with pytest.raises(TypeError):  # an estimate passed where M was
+            partition_certificate(J, x, 0.0)
 
 
 # ---------------------------------------------------------------------------

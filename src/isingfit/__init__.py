@@ -38,7 +38,6 @@ from .mple import (
     fit,
     grad_beta,
     neg_log_pl,
-    regularized_subgradient,
 )
 from .conditioning import SubsetCover, best_subset_for_weights, build_cover, verify_cover
 from .oneparam import fit_scalar, partition_certificate, phi_double_prime, phi_prime, phi_scalar

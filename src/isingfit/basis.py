@@ -2,13 +2,17 @@
 
 The span of raw matrices J_1..J_k is equipped with the inner product
 <A, B> = sum_ij A_ij B_ij, and parameter vectors live in coordinates of
-the orthonormalized basis A_1..A_k'.
+the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
+coordinates: the values of A_1..A_k' on the union of the raw matrices'
+strictly-upper supports (``MatrixBasis.edges``), where
+<A, B> = 2 a.b for the edge values a, b.  ``ortho`` and ``stacked()``
+are dense n x n views scattered from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +30,12 @@ from .errors import (
 class EdgeView:
     """A basis over the union of its strictly-upper supports.
 
-    Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], and
-    ``coef[e, s]`` is A_s at that pair, so the upper entries of
-    sum_s beta_s A_s are ``coef @ beta``.  ``incident[indptr[i]:indptr[i+1]]``
-    lists the edges that touch node i in increasing order of the other
-    endpoint, which is also increasing edge order.
+    Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], in
+    row-major order, and ``coef[e, s]`` is A_s at that pair, so the upper
+    entries of sum_s beta_s A_s are ``coef @ beta``.
+    ``incident[indptr[i]:indptr[i+1]]`` lists the edges that touch node i
+    in increasing order of the other endpoint, which is also increasing
+    edge order.
     """
 
     n: int
@@ -49,91 +54,98 @@ class EdgeView:
     def node_edges(self, i):
         return self.incident[self.indptr[i]:self.indptr[i + 1]]
 
+    def fields(self, x):
+        """Bx = (A_s x)_s, shape (k, n), in O(m k)."""
+        xr, xc = x[self.rows], x[self.cols]
+        return np.stack([np.bincount(self.rows, a * xc, self.n)
+                         + np.bincount(self.cols, a * xr, self.n)
+                         for a in self.coef.T])
+
+    def dense(self):
+        """The (k, n, n) stack of A_1..A_k'."""
+        out = np.zeros((self.coef.shape[1], self.n, self.n))
+        out[:, self.rows, self.cols] = self.coef.T
+        out[:, self.cols, self.rows] = self.coef.T
+        return out
+
 
 @dataclass(frozen=True)
 class MatrixBasis:
     raw: list            # original J_1..J_k
-    ortho: list          # orthonormal A_1..A_k'
+    edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
     change: np.ndarray   # (k', k): each A_i as a combination of the raw J's
     rank_tol: float
 
     @property
     def n(self):
-        return self.raw[0].shape[0]
+        return self.edges.n
 
     @property
     def k(self):
-        return len(self.ortho)
+        return self.edges.coef.shape[1]
+
+    @property
+    def ortho(self):
+        """A_1..A_k' as dense n x n matrices."""
+        return list(self.edges.dense())
 
     def stacked(self):
-        return np.stack(self.ortho)
-
-    @cached_property
-    def edges(self):
-        """Edge-coordinate view of ``ortho``, built on first use."""
-        n = self.n
-        support = np.zeros((n, n), dtype=bool)
-        for A in self.ortho:
-            support |= A != 0.0
-        rows, cols = np.nonzero(np.triu(support, 1))
-        coef = np.stack([A[rows, cols] for A in self.ortho], axis=1)
-        ends = np.concatenate([cols, rows])  # node i's edges by column
-        order = np.argsort(ends, kind="stable")
-        incident = np.concatenate([np.arange(rows.size)] * 2)[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-        return EdgeView(n, rows, cols, coef, indptr, incident)
-
-
-def _fix_sign(A, coeffs):
-    """Make the first nonzero upper-triangle entry (row-major) positive."""
-    n = A.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    vals = A[iu, ju]
-    nz = np.flatnonzero(np.abs(vals) > 1e-14)
-    if nz.size and vals[nz[0]] < 0:
-        return -A, -coeffs
-    return A, coeffs
+        return self.edges.dense()
 
 
 def gram_schmidt(raw, rank_tol=1e-9):
-    """Modified Gram-Schmidt under the trace inner product.
+    """Modified Gram-Schmidt under the trace inner product, on the edge
+    values of the raw matrices over their union strictly-upper support.
 
     One re-orthogonalization pass is applied to each vector.  Inputs whose
     residual drops below rank_tol times their original Frobenius norm are
     dropped (recorded via the change matrix having fewer rows), not an
-    error.
+    error.  Each A_i is signed so that its first edge value above 1e-14 in
+    magnitude is positive; edges where every A_i is 0 are left out.
     """
     if not raw:
         raise AllDegenerate("empty matrix family")
     mats = [validate_interaction(J) for J in raw]
     n = mats[0].shape[0]
+    support = np.zeros((n, n), dtype=bool)
     for J in mats:
         if J.shape != (n, n):
             raise ShapeMismatch("matrices in a family must share a dimension")
+        support |= J != 0.0
+    rows, cols = np.nonzero(np.triu(support, 1))
     ortho = []
-    rows = []
+    change = []
     for idx, J in enumerate(mats):
-        scale = frobenius_norm(J)
-        V = J.copy()
+        v = J[rows, cols]
+        scale = math.sqrt(2.0 * (v @ v))
         coeffs = np.zeros(len(mats))
         coeffs[idx] = 1.0
         for _ in range(2):  # MGS + one re-orthogonalization pass
-            for A, row in zip(ortho, rows):
-                c = trace_inner(V, A)
-                V = V - c * A
+            for a, row in zip(ortho, change):
+                c = 2.0 * (v @ a)
+                v = v - c * a
                 coeffs = coeffs - c * row
-        r = frobenius_norm(V)
+        r = math.sqrt(2.0 * (v @ v))
         if scale == 0.0 or r <= rank_tol * scale:
             continue
-        V = V / r
+        v = v / r
         coeffs = coeffs / r
-        V, coeffs = _fix_sign(V, coeffs)
-        np.fill_diagonal(V, 0.0)
-        ortho.append(V)
-        rows.append(coeffs)
+        nz = np.flatnonzero(np.abs(v) > 1e-14)
+        if nz.size and v[nz[0]] < 0:
+            v, coeffs = -v, -coeffs
+        ortho.append(v)
+        change.append(coeffs)
     if not ortho:
         raise AllDegenerate("every input matrix is numerically zero")
-    return MatrixBasis(mats, ortho, np.array(rows), rank_tol)
+    coef = np.stack(ortho, axis=1)
+    keep = np.any(coef != 0.0, axis=1)
+    rows, cols, coef = rows[keep], cols[keep], coef[keep]
+    ends = np.concatenate([cols, rows])  # node i's edges by column
+    incident = np.concatenate([np.arange(rows.size)] * 2)[
+        np.argsort(ends, kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+    edges = EdgeView(n, rows, cols, coef, indptr, incident)
+    return MatrixBasis(mats, edges, np.array(change), rank_tol)
 
 
 def combine(basis, beta):

@@ -55,16 +55,12 @@ def _load_basis(path):
 
 
 def cmd_basis(args):
-    raw = None
-    with open(args.basis) as f:
-        files = json.load(f)
-    raw = [load_matrix(p) for p in files]
-    b = basis_mod.gram_schmidt(raw)
+    b = _load_basis(args.basis)
     G = basis_mod.gram_matrix(b.ortho)
     report = {
-        "k_input": len(raw),
+        "k_input": len(b.raw),
         "k_prime": b.k,
-        "min_singular_value": basis_mod.min_singular_value(raw),
+        "min_singular_value": basis_mod.min_singular_value(b.raw),
         "gram": [[round(v, 12) for v in row] for row in G],
     }
     _write(args.out, report)

@@ -7,18 +7,16 @@ coordinates beta is
 
 which is convex.  ``fit`` minimizes it subject to the budget
 ||A_beta||_inf <= M by a damped Newton method whose k-dimensional steps
-respect linear cuts of the budget.  ``regularized_*`` give the hinge
-penalty form psi + lam * max(0, ||A_beta||_inf - M) and its subgradient,
-the objective of the paper's averaged subgradient method.
+respect linear cuts of the budget.
 
 Each quantity has one implementation, in terms of the fields f = J x
-(beta @ Bx in basis coordinates, Bx = (A_i x)_i, as each A_i is symmetric):
-``value_at_fields`` for neg_log_pl, psi, regularized_objective and fit;
-``gradient_at_fields`` for directional_derivative, grad_beta,
-regularized_subgradient, fit and oneparam's bisection;
+(beta @ Bx in basis coordinates, Bx = (A_i x)_i = ``basis.edges.fields(x)``
+read off the edge-coordinate basis in O(m k), as each A_i is symmetric):
+``value_at_fields`` for neg_log_pl, psi and fit; ``gradient_at_fields``
+for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
-Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for the budget
-(fit's cuts and the penalty subgradient).
+Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for fit's
+budget cuts.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ def _basis_fields(basis, beta, x):
     if beta.shape != (basis.k,):
         raise LengthMismatch(f"beta length {beta.shape} vs basis rank {basis.k}")
     x = check_spins(x, basis.n)
-    return beta, x, basis.stacked() @ x
+    return beta, x, basis.edges.fields(x)
 
 
 def psi(basis, beta, x):
@@ -111,46 +109,23 @@ def grad_beta(basis, beta, x):
     return gradient_at_fields(Bx, beta @ Bx, x)
 
 
-def infnorm_subgradient(edges, u, lam):
-    """Subgradient of lam * ||A_beta||_inf in beta coordinates from the edge
+def infnorm_subgradient(edges, u):
+    """Subgradient of ||A_beta||_inf in beta coordinates from the edge
     values u = edges.coef @ beta: differentiates through the row with the
     largest absolute sum (lowest index on ties); sgn(0) = 0."""
     e = edges.node_edges(int(np.argmax(edges.row_abs_sums(u))))
-    return lam * (edges.coef[e].T @ np.sign(u[e]))
-
-
-def regularized_step(edges, Bx, beta, x, M, lam):
-    """Value, subgradient and ||A_beta||_inf of psi + lam * max(0,
-    ||A_beta||_inf - M) at beta, in O(n k + m k) for the m support edges;
-    shared by regularized_objective and regularized_subgradient."""
-    u = edges.coef @ beta
-    f = beta @ Bx
-    inf_norm = float(edges.row_abs_sums(u).max())
-    h = value_at_fields(f, x) + lam * max(0.0, inf_norm - M)
-    g = gradient_at_fields(Bx, f, x)
-    if inf_norm > M:
-        g = g + infnorm_subgradient(edges, u, lam)
-    return h, g, inf_norm
-
-
-def regularized_subgradient(basis, beta, x, M, lam):
-    """grad psi plus the penalty subgradient when ||A_beta||_inf > M."""
-    beta, x, Bx = _basis_fields(basis, beta, x)
-    return regularized_step(basis.edges, Bx, beta, x, M, lam)[1]
-
-
-def regularized_objective(basis, beta, x, M, lam):
-    beta, x, Bx = _basis_fields(basis, beta, x)
-    return regularized_step(basis.edges, Bx, beta, x, M, lam)[0]
+    return edges.coef[e].T @ np.sign(u[e])
 
 
 @dataclass
 class MpleConfig:
     M: float
     epsilon: float = 1.0
-    lam: float = None          # penalty weight, default 5n; not used by fit
+    # lam and eta do not affect fit; they stay because resolve returns
+    # (lam, T, eta) and callers unpack that 3-tuple
+    lam: float = None          # hinge-penalty weight, default 5n
     T: int = None              # cap on fit's programs, default ceil(M^2 n^4 k / eps^2)
-    eta: float = None          # subgradient step, default M / (n sqrt(k) sqrt(T)); not used by fit
+    eta: float = None          # subgradient step, default M / (n sqrt(k) sqrt(T))
     max_iters: int = DEFAULT_MAX_ITERS
     grad_tol: float = 0.0      # KKT residual target; 0 runs to the floating-point optimum
 
@@ -258,13 +233,14 @@ def fit(basis, x, cfg):
     paper's T = M^2 n^4 k / eps^2 is a bound, not a step count.
 
     ``cfg.eta`` and ``cfg.lam`` do not affect ``fit``; they stay on
-    ``MpleConfig`` because callers pass them and ``resolve`` returns them.
+    ``MpleConfig`` because callers pass them and unpack the 3-tuple that
+    ``resolve`` returns.
     """
     x = check_spins(x, basis.n)
     _, T, _ = cfg.resolve(basis.n, basis.k)
     M = float(cfg.M)
-    Bx = basis.stacked() @ x
     edges = basis.edges
+    Bx = edges.fields(x)
 
     beta = np.zeros(basis.k)
     f = beta @ Bx
@@ -289,7 +265,7 @@ def fit(basis, x, cfg):
         u = edges.coef @ trial
         peak = float(edges.row_abs_sums(u).max())
         if peak > M * (1.0 + _BALL_RTOL):
-            c = infnorm_subgradient(edges, u, 1.0)
+            c = infnorm_subgradient(edges, u)
             if not any(np.array_equal(c, old) for old in cuts):
                 cuts = np.vstack([cuts, c])
                 continue

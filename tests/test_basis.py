@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isingfit.basis import (
+    MatrixBasis,
     beta_error_bound,
     combine,
     gram_matrix,
@@ -10,6 +11,7 @@ from isingfit.basis import (
     project,
     unique_edge_counts,
 )
+from isingfit.core import frobenius_norm, trace_inner, validate_interaction
 from isingfit.errors import (
     AllDegenerate,
     DegenerateFamily,
@@ -17,7 +19,7 @@ from isingfit.errors import (
     NotBinary,
     ShapeMismatch,
 )
-from isingfit.experiments import gen_blocks, gen_matchings
+from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import make_rng
 
 
@@ -192,13 +194,19 @@ def test_beta_error_bound_arithmetic():
 
 def test_edge_view_reproduces_dense_rows():
     rng = make_rng(60)
-    for raw in (random_family(9, 3, seed=61), gen_matchings(12, 3, rng),
+    matchings = gen_matchings(12, 3, rng)
+    for raw in (random_family(9, 3, seed=61), matchings,
                 gen_blocks(12, 3), [edge_matrix(7, [(0, 3), (3, 5)])]):
         b = gram_schmidt(raw)
         ev = b.edges
-        assert ev is b.edges  # built once
+        assert ev is b.edges  # the stored form, not rebuilt per access
         assert np.all(ev.rows < ev.cols)
         beta = rng.normal(size=b.k)
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=b.n)
+        if raw[0] is matchings[0]:
+            assert np.array_equal(ev.fields(x), b.stacked() @ x)
+        else:
+            assert np.allclose(ev.fields(x), b.stacked() @ x, rtol=0, atol=1e-14)
         U = combine(b, beta)
         u = ev.coef @ beta
         assert np.allclose(U[ev.rows, ev.cols], u, rtol=0, atol=1e-14)
@@ -212,3 +220,100 @@ def test_edge_view_reproduces_dense_rows():
             others = np.where(ev.rows[e] == i, ev.cols[e], ev.rows[e])
             assert np.array_equal(others, np.flatnonzero(U[i]))
             assert np.all(np.diff(e) > 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Gram-Schmidt on dense n x n matrices, as gram_schmidt ran before
+# the basis was stored in edge coordinates, kept verbatim apart from its
+# return value (the dense ortho list and the change matrix).
+
+
+def _fix_sign(A, coeffs):
+    """Make the first nonzero upper-triangle entry (row-major) positive."""
+    n = A.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    vals = A[iu, ju]
+    nz = np.flatnonzero(np.abs(vals) > 1e-14)
+    if nz.size and vals[nz[0]] < 0:
+        return -A, -coeffs
+    return A, coeffs
+
+
+def _dense_gram_schmidt(raw, rank_tol=1e-9):
+    if not raw:
+        raise AllDegenerate("empty matrix family")
+    mats = [validate_interaction(J) for J in raw]
+    n = mats[0].shape[0]
+    for J in mats:
+        if J.shape != (n, n):
+            raise ShapeMismatch("matrices in a family must share a dimension")
+    ortho = []
+    rows = []
+    for idx, J in enumerate(mats):
+        scale = frobenius_norm(J)
+        V = J.copy()
+        coeffs = np.zeros(len(mats))
+        coeffs[idx] = 1.0
+        for _ in range(2):  # MGS + one re-orthogonalization pass
+            for A, row in zip(ortho, rows):
+                c = trace_inner(V, A)
+                V = V - c * A
+                coeffs = coeffs - c * row
+        r = frobenius_norm(V)
+        if scale == 0.0 or r <= rank_tol * scale:
+            continue
+        V = V / r
+        coeffs = coeffs / r
+        V, coeffs = _fix_sign(V, coeffs)
+        np.fill_diagonal(V, 0.0)
+        ortho.append(V)
+        rows.append(coeffs)
+    if not ortho:
+        raise AllDegenerate("every input matrix is numerically zero")
+    return ortho, np.array(rows)
+
+
+def _families():
+    er = gen_erdos_renyi_incidence(16, 4, 0.3, make_rng(70))
+    # a copy of er[0] plus a tiny weight on an edge no other member has:
+    # it is dropped, so that edge is 0 in every A_i and leaves the support
+    i, j = np.argwhere(np.triu(er[0] + er[1] == 0, 1))[0]
+    R = random_family(16, 3, seed=73)
+    return {
+        "matchings": gen_matchings(24, 4, make_rng(71)),
+        "random": random_family(11, 4, seed=72),
+        "blocks": gen_blocks(15, 3),
+        "erdos_renyi": er,
+        "single_edge": [edge_matrix(6, [(1, 4)])],
+        "duplicate": [er[0], er[1], er[0] + 1e-13 * edge_matrix(16, [(i, j)]),
+                      2.5 * er[1]],
+        "rank_deficient": er[:3] + [er[0] - 0.5 * er[1] + 3.0 * er[2]],
+        "near_collinear": [R[0], R[0] + 1e-7 * R[1], R[0] + 1e-7 * (R[1] + R[2])],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_families()))
+def test_gram_schmidt_matches_dense_oracle(kind):
+    raw = _families()[kind]
+    b = gram_schmidt(raw)
+    ortho, change = _dense_gram_schmidt(raw)
+    assert isinstance(b, MatrixBasis) and b.k == len(ortho)
+    assert b.k < len(raw) if kind in ("duplicate", "rank_deficient") else b.k == len(raw)
+    got = b.stacked()
+    assert np.array_equal(np.stack(b.ortho), got)
+    if kind == "near_collinear":
+        # the change matrix carries a 1/1e-7 factor; the re-orthogonalization
+        # pass keeps the basis orthonormal (one pass leaves it off by ~6e-10)
+        assert np.abs(gram_matrix(b.ortho) - np.eye(b.k)).max() <= 1e-14
+        assert np.allclose(got, np.stack(ortho), rtol=0, atol=1e-9)
+    elif kind == "matchings":
+        assert np.array_equal(got, np.stack(ortho))
+        assert np.array_equal(b.change, change)
+    else:
+        assert np.allclose(got, np.stack(ortho), rtol=0, atol=1e-12)
+        assert np.allclose(b.change, change, rtol=0, atol=1e-12)
+    # the edge support is the dense basis' nonzero strictly-upper pattern
+    support = np.triu(np.any(np.stack(ortho) != 0.0, axis=0), 1)
+    rows, cols = np.nonzero(support)
+    assert np.array_equal(b.edges.rows, rows)
+    assert np.array_equal(b.edges.cols, cols)

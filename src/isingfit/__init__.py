@@ -5,6 +5,7 @@ from .core import (
     conditional_prob_plus,
     frobenius_norm,
     infinity_norm,
+    interaction_edges,
     local_field,
     restrict,
     spectral_norm,

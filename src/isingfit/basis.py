@@ -5,8 +5,10 @@ The span of raw matrices J_1..J_k is equipped with the inner product
 the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
 coordinates: the values of A_1..A_k' on the union of the raw matrices'
 strictly-upper supports (``MatrixBasis.edges``), where
-<A, B> = 2 a.b for the edge values a, b.  ``ortho`` and ``stacked()``
-are dense n x n views scattered from it.
+<A, B> = 2 a.b for the edge values a, b.  ``gram_schmidt`` reads each raw
+matrix once, through its support, and keeps no dense copy of it;
+``project`` gathers from J on the edges.  ``ortho`` and ``stacked()`` are
+dense n x n views scattered from the edges, for callers that need them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, trace_inner, validate_interaction
+from .core import frobenius_norm, interaction_edges, trace_inner
 from .errors import (
     AllDegenerate,
     DegenerateFamily,
@@ -71,7 +73,7 @@ class EdgeView:
 
 @dataclass(frozen=True)
 class MatrixBasis:
-    raw: list            # original J_1..J_k
+    raw: list            # the caller's J_1..J_k as float64 arrays, not copied
     edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
     change: np.ndarray   # (k', k): each A_i as a combination of the raw J's
     rank_tol: float
@@ -97,26 +99,29 @@ def gram_schmidt(raw, rank_tol=1e-9):
     """Modified Gram-Schmidt under the trace inner product, on the edge
     values of the raw matrices over their union strictly-upper support.
 
-    One re-orthogonalization pass is applied to each vector.  Inputs whose
-    residual drops below rank_tol times their original Frobenius norm are
-    dropped (recorded via the change matrix having fewer rows), not an
-    error.  Each A_i is signed so that its first edge value above 1e-14 in
-    magnitude is positive; edges where every A_i is 0 are left out.
+    Each input is validated on its own support (:func:`interaction_edges`)
+    and is never copied densely.  One re-orthogonalization pass is applied
+    to each vector.  Inputs whose residual drops below rank_tol times their
+    original Frobenius norm are dropped (recorded via the change matrix
+    having fewer rows), not an error.  Each A_i is signed so that its first
+    edge value above 1e-14 in magnitude is positive; edges where every A_i
+    is 0 are left out.
     """
     if not raw:
         raise AllDegenerate("empty matrix family")
-    mats = [validate_interaction(J) for J in raw]
+    mats = [np.asarray(J, dtype=np.float64) for J in raw]
+    found = [interaction_edges(J) for J in mats]
     n = mats[0].shape[0]
-    support = np.zeros((n, n), dtype=bool)
-    for J in mats:
-        if J.shape != (n, n):
-            raise ShapeMismatch("matrices in a family must share a dimension")
-        support |= J != 0.0
-    rows, cols = np.nonzero(np.triu(support, 1))
+    if any(J.shape != (n, n) for J in mats):
+        raise ShapeMismatch("matrices in a family must share a dimension")
+    union = np.unique(np.concatenate([i * n + j for i, j, _ in found]))
+    rows, cols = np.divmod(union, n)
+    values = np.zeros((len(mats), union.size))  # row s: J_s on the union
+    for s, (i, j, v) in enumerate(found):
+        values[s, np.searchsorted(union, i * n + j)] = v
     ortho = []
     change = []
-    for idx, J in enumerate(mats):
-        v = J[rows, cols]
+    for idx, v in enumerate(values):
         scale = math.sqrt(2.0 * (v @ v))
         coeffs = np.zeros(len(mats))
         coeffs[idx] = 1.0
@@ -160,13 +165,21 @@ def combine(basis, beta):
 
 
 def project(basis, J):
-    """Coordinates of J on the span plus the orthogonal residual norm."""
+    """Coordinates of J on the span plus the orthogonal residual norm.
+
+    beta_s = <J, A_s> is gathered from J's entries on the basis edges; the
+    residual is J with those entries less sum_s beta_s A_s.
+    """
     J = np.asarray(J, dtype=np.float64)
     if J.shape != (basis.n, basis.n):
         raise ShapeMismatch(f"matrix shape {J.shape} vs basis dimension {basis.n}")
-    beta = np.array([trace_inner(J, A) for A in basis.ortho])
-    residual = frobenius_norm(J - combine(basis, beta))
-    return beta, residual
+    ev = basis.edges
+    beta = ev.coef.T @ (J[ev.rows, ev.cols] + J[ev.cols, ev.rows])
+    u = ev.coef @ beta
+    R = J.copy()
+    R[ev.rows, ev.cols] -= u
+    R[ev.cols, ev.rows] -= u
+    return beta, frobenius_norm(R)
 
 
 def gram_matrix(mats):
@@ -196,8 +209,7 @@ def unique_edge_counts(incidence):
         J = np.asarray(J)
         if not np.all(np.isin(J, (0, 1))):
             raise NotBinary("incidence matrices must be 0/1")
-        validate_interaction(J.astype(np.float64))
-        i, j = np.nonzero(np.triu(J, k=1))
+        i, j, _ = interaction_edges(J)
         edge_sets.append(set(zip(i.tolist(), j.tolist())))
     out = []
     for s, E in enumerate(edge_sets):

@@ -1,13 +1,15 @@
 """Core Ising-model data types and elementary operations.
 
 Interaction matrices are dense, symmetric, zero-diagonal float64 arrays.
-Symmetry and diagonal are enforced once at construction; all downstream
-code assumes a validated matrix.
+Symmetry, diagonal and finiteness are enforced once at construction; all
+downstream code assumes a validated matrix.  ``interaction_edges`` applies
+the same checks on a matrix's support and returns its edges instead.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,28 +21,71 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     MissingAssignment,
+    NonFinite,
 )
+
+
+def _as_square(J):
+    J = np.asarray(J, dtype=np.float64)
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
+        raise DimensionMismatch(f"expected square matrix, got shape {J.shape}")
+    return J
+
+
+def _check_interaction(asym, diag, tol):
+    """Raise on the worst |J_ij - J_ji| and |J_ii| of a square matrix.
+
+    Every non-finite entry makes its own J_ij - J_ji non-finite, so a
+    non-finite ``asym`` means the matrix has a NaN or infinite entry.
+    """
+    if not math.isfinite(asym):
+        raise NonFinite("interaction matrix has a NaN or infinite entry")
+    if asym > tol:
+        raise AsymmetryError(f"max |J_ij - J_ji| = {asym:g} exceeds tol {tol:g}")
+    if diag > tol:
+        raise DiagonalError(f"max |J_ii| = {diag:g} exceeds tol {tol:g}")
 
 
 def validate_interaction(J, tol=1e-12):
     """Validate and canonicalize an interaction matrix.
 
     Small asymmetries (at most ``tol``) are averaged out; diagonal entries
-    at most ``tol`` in magnitude are zeroed.  Anything larger raises.
+    at most ``tol`` in magnitude are zeroed.  Anything larger, and any NaN
+    or infinite entry, raises.
     """
-    J = np.asarray(J, dtype=np.float64)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {J.shape}")
-    asym = np.max(np.abs(J - J.T)) if J.size else 0.0
-    if asym > tol:
-        raise AsymmetryError(f"max |J_ij - J_ji| = {asym:g} exceeds tol {tol:g}")
+    J = _as_square(J)
+    with np.errstate(invalid="ignore"):  # inf - inf; reported as NonFinite
+        asym = np.max(np.abs(J - J.T)) if J.size else 0.0
     d = np.max(np.abs(np.diag(J))) if J.size else 0.0
-    if d > tol:
-        raise DiagonalError(f"max |J_ii| = {d:g} exceeds tol {tol:g}")
+    _check_interaction(asym, d, tol)
     out = 0.5 * (J + J.T)
     np.fill_diagonal(out, 0.0)
     out.flags.writeable = False
     return out
+
+
+def interaction_edges(J, tol=1e-12):
+    """Validate an interaction matrix on its support and return its edges.
+
+    Applies the rules, errors and messages of :func:`validate_interaction`
+    but reads J only through one ``J != 0`` scan and gathers on that
+    support.  Returns ``(rows, cols, values)``: the nonzero strictly-upper
+    entries of ``validate_interaction(J, tol)``, in row-major order.
+    """
+    J = _as_square(J)
+    n = J.shape[0]
+    r, c = np.divmod(np.flatnonzero(J != 0.0), n)  # flat: faster than np.nonzero(J)
+    v = J[r, c]
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(v - J[c, r])) if v.size else 0.0
+    on_diag = r == c
+    d = np.max(np.abs(v[on_diag])) if on_diag.any() else 0.0
+    _check_interaction(asym, d, tol)
+    r, c = r[~on_diag], c[~on_diag]
+    rows, cols = np.divmod(np.unique(np.minimum(r, c) * n + np.maximum(r, c)), n)
+    values = 0.5 * (J[rows, cols] + J[cols, rows])
+    keep = values != 0.0
+    return rows[keep], cols[keep], values[keep]
 
 
 def infinity_norm(J):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,16 @@ from isingfit.basis import (
     project,
     unique_edge_counts,
 )
-from isingfit.core import frobenius_norm, trace_inner, validate_interaction
+from isingfit.core import (
+    frobenius_norm,
+    interaction_edges,
+    trace_inner,
+    validate_interaction,
+)
 from isingfit.errors import (
     AllDegenerate,
     DegenerateFamily,
+    IsingfitError,
     LengthMismatch,
     NotBinary,
     ShapeMismatch,
@@ -317,3 +325,115 @@ def test_gram_schmidt_matches_dense_oracle(kind):
     rows, cols = np.nonzero(support)
     assert np.array_equal(b.edges.rows, rows)
     assert np.array_equal(b.edges.cols, cols)
+
+
+# ---------------------------------------------------------------------------
+# interaction_edges against validate_interaction, the dense validator.
+
+
+def _malformed():
+    J = edge_matrix(5, [(0, 1), (1, 2), (3, 4)])
+    asym, diag, nan, inf = J.copy(), J.copy(), J.copy(), J.copy()
+    asym[0, 1] += 1e-9
+    diag[2, 2] = 1e-9
+    nan[3, 4] = nan[4, 3] = np.nan
+    inf[1, 2] = inf[2, 1] = np.inf
+    nan_asym = asym.copy()
+    nan_asym[2, 0] = np.nan
+    return {
+        "asymmetric": [J, asym],
+        "diagonal": [J, diag],
+        "non_square": [J, np.zeros((5, 4))],
+        "mismatched_shapes": [J, np.zeros((4, 4))],
+        "nan": [nan, J],
+        "inf": [J, inf],
+        "nan_and_asymmetric": [nan_asym],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_malformed()))
+def test_validators_raise_alike(kind):
+    raw = _malformed()[kind]
+    with pytest.raises(IsingfitError) as dense:
+        _dense_gram_schmidt(raw)
+    with pytest.raises(dense.type, match=re.escape(str(dense.value))):
+        gram_schmidt(raw)
+    for J in raw:
+        try:
+            validate_interaction(J)
+        except IsingfitError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                interaction_edges(J)
+        else:
+            interaction_edges(J)
+
+
+def test_edges_are_the_canonical_upper_entries_bit_for_bit():
+    # asymmetries and diagonals at most tol, a tiny antisymmetric pair whose
+    # canonical value is 0, and a member whose support is every edge
+    n, tol = 14, 1e-12
+    rng = make_rng(80)
+    er = gen_erdos_renyi_incidence(n, 3, 0.3, make_rng(81))
+    noisy = er[0] * rng.normal(size=(n, n))
+    noisy = noisy + noisy.T + 0.4 * tol * rng.uniform(-1, 1, (n, n)) * (er[0] != 0)
+    np.fill_diagonal(noisy, 0.5 * tol)
+    i, j = np.argwhere(np.triu(er[0] + er[1] == 0, 1))[0]
+    pair = er[1].copy()
+    pair[i, j], pair[j, i] = 0.3 * tol, -0.3 * tol
+    tiny = 0.1 * tol * rng.uniform(-1, 1, (n, n))
+    tiny = tiny + tiny.T + 0.4 * tol * rng.uniform(-1, 1, (n, n))
+    raw = [noisy, pair, tiny, er[2]]
+    for J in raw:
+        rows, cols, values = interaction_edges(J, tol)
+        canonical = validate_interaction(J, tol)
+        r, c = np.nonzero(np.triu(canonical, 1))
+        assert np.array_equal(rows, r) and np.array_equal(cols, c)
+        assert np.array_equal(values, canonical[r, c])
+    rows, cols, _ = interaction_edges(pair, tol)
+    assert not np.any((rows == i) & (cols == j))
+    b = gram_schmidt(raw)
+    ortho, change = _dense_gram_schmidt(raw)
+    assert b.k == len(ortho) == len(raw)
+    assert np.allclose(b.stacked(), np.stack(ortho), rtol=0, atol=1e-12)
+    assert np.allclose(b.change, change, rtol=0, atol=1e-12 / tol)
+    support = np.triu(np.any(np.stack(ortho) != 0.0, axis=0), 1)
+    r, c = np.nonzero(support)
+    assert np.array_equal(b.edges.rows, r) and np.array_equal(b.edges.cols, c)
+
+
+def test_raw_holds_the_callers_arrays():
+    raw = gen_erdos_renyi_incidence(10, 2, 0.4, make_rng(82))
+    b = gram_schmidt(raw)
+    assert all(B is J for B, J in zip(b.raw, raw))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: project as it ran before it gathered from the edges, with dense
+# trace inner products against ortho and a dense combine; kept verbatim.
+
+
+def _dense_project(basis, J):
+    """Coordinates of J on the span plus the orthogonal residual norm."""
+    J = np.asarray(J, dtype=np.float64)
+    if J.shape != (basis.n, basis.n):
+        raise ShapeMismatch(f"matrix shape {J.shape} vs basis dimension {basis.n}")
+    beta = np.array([trace_inner(J, A) for A in basis.ortho])
+    residual = frobenius_norm(J - combine(basis, beta))
+    return beta, residual
+
+
+@pytest.mark.parametrize("kind", ["matchings", "random", "erdos_renyi",
+                                  "rank_deficient"])
+def test_project_matches_dense_oracle(kind):
+    b = gram_schmidt(_families()[kind])
+    rng = make_rng(90)
+    in_span = combine(b, rng.normal(size=b.k))
+    out_of_span = in_span + random_family(b.n, 1, seed=91)[0]
+    asymmetric = in_span + rng.normal(size=(b.n, b.n))
+    diagonal = in_span + np.diag(rng.normal(size=b.n))
+    for J in (in_span, out_of_span, asymmetric, diagonal):
+        beta, residual = project(b, J)
+        want_beta, want_residual = _dense_project(b, J)
+        tol = 1e-12 * frobenius_norm(J)
+        assert np.allclose(beta, want_beta, rtol=0, atol=tol)
+        assert abs(residual - want_residual) <= tol

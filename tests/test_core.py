@@ -11,6 +11,7 @@ from isingfit.errors import (
     EmptySubset,
     IndexOutOfRange,
     MissingAssignment,
+    NonFinite,
 )
 from isingfit.sampler import enumerate_distribution, make_rng, spin_table
 
@@ -55,6 +56,24 @@ def test_validate_enforces_exact_symmetry():
     out = isf.validate_interaction(J, tol=1e-12)
     assert np.array_equal(out, out.T)
     assert np.all(np.diag(out) == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["pair", "one_entry", "diagonal"])
+def test_non_finite_entries_raise(bad, where):
+    J = np.array([[0, 0.3, 0.0], [0.3, 0, 0.1], [0.0, 0.1, 0]])
+    if where == "pair":
+        J[0, 2] = J[2, 0] = bad
+    elif where == "one_entry":
+        J[1, 2] = bad
+    else:
+        J[1, 1] = bad
+    with pytest.raises(NonFinite):
+        isf.validate_interaction(J)
+    with pytest.raises(NonFinite):
+        isf.interaction_edges(J)
+    with pytest.raises(NonFinite):
+        IsingSpec.zero_field(J)
 
 
 def test_infinity_norm_examples():

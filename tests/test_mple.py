@@ -227,15 +227,17 @@ def test_fit_result_bookkeeping():
 
 
 def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
-    # psi and grad_beta read Bx off the edge view; fit stacks the basis
-    # only in combine, to form J_hat
-    b = gram_schmidt(random_family(10, 3, seed=40))
+    # gram_schmidt, project, psi and grad_beta work on the edge view; fit
+    # stacks the basis only in combine, to form J_hat
     rng = make_rng(41)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
     calls = []
     stacked = MatrixBasis.stacked
     monkeypatch.setattr(MatrixBasis, "stacked",
                         lambda self: calls.append(1) or stacked(self))
+    b = gram_schmidt(random_family(10, 3, seed=40))
+    project(b, random_family(10, 1, seed=42)[0])
+    assert not calls
     psi(b, rng.normal(size=3), x)
     grad_beta(b, rng.normal(size=3), x)
     assert not calls

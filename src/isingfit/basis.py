@@ -5,10 +5,11 @@ The span of raw matrices J_1..J_k is equipped with the inner product
 the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
 coordinates: the values of A_1..A_k' on the union of the raw matrices'
 strictly-upper supports (``MatrixBasis.edges``), where
-<A, B> = 2 a.b for the edge values a, b.  ``gram_schmidt`` reads each raw
-matrix once, through its support, and keeps no dense copy of it;
-``project`` gathers from J on the edges.  ``ortho`` and ``stacked()`` are
-dense n x n views scattered from the edges, for callers that need them.
+<A, B> = 2 a.b for the edge values a, b, together with the change matrix
+that writes each A_i in the raw J's.  ``gram_schmidt`` reads each raw
+matrix once, through its support, and keeps none of them; ``project``
+gathers from J on the edges.  ``ortho`` and ``stacked()`` are dense n x n
+views scattered from the edges, for callers that need them.
 """
 
 from __future__ import annotations
@@ -35,26 +36,18 @@ class EdgeView:
     Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], in
     row-major order, and ``coef[e, s]`` is A_s at that pair, so the upper
     entries of sum_s beta_s A_s are ``coef @ beta``.
-    ``incident[indptr[i]:indptr[i+1]]`` lists the edges that touch node i
-    in increasing order of the other endpoint, which is also increasing
-    edge order.
     """
 
     n: int
     rows: np.ndarray     # (m,)
     cols: np.ndarray     # (m,)
     coef: np.ndarray     # (m, k)
-    indptr: np.ndarray   # (n + 1,)
-    incident: np.ndarray
 
     def row_abs_sums(self, u):
         """sum_j |U_ij| for every node i, given the edge values u of U."""
         a = np.abs(u)
         return (np.bincount(self.rows, a, self.n)
                 + np.bincount(self.cols, a, self.n))
-
-    def node_edges(self, i):
-        return self.incident[self.indptr[i]:self.indptr[i + 1]]
 
     def fields(self, x):
         """Bx = (A_s x)_s, shape (k, n), in O(m k)."""
@@ -73,10 +66,8 @@ class EdgeView:
 
 @dataclass(frozen=True)
 class MatrixBasis:
-    raw: list            # the caller's J_1..J_k as float64 arrays, not copied
     edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
     change: np.ndarray   # (k', k): each A_i as a combination of the raw J's
-    rank_tol: float
 
     @property
     def n(self):
@@ -144,13 +135,8 @@ def gram_schmidt(raw, rank_tol=1e-9):
         raise AllDegenerate("every input matrix is numerically zero")
     coef = np.stack(ortho, axis=1)
     keep = np.any(coef != 0.0, axis=1)
-    rows, cols, coef = rows[keep], cols[keep], coef[keep]
-    ends = np.concatenate([cols, rows])  # node i's edges by column
-    incident = np.concatenate([np.arange(rows.size)] * 2)[
-        np.argsort(ends, kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-    edges = EdgeView(n, rows, cols, coef, indptr, incident)
-    return MatrixBasis(mats, edges, np.array(change), rank_tol)
+    edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
+    return MatrixBasis(edges, np.array(change))
 
 
 def combine(basis, beta):

@@ -48,26 +48,28 @@ def cmd_sample(args):
         print("\n".join(lines))
 
 
-def _load_basis(path):
+def _load_family(path):
+    """The matrices named by a JSON list of matrix files."""
     with open(path) as f:
         files = json.load(f)
-    return basis_mod.gram_schmidt([load_matrix(p) for p in files])
+    return [load_matrix(p) for p in files]
 
 
 def cmd_basis(args):
-    b = _load_basis(args.basis)
+    raw = _load_family(args.basis)
+    b = basis_mod.gram_schmidt(raw)
     G = basis_mod.gram_matrix(b.ortho)
     report = {
-        "k_input": len(b.raw),
+        "k_input": len(raw),
         "k_prime": b.k,
-        "min_singular_value": basis_mod.min_singular_value(b.raw),
+        "min_singular_value": basis_mod.min_singular_value(raw),
         "gram": [[round(v, 12) for v in row] for row in G],
     }
     _write(args.out, report)
 
 
 def cmd_fit(args):
-    b = _load_basis(args.basis)
+    b = basis_mod.gram_schmidt(_load_family(args.basis))
     x = load_spins(args.sample)
     cfg = mple.MpleConfig(M=args.M, epsilon=args.epsilon,
                           max_iters=args.max_iters, grad_tol=args.grad_tol)

@@ -166,7 +166,7 @@ class IsingSpec:
                 f"field length {h.shape} does not match n={J.shape[0]}"
             )
         if not np.all(np.isfinite(h)):
-            raise ValueError("external field must be finite")
+            raise NonFinite("external field must be finite")
         h = h.copy()
         h.flags.writeable = False
         object.__setattr__(self, "J", J)

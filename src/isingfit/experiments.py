@@ -11,12 +11,11 @@ import csv
 import json
 import math
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gram_schmidt, project
+from .basis import combine, gram_schmidt, project
 from .core import IsingSpec, frobenius_norm, infinity_norm, matrix_to_json
 from .errors import IsingfitError, NormBudgetExceeded, TooManyGroups
 from .mple import MpleConfig, fit, psi
@@ -105,20 +104,12 @@ def gen_assouad(basis, c, theta):
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (basis.k,) or np.any(np.abs(theta) != 1):
         raise ValueError("theta must be a +-1 vector of the basis rank")
-    from .basis import combine
-
     J = combine(basis, c * theta)
     if infinity_norm(J) > 0.5 + 1e-12:
         raise NormBudgetExceeded(
             f"||A_theta||_inf = {infinity_norm(J):g} exceeds the 1/2 budget"
         )
     return J
-
-_GENERATORS = {
-    "matchings": gen_matchings,
-    "blocks": gen_blocks,
-    "erdos_renyi_incidence": gen_erdos_renyi_incidence,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +162,6 @@ class TrialRecord:
     iterations: int
     sampler: str
     error: str = ""
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def trial_seed(seed, k, trial):
@@ -179,10 +169,10 @@ def trial_seed(seed, k, trial):
 
 
 def _make_raw(cfg, k, rng):
-    if cfg.generator in ("matchings", "blocks"):
-        return _GENERATORS[cfg.generator](
-            cfg.n, k, rng if cfg.shuffle_support else None
-        )
+    if cfg.generator == "matchings":
+        return gen_matchings(cfg.n, k, rng if cfg.shuffle_support else None)
+    if cfg.generator == "blocks":
+        return gen_blocks(cfg.n, k, rng if cfg.shuffle_support else None)
     if cfg.generator == "erdos_renyi_incidence":
         return gen_erdos_renyi_incidence(cfg.n, k, cfg.er_p, rng)
     raise ValueError(f"unknown generator {cfg.generator!r}")
@@ -214,9 +204,7 @@ def run_trial(cfg, k, trial):
     beta_star, _ = project(basis, J_star)
     mcfg = MpleConfig(M=cfg.M, epsilon=cfg.epsilon, max_iters=cfg.max_iters,
                       T=cfg.max_iters, grad_tol=cfg.grad_tol)
-    t0 = time.perf_counter()
     res = fit(basis, x, mcfg)
-    wall = time.perf_counter() - t0
     psi_star = psi(basis, beta_star, x)
     rec = TrialRecord(
         generator=cfg.generator,
@@ -232,7 +220,6 @@ def run_trial(cfg, k, trial):
         inf_norm_hat=res.inf_norm_hat,
         iterations=res.iterations,
         sampler=sampler,
-        wall_time=wall,
     )
     return rec, basis, J_star, res
 

@@ -113,7 +113,8 @@ def infnorm_subgradient(edges, u):
     """Subgradient of ||A_beta||_inf in beta coordinates from the edge
     values u = edges.coef @ beta: differentiates through the row with the
     largest absolute sum (lowest index on ties); sgn(0) = 0."""
-    e = edges.node_edges(int(np.argmax(edges.row_abs_sums(u))))
+    i = int(np.argmax(edges.row_abs_sums(u)))
+    e = np.flatnonzero((edges.rows == i) | (edges.cols == i))
     return edges.coef[e].T @ np.sign(u[e])
 
 
@@ -149,7 +150,6 @@ class EstimationResult:
     psi_hat: float
     inf_norm_hat: float
     iterations: int              # quadratic programs solved (steps and cuts)
-    config: MpleConfig
     stop_reason: str = ""        # "kkt", "stalled" or "iter_cap"
     kkt_residual: float = math.nan
     budget_active: bool = False  # ||J_hat||_inf within relative 1e-9 of M
@@ -289,7 +289,6 @@ def fit(basis, x, cfg):
         psi_hat=neg_log_pl(J_hat, x),
         inf_norm_hat=inf_hat,
         iterations=it,
-        config=cfg,
         stop_reason=stop_reason,
         kkt_residual=residual,
         budget_active=inf_hat >= M * (1.0 - _BALL_RTOL),

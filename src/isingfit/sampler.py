@@ -25,20 +25,27 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _spins(idx, n):
+    """The (len(idx), n) int64 spins of configuration indices idx."""
+    return 1 - 2 * ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
+
+
+def _indices(X):
+    """The configuration indices of the rows of X (of X itself when 1-D)."""
+    X = np.asarray(X, dtype=np.int64)
+    return ((1 - X) // 2) @ (1 << np.arange(X.shape[-1]))
+
+
 def spin_table(n, start=0, stop=None):
     """Spins (+-1 float) for configuration indices [start, stop)."""
     if stop is None:
         stop = 1 << n
-    idx = np.arange(start, stop, dtype=np.uint64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    return _spins(np.arange(start, stop), n).astype(np.float64)
 
 
 def config_index(x):
     """Inverse of spin_table's ordering for a single configuration."""
-    x = np.asarray(x)
-    bits = (1 - x.astype(np.int64)) // 2
-    return int(np.sum(bits << np.arange(len(x))))
+    return int(_indices(x))
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,7 @@ def exact_sample(dist, rng, count=None):
     cdf[-1] = 1.0
     single = count is None
     m = 1 if single else count
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
-    bits = (idx[:, None] >> np.arange(dist.n)) & 1
-    X = (1 - 2 * bits).astype(np.int64)
+    X = _spins(np.searchsorted(cdf, rng.random(m), side="right"), dist.n)
     return X[0] if single else X
 
 
@@ -166,9 +171,5 @@ def glauber_sample(spec, cfg, rng=None, init_state=None):
 
 def empirical_distribution(samples, n):
     """Frequency vector over the canonical configuration order."""
-    idx = np.zeros(samples.shape[0], dtype=np.int64)
-    bits = ((1 - samples) // 2).astype(np.int64)
-    for b in range(n):
-        idx |= bits[:, b] << b
-    counts = np.bincount(idx, minlength=1 << n)
+    counts = np.bincount(_indices(samples), minlength=1 << n)
     return counts / samples.shape[0]

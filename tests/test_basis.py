@@ -1,9 +1,11 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from isingfit.basis import (
+    EdgeView,
     MatrixBasis,
     beta_error_bound,
     combine,
@@ -28,6 +30,7 @@ from isingfit.errors import (
     ShapeMismatch,
 )
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
+from isingfit.mple import infnorm_subgradient
 from isingfit.sampler import make_rng
 
 
@@ -223,11 +226,26 @@ def test_edge_view_reproduces_dense_rows():
         assert np.allclose(upper + upper.T, U, rtol=0, atol=1e-14)
         assert np.allclose(ev.row_abs_sums(u), np.abs(U).sum(axis=1),
                            rtol=0, atol=1e-13)
-        for i in range(b.n):
-            e = ev.node_edges(i)
-            others = np.where(ev.rows[e] == i, ev.cols[e], ev.rows[e])
-            assert np.array_equal(others, np.flatnonzero(U[i]))
-            assert np.all(np.diff(e) > 0)
+        for beta in rng.normal(size=(4, b.k)):
+            got = infnorm_subgradient(ev, ev.coef @ beta)
+            want = _dense_infnorm_subgradient(b, beta)
+            if raw[0] is matchings[0]:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+
+def _dense_infnorm_subgradient(basis, beta):
+    """Through the lowest-index row i of A_beta with the largest absolute
+    sum: sum_j sgn((A_beta)_ij) (A_s)_ij for each s."""
+    U = combine(basis, beta)
+    i = int(np.argmax(np.abs(U).sum(axis=1)))
+    return np.array([np.sign(U[i]) @ A[i] for A in basis.ortho])
+
+
+def test_basis_stores_only_edges_and_change():
+    assert [f.name for f in fields(MatrixBasis)] == ["edges", "change"]
+    assert [f.name for f in fields(EdgeView)] == ["n", "rows", "cols", "coef"]
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +417,6 @@ def test_edges_are_the_canonical_upper_entries_bit_for_bit():
     support = np.triu(np.any(np.stack(ortho) != 0.0, axis=0), 1)
     r, c = np.nonzero(support)
     assert np.array_equal(b.edges.rows, r) and np.array_equal(b.edges.cols, c)
-
-
-def test_raw_holds_the_callers_arrays():
-    raw = gen_erdos_renyi_incidence(10, 2, 0.4, make_rng(82))
-    b = gram_schmidt(raw)
-    assert all(B is J for B, J in zip(b.raw, raw))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ def test_non_finite_entries_raise(bad, where):
         IsingSpec.zero_field(J)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_raises(bad):
+    with pytest.raises(NonFinite, match="external field must be finite"):
+        IsingSpec(np.zeros((2, 2)), [bad, 0.0])
+
+
 def test_infinity_norm_examples():
     assert isf.infinity_norm(np.zeros((3, 3))) == 0.0
     assert isf.infinity_norm(np.array([[0, 0.3], [0.3, 0]])) == pytest.approx(0.3)

@@ -119,10 +119,10 @@ def test_appendix_inequality_per_trial():
     # incidence families, with lambda_s the unique-edge counts
     cfg = ExperimentConfig(n=16, k_grid=(2,), trials=3, M=0.5,
                            max_iters=20000, eta=0.002, grad_tol=1e-5)
+    raw = gen_matchings(cfg.n, 2)  # the family run_trial fits at this config
+    lam = unique_edge_counts(raw)
     for trial in range(3):
-        rec, basis, J_star, res = run_trial(cfg, 2, trial)
-        raw = basis.raw
-        lam = unique_edge_counts(raw)
+        _, _, J_star, res = run_trial(cfg, 2, trial)
         # convert back to raw coordinates: J = sum_s beta_raw_s J_s
         G = np.array([[trace_inner(a, b) for b in raw] for a in raw])
         beta_star_raw = np.linalg.solve(G, [trace_inner(J_star, Jm) for Jm in raw])

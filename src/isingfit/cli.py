@@ -58,12 +58,13 @@ def _load_family(path):
 def cmd_basis(args):
     raw = _load_family(args.basis)
     b = basis_mod.gram_schmidt(raw)
-    G = basis_mod.gram_matrix(b.ortho)
+    coef = b.edges.coef
+    G = 2.0 * coef.T @ coef  # <A_i, A_j> = 2 a_i . a_j on the edges
     report = {
         "k_input": len(raw),
         "k_prime": b.k,
         "min_singular_value": basis_mod.min_singular_value(raw),
-        "gram": [[round(v, 12) for v in row] for row in G],
+        "gram": [[round(v, 12) + 0.0 for v in row] for row in G.tolist()],  # no -0.0
     }
     _write(args.out, report)
 

@@ -109,11 +109,14 @@ def grad_beta(basis, beta, x):
     return gradient_at_fields(Bx, beta @ Bx, x)
 
 
-def infnorm_subgradient(edges, u):
+def infnorm_subgradient(edges, u, row_sums=None):
     """Subgradient of ||A_beta||_inf in beta coordinates from the edge
     values u = edges.coef @ beta: differentiates through the row with the
-    largest absolute sum (lowest index on ties); sgn(0) = 0."""
-    i = int(np.argmax(edges.row_abs_sums(u)))
+    largest absolute sum (lowest index on ties); sgn(0) = 0.  ``row_sums``
+    is ``edges.row_abs_sums(u)`` when the caller already has it."""
+    if row_sums is None:
+        row_sums = edges.row_abs_sums(u)
+    i = int(np.argmax(row_sums))
     e = np.flatnonzero((edges.rows == i) | (edges.cols == i))
     return edges.coef[e].T @ np.sign(u[e])
 
@@ -263,9 +266,10 @@ def fit(basis, x, cfg):
                            _BALL_RTOL * M)
         trial = beta + d
         u = edges.coef @ trial
-        peak = float(edges.row_abs_sums(u).max())
+        row_sums = edges.row_abs_sums(u)
+        peak = float(row_sums.max())
         if peak > M * (1.0 + _BALL_RTOL):
-            c = infnorm_subgradient(edges, u)
+            c = infnorm_subgradient(edges, u, row_sums)
             if not any(np.array_equal(c, old) for old in cuts):
                 cuts = np.vstack([cuts, c])
                 continue

@@ -18,6 +18,9 @@ from .errors import DimensionTooLarge
 
 ENUMERATION_LIMIT = 22
 _CHUNK = 1 << 16
+_DRAW_CHUNK = 4096  # Glauber steps decoded per random_raw call
+_P_MEMO = 1 << 12    # memoised conditionals per single chain
+_DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
 
 
 def make_rng(seed):
@@ -131,10 +134,17 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     uniform site, resample it from its conditional.  Returns a
     (count, n) int matrix of final states.
 
-    An update costs O(count * n).  With ``count == 1`` it is one row dot
-    product and two scalar draws; these take the same values from the
-    generator as the size-1 draws of the vectorised path, so the result
-    does not depend on which path ran.
+    An update costs O(count * n).  With ``count == 1`` it costs O(row
+    degree) and draws the same values: the sites and uniforms are decoded
+    in bulk from the generator's raw words (``_scan_draws``), which gives
+    the values, and the final generator state, of scalar
+    ``rng.integers(0, n)`` / ``rng.random()`` calls; these are the size-1
+    draws of the vectorised path.  The field of a site with at most 32
+    couplings is summed over them in column order, and a denser row
+    takes one BLAS product ``J[s] @ x``.  With at most two couplings the
+    sum is bit-identical to that product, since zeros add exactly and
+    a + b = b + a; with 3 to 32 its last bit can differ, and a spin then
+    differs only when its uniform falls between two adjacent doubles.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -149,11 +159,7 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
         X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
     steps = cfg.burn_in_sweeps * n
     if count == 1:
-        J, h, x = spec.J, spec.h, X[0]
-        for _ in range(steps):
-            s = rng.integers(0, n)
-            p_plus = 0.5 * (1.0 + np.tanh(J[s] @ x + h[s]))
-            x[s] = 1.0 if rng.random() < p_plus else -1.0
+        _single_chain(spec, X[0], rng, steps)
         return X.astype(np.int64)
     rows = np.arange(count)
     for _ in range(steps):
@@ -162,6 +168,93 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
         p_plus = 0.5 * (1.0 + np.tanh(fields))
         X[rows, sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
     return X.astype(np.int64)
+
+
+def _single_chain(spec, x, rng, steps):
+    """Run ``steps`` heat-bath updates on the spin array x, in place."""
+    n = spec.n
+    J = spec.J
+    rows, cols = np.nonzero(J)
+    weights = J[rows, cols].tolist()
+    cols = cols.tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    # (column, weight) pairs, or None for a row dense enough that one BLAS
+    # product on the array x beats summing in Python
+    neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
+                  else None for a, b in zip(bounds, bounds[1:])]
+    dense = None in neighbours
+    h = spec.h.tolist()
+    xs = x.tolist()
+    p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
+    for sites, uniforms in _scan_draws(rng, n, steps):
+        for s, u in zip(sites.tolist(), uniforms.tolist()):
+            row = neighbours[s]
+            if row is None:
+                f = float(J[s] @ x)
+            else:
+                f = 0.0
+                for j, w in row:
+                    f += w * xs[j]
+            f += h[s]
+            p = p_plus.get(f)
+            if p is None:
+                if len(p_plus) == _P_MEMO:
+                    p_plus.clear()
+                # np.tanh, not math.tanh: they can differ in the last bit
+                p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
+            v = xs[s] = 1.0 if u < p else -1.0
+            if dense:
+                x[s] = v
+    x[:] = xs
+
+
+def _scan_draws(rng, n, steps):
+    """Yield (sites, uniforms) chunks holding exactly the values of
+    ``steps`` pairs of scalar ``rng.integers(0, n)``, ``rng.random()``
+    calls, and leave rng in the state those calls leave.
+
+    On a Philox generator with n > 1, each aligned pair of steps reads
+    three 64-bit words [S, U, U']: the sites are Lemire draws from the
+    low and then the high 32-bit half of S (the high half is the one the
+    bit generator buffers) and the uniforms are (U >> 11) 2^-53.  A site
+    whose low product word falls below 2^32 mod n is rejected and
+    redrawn; a chunk with any rejection is redone by scalar calls from
+    its starting state.  A buffered half on entry, or a last odd step,
+    takes one scalar step.  Other bit generators, and n = 1 (where
+    integers(0, 1) reads no word), take scalar calls throughout.  Needs
+    n <= 2^32, the range integers(0, n) draws with 32-bit words.
+    """
+    bitgen = rng.bit_generator
+    bulk = n > 1 and isinstance(bitgen, np.random.Philox)
+    low = np.uint64(0xFFFFFFFF)
+    threshold = np.uint64((1 << 32) % n)
+    left = steps
+    while left:
+        m = min(left, _DRAW_CHUNK)
+        if bulk:
+            state = bitgen.state
+            if state["has_uint32"] or m == 1:
+                m = 1
+            else:
+                m -= m % 2
+                words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
+                halves = np.empty(m, dtype=np.uint64)
+                halves[0::2] = words[:, 0] & low
+                halves[1::2] = words[:, 0] >> np.uint64(32)
+                product = halves * np.uint64(n)
+                if not np.any((product & low) < threshold):
+                    yield ((product >> np.uint64(32)).astype(np.int64),
+                           (words[:, 1:].ravel() >> np.uint64(11)) * 2.0 ** -53)
+                    left -= m
+                    continue
+                bitgen.state = state
+        sites = np.empty(m, dtype=np.int64)
+        uniforms = np.empty(m)
+        for i in range(m):
+            sites[i] = rng.integers(0, n)
+            uniforms[i] = rng.random()
+        yield sites, uniforms
+        left -= m
 
 
 def glauber_sample(spec, cfg, rng=None, init_state=None):

@@ -227,7 +227,9 @@ def test_edge_view_reproduces_dense_rows():
         assert np.allclose(ev.row_abs_sums(u), np.abs(U).sum(axis=1),
                            rtol=0, atol=1e-13)
         for beta in rng.normal(size=(4, b.k)):
-            got = infnorm_subgradient(ev, ev.coef @ beta)
+            u = ev.coef @ beta
+            got = infnorm_subgradient(ev, u)
+            assert np.array_equal(infnorm_subgradient(ev, u, ev.row_abs_sums(u)), got)
             want = _dense_infnorm_subgradient(b, beta)
             if raw[0] is matchings[0]:
                 assert np.array_equal(got, want)

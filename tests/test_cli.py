@@ -5,7 +5,8 @@ import pytest
 
 from isingfit.cli import main
 from isingfit.core import save_matrix, save_spins
-from isingfit.experiments import ExperimentConfig, gen_matchings
+from isingfit.experiments import ExperimentConfig, gen_erdos_renyi_incidence, gen_matchings
+from isingfit.sampler import make_rng
 from isingfit.mple import MpleConfig
 
 
@@ -41,8 +42,7 @@ def test_sample_glauber(tmp_path, small_model):
     assert len(out.read_text().splitlines()) == 3
 
 
-def test_basis_check(tmp_path):
-    mats = gen_matchings(8, 2)
+def _basis_report(tmp_path, mats):
     files = []
     for i, m in enumerate(mats):
         p = tmp_path / f"m{i}.json"
@@ -52,11 +52,19 @@ def test_basis_check(tmp_path):
     listing.write_text(json.dumps(files))
     out = tmp_path / "report.json"
     main(["basis", "check", "--basis", str(listing), "--out", str(out)])
-    report = json.loads(out.read_text())
+    return out.read_text()
+
+
+def test_basis_check(tmp_path):
+    report = json.loads(_basis_report(tmp_path, gen_matchings(8, 2)))
     assert report["k_input"] == 2
     assert report["k_prime"] == 2
     G = np.array(report["gram"])
     assert np.allclose(G, np.eye(2))
+    # ER Gram entries off the diagonal round to zero from either side
+    text = _basis_report(tmp_path, gen_erdos_renyi_incidence(10, 3, 0.3, make_rng(0)))
+    assert np.array_equal(json.loads(text)["gram"], np.eye(3))
+    assert "-0.0" not in text
 
 
 def test_fit_roundtrip(tmp_path, small_model):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from isingfit.basis import MatrixBasis, combine, gram_schmidt, project
+from isingfit.basis import EdgeView, MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
 from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
@@ -244,6 +244,20 @@ def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
     fit(b, x, _fit_cfg(M=0.05, T=2_000, grad_tol=0.0))
     assert len(calls) == 1
 
+
+
+def test_fit_sums_rows_once_per_trial_point(monkeypatch):
+    # the budget check and a cut's subgradient share one row_abs_sums pass
+    rng = make_rng(41)
+    x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
+    calls = []
+    row_abs_sums = EdgeView.row_abs_sums
+    monkeypatch.setattr(EdgeView, "row_abs_sums",
+                        lambda self, u: calls.append(1) or row_abs_sums(self, u))
+    b = gram_schmidt(random_family(10, 3, seed=40))
+    res = fit(b, x, _fit_cfg(M=0.05, T=2_000, grad_tol=0.0))
+    assert res.budget_active
+    assert len(calls) == res.iterations
 
 # ---------------------------------------------------------------------------
 # Oracle: the paper's averaged subgradient loop on the penalized objective,

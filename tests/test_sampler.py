@@ -8,7 +8,9 @@ from isingfit.core import IsingSpec, check_spins
 from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import (
+    _DRAW_CHUNK,
     GlauberConfig,
+    _scan_draws,
     empirical_distribution,
     enumerate_distribution,
     exact_sample,
@@ -171,8 +173,10 @@ def test_glauber_deterministic_given_seed():
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the vectorised multi-chain loop, kept verbatim, which single
-# chains ran before they had a scalar path.
+# Oracles: the vectorised multi-chain loop, kept verbatim, which single
+# chains ran before they had a scalar path; and the scalar per-update
+# path, which they ran before their draws were decoded in bulk (count
+# fixed to 1, the update loop verbatim).
 
 
 def _vectorised_glauber(spec, count, cfg, rng=None, init_state=None):
@@ -197,6 +201,27 @@ def _vectorised_glauber(spec, count, cfg, rng=None, init_state=None):
     return X.astype(np.int64)
 
 
+def _scalar_glauber(spec, cfg, rng=None, init_state=None):
+    if rng is None:
+        rng = make_rng(cfg.seed)
+    n = spec.n
+    if cfg.init == "all_plus":
+        X = np.ones((1, n))
+    elif cfg.init == "provided":
+        if init_state is None:
+            raise ValueError("init='provided' needs init_state")
+        X = np.tile(check_spins(init_state, n), (1, 1))
+    else:
+        X = 1.0 - 2.0 * rng.integers(0, 2, size=(1, n)).astype(np.float64)
+    steps = cfg.burn_in_sweeps * n
+    J, h, x = spec.J, spec.h, X[0]
+    for _ in range(steps):
+        s = rng.integers(0, n)
+        p_plus = 0.5 * (1.0 + np.tanh(J[s] @ x + h[s]))
+        x[s] = 1.0 if rng.random() < p_plus else -1.0
+    return X.astype(np.int64)
+
+
 def _model(kind, n, with_field):
     k = 3
     if kind == "matchings":
@@ -211,19 +236,61 @@ def _model(kind, n, with_field):
     return IsingSpec(J, h)
 
 
+# (n, sweeps, buffered): n >= 32 runs BLAS's unrolled kernel, and ER at
+# n = 65 has rows on both sides of the dense-row cut; odd sweeps * n ends
+# on a lone step; more than _DRAW_CHUNK steps crosses a chunk boundary;
+# ``buffered`` enters with the high half of a 64-bit word pending.  The
+# first case is also run by the vectorised oracle.
+_CHAIN_CASES = [(30, 40, False), (33, 41, False), (64, 33, True), (65, 65, True)]
+
+
 @pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
 @pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
 def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
-    n = 30
-    spec = _model(kind, n, with_field)
-    cfg = GlauberConfig(40, seed=54, init=init)
-    start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
-    rng_a, rng_b = make_rng(56), make_rng(56)
-    got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=start)
-    want = _vectorised_glauber(spec, 1, cfg, rng_b, init_state=start)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert rng_a.random() == rng_b.random()  # both consumed the same draws
-    # without an explicit generator both seed one from cfg.seed
-    assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
-                          _vectorised_glauber(spec, 1, cfg, init_state=start))
+    for n, sweeps, buffered in _CHAIN_CASES:
+        spec = _model(kind, n, with_field)
+        cfg = GlauberConfig(sweeps, seed=54, init=init)
+        start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
+        rng_a, rng_b = make_rng(56), make_rng(56)
+        if buffered:
+            rng_a.integers(0, n)
+            rng_b.integers(0, n)
+        got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=start)
+        want = _scalar_glauber(spec, cfg, rng_b, init_state=start)
+        case = (n, sweeps, buffered)
+        assert got.dtype == want.dtype and np.array_equal(got, want), case
+        assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
+        if case == _CHAIN_CASES[0]:
+            assert np.array_equal(want, _vectorised_glauber(spec, 1, cfg, make_rng(56),
+                                                            init_state=start))
+            # without an explicit generator both seed one from cfg.seed
+            assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
+                                  _scalar_glauber(spec, cfg, init_state=start))
+
+
+# n = 2**31 + 1 rejects about half of all site draws, and 2**32 - 2**20
+# about one in 4096, so some chunks are redone by scalar calls and some
+# not; an MT19937 generator lays its words out differently and is drawn
+# from by scalar calls
+@pytest.mark.parametrize("n,bit_generator", [
+    (1, np.random.Philox), (3, np.random.Philox), (128, np.random.Philox),
+    (2 ** 31 + 1, np.random.Philox), (2 ** 32 - 2 ** 20, np.random.Philox),
+    (128, np.random.MT19937)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
+    steps = 2 * _DRAW_CHUNK + 3
+    rng_a, rng_b = (np.random.Generator(bit_generator(57)) for _ in range(2))
+    if buffered:
+        rng_a.integers(0, n)
+        rng_b.integers(0, n)
+    chunks = list(_scan_draws(rng_a, n, steps))
+    assert max(len(s) for s, _ in chunks) <= _DRAW_CHUNK
+    sites = np.concatenate([s for s, _ in chunks])
+    uniforms = np.concatenate([u for _, u in chunks])
+    want = [(rng_b.integers(0, n), rng_b.random()) for _ in range(steps)]
+    assert sites.dtype == np.int64
+    assert sites.tolist() == [int(s) for s, _ in want]
+    assert uniforms.tolist() == [u for _, u in want]
+    # the same state after, buffered 32-bit half included
+    assert [rng_a.integers(0, 3), rng_a.random()] == [rng_b.integers(0, 3), rng_b.random()]

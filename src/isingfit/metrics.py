@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, DimensionTooLarge
-from .sampler import enumerate_distribution, make_rng, spin_table
+from .sampler import _linear_sums, enumerate_distribution, make_rng, spin_table
 
 DIVERGENCE_LIMIT = 18
 
@@ -51,7 +51,7 @@ def linear_variance_exact(spec, a):
     if a.shape != (spec.n,):
         raise DimensionMismatch("weight vector length mismatch")
     dist = enumerate_distribution(spec)
-    vals = spin_table(spec.n) @ a
+    vals = _linear_sums(spec.n, a)
     mean = float(dist.probs @ vals)
     return float(dist.probs @ (vals - mean) ** 2)
 

@@ -11,13 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import check_spins
 from .errors import DimensionTooLarge
 
 ENUMERATION_LIMIT = 22
-_CHUNK = 1 << 16
 _DRAW_CHUNK = 4096  # Glauber steps decoded per random_raw call
 _P_MEMO = 1 << 12    # memoised conditionals per single chain
 _DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
@@ -62,16 +60,49 @@ class ExactDistribution:
         return float(self.probs[config_index(x)])
 
 
+def _halves(n):
+    """Split the spins for enumeration: (lo, S_l, S_h), where configuration
+    l + (h << lo) holds the spins S_l[l] on coordinates [0, lo) and S_h[h]
+    on [lo, n), so a (2^(n - lo), 2^lo) table indexed [h, l] ravels into
+    enumeration order."""
+    lo = n // 2
+    return lo, spin_table(lo), spin_table(n - lo)
+
+
+def _linear_sums(n, a):
+    """a'x for every configuration x, in enumeration order."""
+    lo, S_l, S_h = _halves(n)
+    return np.add.outer(S_h @ a[lo:], S_l @ a[:lo]).ravel()
+
+
 def _log_weights(spec):
-    n = spec.n
-    total = 1 << n
-    out = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        X = spin_table(n, start, min(start + _CHUNK, total))
-        out[start:start + X.shape[0]] = (
-            0.5 * np.einsum("ci,ij,cj->c", X, spec.J, X) + X @ spec.h
-        )
-    return out
+    """x'Jx/2 + h'x for every configuration x, in enumeration order.
+
+    Each half's own weight is taken over its own 2^lo or 2^(n - lo) rows;
+    the cross term x_l' J[:lo, lo:] x_h (both off-diagonal blocks of
+    x'Jx/2, as J is symmetric) is one (2^(n - lo), n - lo) by
+    (n - lo, 2^lo) product, so the table costs O(2^n n / 2).
+    """
+    n, J, h = spec.n, spec.J, spec.h
+    lo, S_l, S_h = _halves(n)
+
+    def own(S, block, field):
+        return 0.5 * np.einsum("ci,ij,cj->c", S, block, S) + S @ field
+
+    out = S_h @ (S_l @ J[:lo, lo:]).T
+    out += own(S_h, J[lo:, lo:], h[lo:])[:, None]
+    out += own(S_l, J[:lo, :lo], h[:lo])
+    return out.ravel()
+
+
+def _normalise(lw):
+    """(exp(lw) / sum exp(lw), log sum exp(lw)), from one exp pass."""
+    top = float(lw.max())
+    e = lw - top
+    np.exp(e, out=e)
+    total = float(e.sum())
+    e /= total
+    return e, top + math.log(total)
 
 
 def enumerate_distribution(spec):
@@ -79,18 +110,15 @@ def enumerate_distribution(spec):
     if spec.n > ENUMERATION_LIMIT:
         raise DimensionTooLarge(f"n={spec.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     lw = _log_weights(spec)
-    lse = float(logsumexp(lw))
-    F = lse - spec.n * math.log(2.0)
-    probs = np.exp(lw - lse)
-    probs /= probs.sum()
-    return ExactDistribution(spec.n, lw, F, probs)
+    probs, lse = _normalise(lw)
+    return ExactDistribution(spec.n, lw, lse - spec.n * math.log(2.0), probs)
 
 
 def log_partition(spec):
     """log(2^-n sum_x exp(x'Jx/2 + h'x)), computed with log-sum-exp."""
     if spec.n > ENUMERATION_LIMIT:
         raise DimensionTooLarge(f"n={spec.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    return float(logsumexp(_log_weights(spec))) - spec.n * math.log(2.0)
+    return _normalise(_log_weights(spec))[1] - spec.n * math.log(2.0)
 
 
 def exact_sample(dist, rng, count=None):
@@ -161,12 +189,15 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     if count == 1:
         _single_chain(spec, X[0], rng, steps)
         return X.astype(np.int64)
-    rows = np.arange(count)
+    # take() and one scatter into the flat view write the same values as
+    # fancy indexing (J[sites], X[rows, sites] = ...) at a fraction of its cost
+    flat = X.reshape(-1)
+    offsets = np.arange(count) * n
     for _ in range(steps):
         sites = rng.integers(0, n, size=count)
-        fields = np.einsum("cj,cj->c", spec.J[sites], X) + spec.h[sites]
+        fields = np.einsum("cj,cj->c", spec.J.take(sites, axis=0), X) + spec.h.take(sites)
         p_plus = 0.5 * (1.0 + np.tanh(fields))
-        X[rows, sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
+        flat[offsets + sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
     return X.astype(np.int64)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import isingfit as isf
 from isingfit.core import IsingSpec, check_spins
@@ -10,6 +11,8 @@ from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matc
 from isingfit.sampler import (
     _DRAW_CHUNK,
     GlauberConfig,
+    _linear_sums,
+    _log_weights,
     _scan_draws,
     empirical_distribution,
     enumerate_distribution,
@@ -61,6 +64,58 @@ def test_probs_normalized():
 def test_enumeration_guard():
     with pytest.raises(DimensionTooLarge):
         enumerate_distribution(IsingSpec.zero_field(np.zeros((23, 23))))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dense enumeration, which took x'Jx/2 + h'x over 65 536-row
+# chunks of the full spin table (verbatim), and scipy's log-sum-exp.
+
+_CHUNK = 1 << 16
+
+
+def _dense_log_weights(spec):
+    n = spec.n
+    total = 1 << n
+    out = np.empty(total)
+    for start in range(0, total, _CHUNK):
+        X = spin_table(n, start, min(start + _CHUNK, total))
+        out[start:start + X.shape[0]] = (
+            0.5 * np.einsum("ci,ij,cj->c", X, spec.J, X) + X @ spec.h
+        )
+    return out
+
+
+# n = 0 and 1 leave the low half empty, odd n gives unequal halves and
+# n = 18 spans four of the oracle's chunks
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 13, 18])
+@pytest.mark.parametrize("with_field", [False, True])
+@pytest.mark.parametrize("M", [0.5, 3.0])
+def test_log_weights_match_dense_oracle(n, with_field, M):
+    spec = random_spec(n, M, seed=60 + n, with_field=with_field)
+    got, want = _log_weights(spec), _dense_log_weights(spec)
+    assert got.shape == want.shape == (1 << n,)
+    tol = 1e-12 * (1.0 + np.abs(want).max())
+    assert np.abs(got - want).max() <= tol
+    F = log_partition(spec)
+    assert abs(F - (float(logsumexp(want)) - n * math.log(2.0))) <= tol
+    dist = enumerate_distribution(spec)
+    assert np.array_equal(dist.log_weights, got) and dist.log_partition == F
+    # the linear statistic a'x that linear_variance_exact enumerates
+    a = make_rng(62).normal(size=n)
+    want = spin_table(n) @ a
+    assert np.abs(_linear_sums(n, a) - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+
+def test_split_tables_keep_bit_order():
+    n = 7
+    spec = random_spec(n, 1.5, seed=61, with_field=True)
+    a = make_rng(63).normal(size=n)
+    weights, sums = _log_weights(spec), _linear_sums(n, a)
+    for idx in range(1 << n):
+        x = spin_table(n, idx, idx + 1)[0]
+        assert weights[idx] == pytest.approx(0.5 * x @ spec.J @ x + spec.h @ x,
+                                             rel=1e-12, abs=1e-12)
+        assert sums[idx] == pytest.approx(a @ x, rel=1e-12, abs=1e-12)
 
 
 def test_log_partition_zero():
@@ -267,6 +322,23 @@ def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
             # without an explicit generator both seed one from cfg.seed
             assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
                                   _scalar_glauber(spec, cfg, init_state=start))
+
+
+# An odd count leaves the high 32-bit half of a word buffered between
+# steps, so the next step's draws start mid-word.
+@pytest.mark.parametrize("count", [2, 7, 64])
+@pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
+@pytest.mark.parametrize("with_field", [False, True])
+def test_multi_chain_matches_vectorised_oracle(count, init, with_field):
+    n = 9
+    spec = _model("erdos_renyi", n, with_field)
+    cfg = GlauberConfig(30, seed=58, init=init)
+    start = 1 - 2 * make_rng(59).integers(0, 2, size=n) if init == "provided" else None
+    rng_a, rng_b = make_rng(60), make_rng(60)
+    got = glauber_sample_many(spec, count, cfg, rng_a, init_state=start)
+    want = _vectorised_glauber(spec, count, cfg, rng_b, init_state=start)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()
 
 
 # n = 2**31 + 1 rejects about half of all site draws, and 2**32 - 2**20

@@ -34,11 +34,14 @@ def tv_chi_exact(P, Q):
         raise DimensionTooLarge(f"n={P.n} exceeds divergence limit {DIVERGENCE_LIMIT}")
     dp = enumerate_distribution(P)
     dq = enumerate_distribution(Q)
-    tv = 0.5 * float(np.sum(np.abs(dp.probs - dq.probs)))
+    # two 2^n work buffers, each written in place: |P - Q|, then 2 lq - lp
+    work = np.subtract(dp.probs, dq.probs)
+    tv = 0.5 * float(np.sum(np.abs(work, out=work)))
     # chi^2(Q,P) = sum_x Q(x)^2 / P(x) - 1, accumulated in log space
-    lp = dp.log_weights - (dp.log_partition + P.n * math.log(2.0))
-    lq = dq.log_weights - (dq.log_partition + Q.n * math.log(2.0))
-    chi = float(np.expm1(logsumexp(2.0 * lq - lp)))
+    lq = np.subtract(dq.log_weights, dq.log_partition + Q.n * math.log(2.0), out=work)
+    lq *= 2.0
+    lp = np.subtract(dp.log_weights, dp.log_partition + P.n * math.log(2.0))
+    chi = float(np.expm1(logsumexp(np.subtract(lq, lp, out=lq))))
     chi = max(chi, 0.0)
     return DivergenceReport(tv, chi, tv <= math.sqrt(chi / 2.0) + 1e-12)
 

@@ -19,6 +19,7 @@ ENUMERATION_LIMIT = 22
 _DRAW_CHUNK = 4096  # Glauber steps decoded per random_raw call
 _P_MEMO = 1 << 12    # memoised conditionals per single chain
 _DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
+_TABLE_MAX_N = 16    # sites above which multi-chain steps skip the lookup table
 
 
 def make_rng(seed):
@@ -162,7 +163,13 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     uniform site, resample it from its conditional.  Returns a
     (count, n) int matrix of final states.
 
-    An update costs O(count * n).  With ``count == 1`` it costs O(row
+    With ``count > 1``, n <= 16 and an n * 2^n table no bigger than the
+    steps * count updates it serves, each chain is held as its
+    configuration index and an update is one lookup of P(x_s = +1 | x)
+    in a table built once per call (``_conditional_table``): O(1) per
+    update after an O(n^2 2^n) build.  Otherwise a step gathers J's rows
+    and an update costs O(n).  Both branches take the same draws and
+    write the same spins.  With ``count == 1`` an update costs O(row
     degree) and draws the same values: the sites and uniforms are decoded
     in bulk from the generator's raw words (``_scan_draws``), which gives
     the values, and the final generator state, of scalar
@@ -189,6 +196,8 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     if count == 1:
         _single_chain(spec, X[0], rng, steps)
         return X.astype(np.int64)
+    if n <= _TABLE_MAX_N and n << n <= steps * count:
+        return _spins(_table_chains(spec, _indices(X), rng, steps), n)
     # take() and one scatter into the flat view write the same values as
     # fancy indexing (J[sites], X[rows, sites] = ...) at a fraction of its cost
     flat = X.reshape(-1)
@@ -199,6 +208,38 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
         p_plus = 0.5 * (1.0 + np.tanh(fields))
         flat[offsets + sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
     return X.astype(np.int64)
+
+
+def _conditional_table(spec):
+    """The (n, 2^n) table of P(x_s = +1 | x) over sites s and configuration
+    indices x.  Row s is the einsum, tanh and rounding of a multi-chain
+    step on site s, applied to contiguous (2^n, n) copies of J[s] and the
+    spins, so every entry has the bits that step computes."""
+    n = spec.n
+    S = spin_table(n)
+    rows = np.empty_like(S)
+    P = np.empty((n, 1 << n))
+    for s in range(n):
+        rows[:] = spec.J[s]
+        fields = np.einsum("cj,cj->c", rows, S) + spec.h[s]
+        P[s] = 0.5 * (1.0 + np.tanh(fields))
+    return P
+
+
+def _table_chains(spec, idx, rng, steps):
+    """Run ``steps`` heat-bath updates on every chain of the configuration
+    indices idx, in place, with the draws of the einsum step."""
+    n = spec.n
+    flat = _conditional_table(spec).reshape(-1)
+    count = len(idx)
+    for _ in range(steps):
+        sites = rng.integers(0, n, size=count)
+        bits = np.left_shift(1, sites)
+        p_plus = flat.take((sites << n) + idx)
+        # bit s set means x_s = -1, the spin the einsum step writes when u >= p
+        idx &= ~bits
+        idx |= bits * (rng.random(count) >= p_plus)
+    return idx
 
 
 def _single_chain(spec, x, rng, steps):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from isingfit.cli import main
-from isingfit.core import save_matrix, save_spins
+from isingfit.core import IsingSpec, save_matrix, save_spins
 from isingfit.experiments import ExperimentConfig, gen_erdos_renyi_incidence, gen_matchings
-from isingfit.sampler import make_rng
+from isingfit.sampler import GlauberConfig, make_rng
 from isingfit.mple import MpleConfig
+from tests.test_sampler import _count_tables, _vectorised_glauber
 
 
 @pytest.fixture
@@ -40,6 +41,18 @@ def test_sample_glauber(tmp_path, small_model):
     main(["sample", "--model", str(path), "--method", "glauber",
           "--sweeps", "50", "--count", "3", "--seed", "1", "--out", str(out)])
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_sample_glauber_rows_match_vectorised_oracle(tmp_path, small_model, monkeypatch):
+    # 50 sweeps of 5 chains at n = 6 run the conditional-table branch
+    path, J = small_model
+    built = _count_tables(monkeypatch)
+    out = tmp_path / "draws.jsonl"
+    main(["sample", "--model", str(path), "--method", "glauber",
+          "--sweeps", "50", "--count", "5", "--seed", "4", "--out", str(out)])
+    want = _vectorised_glauber(IsingSpec.zero_field(J), 5, GlauberConfig(50, 4), make_rng(4))
+    assert built == [6]
+    assert [json.loads(line) for line in out.read_text().splitlines()] == want.tolist()
 
 
 def _basis_report(tmp_path, mats):

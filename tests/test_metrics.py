@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from isingfit.conditioning import build_cover
 from isingfit.core import IsingSpec
@@ -12,7 +13,7 @@ from isingfit.metrics import (
     linear_variance_exact,
     tv_chi_exact,
 )
-from isingfit.sampler import make_rng, spin_table
+from isingfit.sampler import enumerate_distribution, make_rng, spin_table
 from tests.test_core import random_spec
 
 
@@ -41,6 +42,27 @@ def test_tv_chi_bound_random_pairs():
         rep = tv_chi_exact(P, Q)
         assert rep.bound_ok
         assert rep.tv <= math.sqrt(rep.chi_square / 2) + 1e-12
+
+
+def _tv_chi_oracle(P, Q):
+    """tv_chi_exact's formulas before its temporaries were reused, kept verbatim."""
+    dp = enumerate_distribution(P)
+    dq = enumerate_distribution(Q)
+    tv = 0.5 * float(np.sum(np.abs(dp.probs - dq.probs)))
+    lp = dp.log_weights - (dp.log_partition + P.n * math.log(2.0))
+    lq = dq.log_weights - (dq.log_partition + Q.n * math.log(2.0))
+    chi = float(np.expm1(logsumexp(2.0 * lq - lp)))
+    return tv, max(chi, 0.0)
+
+
+@pytest.mark.parametrize("with_field", [False, True])
+def test_tv_chi_match_oracle_bitwise(with_field):
+    for n, seed in [(1, 30), (5, 31), (8, 32), (11, 35), (12, 33), (14, 36), (16, 34)]:
+        P = random_spec(n, 0.9, seed=seed, with_field=with_field)
+        Q = random_spec(n, 1.4, seed=seed + 50, with_field=with_field)
+        for a, b in [(P, Q), (Q, P), (P, P)]:
+            rep = tv_chi_exact(a, b)
+            assert (rep.tv, rep.chi_square) == _tv_chi_oracle(a, b), (n, seed)
 
 
 def test_tv_symmetric_chi_not():

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import logsumexp
 
 import isingfit as isf
+import isingfit.sampler as sampler_mod
 from isingfit.core import IsingSpec, check_spins
 from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import (
     _DRAW_CHUNK,
+    _TABLE_MAX_N,
     GlauberConfig,
     _linear_sums,
     _log_weights,
@@ -324,21 +326,70 @@ def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
                                   _scalar_glauber(spec, cfg, init_state=start))
 
 
+def _count_tables(monkeypatch):
+    """The n of every conditional table glauber_sample_many builds."""
+    built = []
+    real = sampler_mod._conditional_table
+
+    def counted(spec):
+        built.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(sampler_mod, "_conditional_table", counted)
+    return built
+
+
+def _check_multi_chain(spec, count, cfg, init_state=None):
+    rng_a, rng_b = make_rng(60), make_rng(60)
+    got = glauber_sample_many(spec, count, cfg, rng_a, init_state=init_state)
+    want = _vectorised_glauber(spec, count, cfg, rng_b, init_state=init_state)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng_a.random() == rng_b.random()  # both consumed the same draws
+
+
 # An odd count leaves the high 32-bit half of a word buffered between
-# steps, so the next step's draws start mid-word.
+# steps, so the next step's draws start mid-word.  At n = 9 the table
+# branch runs at the fewest sweeps for which n * 2^n <= steps * count and
+# the einsum branch one sweep below; n = 17 is above the size cap.
 @pytest.mark.parametrize("count", [2, 7, 64])
 @pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
-def test_multi_chain_matches_vectorised_oracle(count, init, with_field):
+def test_multi_chain_matches_vectorised_oracle(count, init, with_field, monkeypatch):
+    built = _count_tables(monkeypatch)
+    fewest = -(-(1 << 9) // count)
+    for n, sweeps, tabled in [(9, fewest, True), (9, fewest - 1, False),
+                              (_TABLE_MAX_N + 1, 2, False)]:
+        spec = _model("erdos_renyi", n, with_field)
+        cfg = GlauberConfig(sweeps, seed=58, init=init)
+        start = 1 - 2 * make_rng(59).integers(0, 2, size=n) if init == "provided" else None
+        built.clear()
+        _check_multi_chain(spec, count, cfg, init_state=start)
+        assert built == ([n] if tabled else []), (n, sweeps)
+
+
+# Every entry of the table has the bits of the einsum step's p_plus, with
+# the configurations shuffled across chains and the sites mixed in a step.
+@pytest.mark.parametrize("with_field", [False, True])
+def test_conditional_table_matches_einsum_step_bitwise(with_field):
     n = 9
-    spec = _model("erdos_renyi", n, with_field)
-    cfg = GlauberConfig(30, seed=58, init=init)
-    start = 1 - 2 * make_rng(59).integers(0, 2, size=n) if init == "provided" else None
-    rng_a, rng_b = make_rng(60), make_rng(60)
-    got = glauber_sample_many(spec, count, cfg, rng_a, init_state=start)
-    want = _vectorised_glauber(spec, count, cfg, rng_b, init_state=start)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert rng_a.random() == rng_b.random()
+    order = make_rng(61).permutation(1 << n)
+    X = spin_table(n)[order]
+    mixed = make_rng(62).integers(0, n, 1 << n)
+    for spec in [_model("erdos_renyi", n, with_field), random_spec(n, 0.9, 63, with_field)]:
+        P = sampler_mod._conditional_table(spec)
+        for sites in [np.full(1 << n, s) for s in range(n)] + [mixed]:
+            fields = np.einsum("cj,cj->c", spec.J[sites], X) + spec.h[sites]
+            assert np.array_equal(P[sites, order], 0.5 * (1.0 + np.tanh(fields)))
+
+
+# At n = 17 with 2^17 chains and one sweep the work rule alone would
+# build the table; the size cap keeps the einsum step.
+def test_multi_chain_size_cap_keeps_einsum_step(monkeypatch):
+    built = _count_tables(monkeypatch)
+    n = _TABLE_MAX_N + 1
+    count = 1 << n
+    _check_multi_chain(_model("erdos_renyi", n, True), count, GlauberConfig(1, seed=58))
+    assert built == []
 
 
 # n = 2**31 + 1 rejects about half of all site draws, and 2**32 - 2**20

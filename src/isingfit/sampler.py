@@ -19,7 +19,9 @@ ENUMERATION_LIMIT = 22
 _DRAW_CHUNK = 4096  # Glauber steps decoded per random_raw call
 _P_MEMO = 1 << 12    # memoised conditionals per single chain
 _DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
-_TABLE_MAX_N = 16    # sites above which multi-chain steps skip the lookup table
+_TABLE_MAX_N = 14    # sites above which multi-chain steps skip the lookup table
+_TABLE_COST = 4      # updates that repay building one table entry
+_TABLE_BASE = 2048   # entries' worth of fixed cost in building a table
 
 
 def make_rng(seed):
@@ -163,18 +165,18 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     uniform site, resample it from its conditional.  Returns a
     (count, n) int matrix of final states.
 
-    With ``count > 1``, n <= 16 and an n * 2^n table no bigger than the
-    steps * count updates it serves, each chain is held as its
-    configuration index and an update is one lookup of P(x_s = +1 | x)
-    in a table built once per call (``_conditional_table``): O(1) per
-    update after an O(n^2 2^n) build.  Otherwise a step gathers J's rows
-    and an update costs O(n).  Both branches take the same draws and
-    write the same spins.  With ``count == 1`` an update costs O(row
-    degree) and draws the same values: the sites and uniforms are decoded
-    in bulk from the generator's raw words (``_scan_draws``), which gives
-    the values, and the final generator state, of scalar
-    ``rng.integers(0, n)`` / ``rng.random()`` calls; these are the size-1
-    draws of the vectorised path.  The field of a site with at most 32
+    With ``count > 1``, n <= 14 and at least 4 * (n * 2^n + 2048)
+    updates (steps * count), each chain is held as its configuration
+    index and an update is one lookup of P(x_s = +1 | x) in an n * 2^n
+    table built once per call (``_conditional_table``): O(1) per update
+    after an O(n^2 2^n) build, which that many updates repay.  Otherwise
+    a step gathers J's rows and an update costs O(n).  Both branches take
+    the same draws and write the same spins.  With ``count == 1`` an
+    update costs O(row degree) and draws the same values: the sites and
+    uniforms are decoded in bulk from the generator's raw words
+    (``_scan_draws``), which gives the values, and the final generator
+    state, of scalar ``rng.integers(0, n)`` / ``rng.random()`` calls;
+    these are the size-1 draws of the vectorised path.  The field of a site with at most 32
     couplings is summed over them in column order, and a denser row
     takes one BLAS product ``J[s] @ x``.  With at most two couplings the
     sum is bit-identical to that product, since zeros add exactly and
@@ -196,7 +198,7 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     if count == 1:
         _single_chain(spec, X[0], rng, steps)
         return X.astype(np.int64)
-    if n <= _TABLE_MAX_N and n << n <= steps * count:
+    if n <= _TABLE_MAX_N and _TABLE_COST * ((n << n) + _TABLE_BASE) <= steps * count:
         return _spins(_table_chains(spec, _indices(X), rng, steps), n)
     # take() and one scatter into the flat view write the same values as
     # fancy indexing (J[sites], X[rows, sites] = ...) at a fraction of its cost
@@ -204,25 +206,28 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     offsets = np.arange(count) * n
     for _ in range(steps):
         sites = rng.integers(0, n, size=count)
-        fields = np.einsum("cj,cj->c", spec.J.take(sites, axis=0), X) + spec.h.take(sites)
-        p_plus = 0.5 * (1.0 + np.tanh(fields))
+        p_plus = _p_plus(spec.J.take(sites, axis=0), X, spec.h.take(sites))
         flat[offsets + sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
     return X.astype(np.int64)
 
 
+def _p_plus(rows, X, h):
+    """P(x_s = +1 | x) for each row c: J's row s in rows[c], the spins x
+    in X[c] and h[s] in h (or one h for every row)."""
+    return 0.5 * (1.0 + np.tanh(np.einsum("cj,cj->c", rows, X) + h))
+
+
 def _conditional_table(spec):
     """The (n, 2^n) table of P(x_s = +1 | x) over sites s and configuration
-    indices x.  Row s is the einsum, tanh and rounding of a multi-chain
-    step on site s, applied to contiguous (2^n, n) copies of J[s] and the
-    spins, so every entry has the bits that step computes."""
+    indices x.  Row s is ``_p_plus`` on contiguous (2^n, n) copies of J[s]
+    and the spins, so every entry has the bits of the multi-chain step."""
     n = spec.n
     S = spin_table(n)
     rows = np.empty_like(S)
     P = np.empty((n, 1 << n))
     for s in range(n):
         rows[:] = spec.J[s]
-        fields = np.einsum("cj,cj->c", rows, S) + spec.h[s]
-        P[s] = 0.5 * (1.0 + np.tanh(fields))
+        P[s] = _p_plus(rows, S, spec.h[s])
     return P
 
 

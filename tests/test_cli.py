@@ -44,13 +44,13 @@ def test_sample_glauber(tmp_path, small_model):
 
 
 def test_sample_glauber_rows_match_vectorised_oracle(tmp_path, small_model, monkeypatch):
-    # 50 sweeps of 5 chains at n = 6 run the conditional-table branch
+    # 400 sweeps of 5 chains at n = 6 run the conditional-table branch
     path, J = small_model
     built = _count_tables(monkeypatch)
     out = tmp_path / "draws.jsonl"
     main(["sample", "--model", str(path), "--method", "glauber",
-          "--sweeps", "50", "--count", "5", "--seed", "4", "--out", str(out)])
-    want = _vectorised_glauber(IsingSpec.zero_field(J), 5, GlauberConfig(50, 4), make_rng(4))
+          "--sweeps", "400", "--count", "5", "--seed", "4", "--out", str(out)])
+    want = _vectorised_glauber(IsingSpec.zero_field(J), 5, GlauberConfig(400, 4), make_rng(4))
     assert built == [6]
     assert [json.loads(line) for line in out.read_text().splitlines()] == want.tolist()
 

@@ -11,6 +11,8 @@ from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import (
     _DRAW_CHUNK,
+    _TABLE_BASE,
+    _TABLE_COST,
     _TABLE_MAX_N,
     GlauberConfig,
     _linear_sums,
@@ -347,17 +349,24 @@ def _check_multi_chain(spec, count, cfg, init_state=None):
     assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
+def _table_work(n):
+    """The fewest updates (steps * count) for which glauber_sample_many
+    builds the table at n sites under the size cap."""
+    return _TABLE_COST * ((n << n) + _TABLE_BASE)
+
+
 # An odd count leaves the high 32-bit half of a word buffered between
-# steps, so the next step's draws start mid-word.  At n = 9 the table
-# branch runs at the fewest sweeps for which n * 2^n <= steps * count and
-# the einsum branch one sweep below; n = 17 is above the size cap.
+# steps, so the next step's draws start mid-word.  At n = 8 the table
+# branch runs at the fewest sweeps the work rule allows (with 2 and 64
+# chains, exactly at its bound) and the einsum branch one sweep below; n
+# above the size cap keeps the einsum step.
 @pytest.mark.parametrize("count", [2, 7, 64])
 @pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
 def test_multi_chain_matches_vectorised_oracle(count, init, with_field, monkeypatch):
     built = _count_tables(monkeypatch)
-    fewest = -(-(1 << 9) // count)
-    for n, sweeps, tabled in [(9, fewest, True), (9, fewest - 1, False),
+    fewest = -(-_table_work(8) // (8 * count))
+    for n, sweeps, tabled in [(8, fewest, True), (8, fewest - 1, False),
                               (_TABLE_MAX_N + 1, 2, False)]:
         spec = _model("erdos_renyi", n, with_field)
         cfg = GlauberConfig(sweeps, seed=58, init=init)
@@ -378,18 +387,18 @@ def test_conditional_table_matches_einsum_step_bitwise(with_field):
     for spec in [_model("erdos_renyi", n, with_field), random_spec(n, 0.9, 63, with_field)]:
         P = sampler_mod._conditional_table(spec)
         for sites in [np.full(1 << n, s) for s in range(n)] + [mixed]:
-            fields = np.einsum("cj,cj->c", spec.J[sites], X) + spec.h[sites]
-            assert np.array_equal(P[sites, order], 0.5 * (1.0 + np.tanh(fields)))
+            want = sampler_mod._p_plus(spec.J[sites], X, spec.h[sites])
+            assert np.array_equal(P[sites, order], want)
 
 
-# At n = 17 with 2^17 chains and one sweep the work rule alone would
-# build the table; the size cap keeps the einsum step.
-def test_multi_chain_size_cap_keeps_einsum_step(monkeypatch):
+# With the fewest chains the work rule allows at two sweeps, the table is
+# built at the size cap and not one site above it.
+@pytest.mark.parametrize("n", [_TABLE_MAX_N, _TABLE_MAX_N + 1])
+def test_multi_chain_size_cap(n, monkeypatch):
     built = _count_tables(monkeypatch)
-    n = _TABLE_MAX_N + 1
-    count = 1 << n
-    _check_multi_chain(_model("erdos_renyi", n, True), count, GlauberConfig(1, seed=58))
-    assert built == []
+    count = -(-_table_work(n) // (2 * n))
+    _check_multi_chain(_model("erdos_renyi", n, True), count, GlauberConfig(2, seed=58))
+    assert built == ([n] if n <= _TABLE_MAX_N else [])
 
 
 # n = 2**31 + 1 rejects about half of all site draws, and 2**32 - 2**20

@@ -71,19 +71,31 @@ def interaction_edges(J, tol=1e-12):
     but reads J only through one ``J != 0`` scan and gathers on that
     support.  Returns ``(rows, cols, values)``: the nonzero strictly-upper
     entries of ``validate_interaction(J, tol)``, in row-major order.
+
+    The scan yields each nonzero upper entry once, already in row-major
+    order; a lower entry adds its pair only when the upper mirror is 0
+    (possible within ``tol`` asymmetry), and one stable sort puts those few
+    in place.  Each value is 0.5 * (J_ij + J_ji) from the two gathers the
+    validation makes, so no pair is deduplicated or gathered again.
     """
     J = _as_square(J)
     n = J.shape[0]
-    r, c = np.divmod(np.flatnonzero(J != 0.0), n)  # flat: faster than np.nonzero(J)
-    v = J[r, c]
+    flat = np.flatnonzero(J != 0.0)  # flat: faster than np.nonzero(J)
+    r, c = np.divmod(flat, n)
+    v, t = J[r, c], J[c, r]
     with np.errstate(invalid="ignore"):
-        asym = np.max(np.abs(v - J[c, r])) if v.size else 0.0
+        asym = np.max(np.abs(v - t)) if v.size else 0.0
     on_diag = r == c
     d = np.max(np.abs(v[on_diag])) if on_diag.any() else 0.0
     _check_interaction(asym, d, tol)
-    r, c = r[~on_diag], c[~on_diag]
-    rows, cols = np.divmod(np.unique(np.minimum(r, c) * n + np.maximum(r, c)), n)
-    values = 0.5 * (J[rows, cols] + J[cols, rows])
+    lower_only = (r > c) & (t == 0.0)
+    pick = (r < c) | lower_only
+    # No np.unique: on numpy >= 2.3 it hashes, then sorts (0.9 ms for the
+    # 10 400 keys of an n = 1024 input, which a plain sort orders in 0.13 ms).
+    keys = np.where(lower_only, c * n + r, flat)[pick]
+    order = np.argsort(keys, kind="stable")
+    rows, cols = np.divmod(keys[order], n)
+    values = (0.5 * (v + t))[pick][order]
     keep = values != 0.0
     return rows[keep], cols[keep], values[keep]
 

@@ -76,9 +76,14 @@ def fit_scalar(J, x, M, tol=1e-10):
                                degenerate=True)
     lo, hi = -float(M), float(M)
     d_lo, d_hi, floor, cert = _certificate(f, x, M)
-    if d_lo > 0:  # phi' nondecreasing and positive everywhere
+    # phi'(beta) = sum_i f_i (tanh(beta f_i) - x_i) and tanh(y) - x_i has the
+    # sign of -x_i, so phi' < 0 on the whole line when no x_i f_i is negative
+    # (> 0 when none is positive).  Those samples are decided from the signs:
+    # tanh rounds to +-1 once |beta f_i| > 19, and phi'(+-M) can read 0.
+    xf = x * f
+    if d_lo > 0 or np.all(xf <= 0):  # phi' nondecreasing and positive everywhere
         return ScalarFitResult(lo, d_lo, floor, cert, (-M, M), boundary=True)
-    if d_hi < 0:
+    if d_hi < 0 or np.all(xf >= 0):
         return ScalarFitResult(hi, d_hi, floor, cert, (-M, M), boundary=True)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)

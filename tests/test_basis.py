@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields
 
@@ -16,6 +17,8 @@ from isingfit.basis import (
     unique_edge_counts,
 )
 from isingfit.core import (
+    _as_square,
+    _check_interaction,
     frobenius_norm,
     interaction_edges,
     trace_inner,
@@ -451,3 +454,158 @@ def test_project_matches_dense_oracle(kind):
         tol = 1e-12 * frobenius_norm(J)
         assert np.allclose(beta, want_beta, rtol=0, atol=tol)
         assert abs(residual - want_residual) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Oracles: interaction_edges and gram_schmidt as they were when both
+# deduplicated pairs with np.unique; kept verbatim apart from their names.
+
+
+def _unique_interaction_edges(J, tol=1e-12):
+    J = _as_square(J)
+    n = J.shape[0]
+    r, c = np.divmod(np.flatnonzero(J != 0.0), n)  # flat: faster than np.nonzero(J)
+    v = J[r, c]
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(v - J[c, r])) if v.size else 0.0
+    on_diag = r == c
+    d = np.max(np.abs(v[on_diag])) if on_diag.any() else 0.0
+    _check_interaction(asym, d, tol)
+    r, c = r[~on_diag], c[~on_diag]
+    rows, cols = np.divmod(np.unique(np.minimum(r, c) * n + np.maximum(r, c)), n)
+    values = 0.5 * (J[rows, cols] + J[cols, rows])
+    keep = values != 0.0
+    return rows[keep], cols[keep], values[keep]
+
+
+def _unique_gram_schmidt(raw, rank_tol=1e-9):
+    if not raw:
+        raise AllDegenerate("empty matrix family")
+    mats = [np.asarray(J, dtype=np.float64) for J in raw]
+    found = [_unique_interaction_edges(J) for J in mats]
+    n = mats[0].shape[0]
+    if any(J.shape != (n, n) for J in mats):
+        raise ShapeMismatch("matrices in a family must share a dimension")
+    union = np.unique(np.concatenate([i * n + j for i, j, _ in found]))
+    rows, cols = np.divmod(union, n)
+    values = np.zeros((len(mats), union.size))  # row s: J_s on the union
+    for s, (i, j, v) in enumerate(found):
+        values[s, np.searchsorted(union, i * n + j)] = v
+    ortho = []
+    change = []
+    for idx, v in enumerate(values):
+        scale = math.sqrt(2.0 * (v @ v))
+        coeffs = np.zeros(len(mats))
+        coeffs[idx] = 1.0
+        for _ in range(2):  # MGS + one re-orthogonalization pass
+            for a, row in zip(ortho, change):
+                c = 2.0 * (v @ a)
+                v = v - c * a
+                coeffs = coeffs - c * row
+        r = math.sqrt(2.0 * (v @ v))
+        if scale == 0.0 or r <= rank_tol * scale:
+            continue
+        v = v / r
+        coeffs = coeffs / r
+        nz = np.flatnonzero(np.abs(v) > 1e-14)
+        if nz.size and v[nz[0]] < 0:
+            v, coeffs = -v, -coeffs
+        ortho.append(v)
+        change.append(coeffs)
+    if not ortho:
+        raise AllDegenerate("every input matrix is numerically zero")
+    coef = np.stack(ortho, axis=1)
+    keep = np.any(coef != 0.0, axis=1)
+    edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
+    return MatrixBasis(edges, np.array(change))
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _edge_cases(tol=1e-12):
+    """Inputs on which sorting, signed zeros and the tol rules matter."""
+    # upper edges (0, 3), (1, 2) and (2, 5), and a lower-only entry at
+    # (4, 1) whose mirror (1, 4) is 0: its pair falls between upper edges
+    lower_only = edge_matrix(6, [(0, 3), (1, 2), (2, 5)])
+    lower_only[4, 1] = 0.4 * tol
+    # -0.0 is off the support; a pair (3, 1) whose mirror is -0.0, one
+    # (2, 4) whose lower entry is -0.0, and an antisymmetric pair (0, 5)
+    # that cancels to 0 and leaves the edges
+    signed = 0.7 * edge_matrix(6, [(0, 1), (3, 4)])
+    signed[0, 2] = signed[2, 0] = signed[4, 5] = -0.0
+    signed[1, 3], signed[3, 1] = -0.0, 0.3 * tol
+    signed[2, 4], signed[4, 2] = 0.2 * tol, -0.0
+    signed[0, 5], signed[5, 0] = 0.3 * tol, -0.3 * tol
+    diagonal = edge_matrix(5, [(0, 4), (1, 3)])
+    diagonal[2, 2] = diagonal[4, 4] = -tol
+    rng = make_rng(120)
+    dense = rng.normal(size=(40, 40))
+    dense = dense + dense.T + 0.4 * tol * rng.uniform(-1, 1, (40, 40))
+    np.fill_diagonal(dense, 0.5 * tol)
+    return {
+        "lower_only": lower_only,
+        "signed_zeros": signed,
+        "diagonal": diagonal,
+        "empty": np.zeros((0, 0)),
+        "one_zero": np.zeros((1, 1)),
+        "one_diagonal": np.full((1, 1), 0.5 * tol),
+        "dense": dense,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_edge_cases()))
+def test_interaction_edges_match_unique_oracle(kind):
+    J = _edge_cases()[kind]
+    got = interaction_edges(J)
+    _assert_same_arrays(got, _unique_interaction_edges(J))
+    rows, cols, _ = got
+    assert np.all(np.diff(rows * max(J.shape[0], 1) + cols) > 0)
+    if kind == "lower_only":
+        assert rows.tolist() == [0, 1, 1, 2] and cols.tolist() == [3, 2, 4, 5]
+    if kind == "signed_zeros":
+        assert rows.tolist() == [0, 1, 2, 3] and cols.tolist() == [1, 3, 4, 4]
+
+
+def _overlapping_families():
+    """Weighted matchings, blocks and ER members whose supports overlap."""
+    out = {}
+    for n in (16, 64, 256):
+        rng = make_rng(130 + n)
+        mats = (gen_matchings(n, 3, rng) + gen_matchings(n, 2, rng)
+                + gen_blocks(n, 4) + gen_erdos_renyi_incidence(n, 3, 8.0 / n, rng))
+        out[f"mixed_n{n}"] = [rng.uniform(-1.0, 1.0) * J for J in mats]
+        out[f"er_n{n}"] = gen_erdos_renyi_incidence(n, 6, 0.05, rng)
+    out["edge_cases"] = [J for J in _edge_cases().values() if J.shape == (6, 6)]
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_overlapping_families()))
+def test_gram_schmidt_matches_unique_oracle(kind):
+    raw = _overlapping_families()[kind]
+    for J in raw:
+        _assert_same_arrays(interaction_edges(J), _unique_interaction_edges(J))
+    b, want = gram_schmidt(raw), _unique_gram_schmidt(raw)
+    _assert_same_arrays((b.edges.rows, b.edges.cols, b.edges.coef, b.change),
+                        (want.edges.rows, want.edges.cols, want.edges.coef,
+                         want.change))
+
+
+@pytest.mark.parametrize("kind", ["nan", "asymmetric", "diagonal"])
+def test_interaction_edges_raise_like_unique_oracle(kind):
+    J = edge_matrix(5, [(0, 1), (1, 2), (3, 4)])
+    if kind == "nan":
+        J[2, 1] = np.nan
+    elif kind == "asymmetric":
+        J[4, 3] += 1e-9
+    else:
+        J[2, 2] = 1e-9
+    with pytest.raises(IsingfitError) as want:
+        _unique_interaction_edges(J)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        interaction_edges(J)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        gram_schmidt([J])

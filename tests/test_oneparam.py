@@ -157,6 +157,19 @@ def test_partition_tail_bound():
         assert tail <= math.exp(-F / 2.0) + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, -1.0, 10.0])
+def test_fit_scalar_saturated_sample_is_boundary(scale):
+    # Curie-Weiss block J = scale (1 - I) at n = 100 and the all-plus sample:
+    # every x_i (Jx)_i has the sign of scale, so phi' keeps that sign's
+    # opposite on all of [-M, M] although tanh(M * 99 * scale) rounds to +-1
+    n, M = 100, 1.0
+    J = scale * (np.ones((n, n)) - np.eye(n))
+    res = fit_scalar(J, np.ones(n), M=M)
+    assert res.boundary and not res.degenerate
+    assert res.beta_hat == math.copysign(M, scale)
+    assert res.phi_prime_at_hat * scale <= 0.0
+
+
 def test_partition_certificate_zero_matrix():
     with pytest.raises(ZeroDenominator):
         partition_certificate(np.zeros((4, 4)), np.ones(4), M=0.3)

@@ -8,13 +8,11 @@ from .core import (
     interaction_edges,
     local_field,
     restrict,
-    spectral_norm,
     trace_inner,
     validate_interaction,
 )
 from .basis import (
     MatrixBasis,
-    beta_error_bound,
     combine,
     gram_schmidt,
     min_singular_value,

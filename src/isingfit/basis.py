@@ -22,7 +22,6 @@ import numpy as np
 from .core import frobenius_norm, interaction_edges, trace_inner
 from .errors import (
     AllDegenerate,
-    DegenerateFamily,
     LengthMismatch,
     NotBinary,
     ShapeMismatch,
@@ -208,10 +207,3 @@ def unique_edge_counts(incidence):
         out.append(len(E - others))
     return np.array(out)
 
-
-def beta_error_bound(lambda_s, frob_error):
-    """Certified l2 bound on the parameter error from a Frobenius error."""
-    lambda_s = np.asarray(lambda_s, dtype=np.float64)
-    if np.any(lambda_s <= 0):
-        raise DegenerateFamily("bound is vacuous when some lambda_s = 0")
-    return float(frob_error / np.sqrt(np.min(lambda_s)))

@@ -122,46 +122,6 @@ def trace_inner(A, B):
 
 
 @dataclass(frozen=True)
-class SpectralEstimate:
-    value: float
-    converged: bool
-    iterations: int
-
-    def __float__(self):
-        return self.value
-
-
-def spectral_norm(J, tol=1e-10, max_iter=10000, seed=0):
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
-
-    Returns a :class:`SpectralEstimate`; ``converged`` is False if the
-    relative change never dropped below ``tol`` within ``max_iter`` steps.
-    """
-    J = np.asarray(J, dtype=np.float64)
-    n = J.shape[0]
-    if n == 0 or not np.any(J):
-        return SpectralEstimate(0.0, True, 0)
-    rng = np.random.Generator(np.random.Philox(seed))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for it in range(1, max_iter + 1):
-        w = J @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v landed in the kernel; restart from a fresh direction
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        new_est = nw
-        v = w / nw
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
-            return SpectralEstimate(float(new_est), True, it)
-        est = new_est
-    return SpectralEstimate(float(est), False, max_iter)
-
-
-@dataclass(frozen=True)
 class IsingSpec:
     """A pairwise model over {-1,+1}^n: density proportional to
     exp(x'Jx/2 + h'x).  ``M`` caches the infinity norm of J."""

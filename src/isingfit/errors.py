@@ -49,10 +49,6 @@ class NotBinary(IsingfitError):
     pass
 
 
-class DegenerateFamily(IsingfitError):
-    pass
-
-
 class NonFinite(IsingfitError):
     pass
 

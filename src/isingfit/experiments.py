@@ -70,26 +70,6 @@ def gen_blocks(n, k, rng=None):
     return mats
 
 
-def gen_spatio_temporal(V, T, edges):
-    """Temporal-chain and spatial-replica matrices on n = V*T nodes.
-
-    Node (v, t) has index v*T + t.  J1 links (v,t)-(v,t+1); J2 copies the
-    spatial edge set within each time step.  Their supports are disjoint.
-    """
-    n = V * T
-    J1 = np.zeros((n, n))
-    J2 = np.zeros((n, n))
-    for v in range(V):
-        for t in range(T - 1):
-            a, b = v * T + t, v * T + t + 1
-            J1[a, b] = J1[b, a] = 1.0
-    for (u, v) in edges:
-        for t in range(T):
-            a, b = u * T + t, v * T + t
-            J2[a, b] = J2[b, a] = 1.0
-    return J1, J2
-
-
 def gen_erdos_renyi_incidence(n, k, p, rng):
     """k independent G(n, p) incidence matrices (supports may overlap)."""
     mats = []

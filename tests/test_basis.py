@@ -8,7 +8,6 @@ import pytest
 from isingfit.basis import (
     EdgeView,
     MatrixBasis,
-    beta_error_bound,
     combine,
     gram_matrix,
     gram_schmidt,
@@ -26,7 +25,6 @@ from isingfit.core import (
 )
 from isingfit.errors import (
     AllDegenerate,
-    DegenerateFamily,
     IsingfitError,
     LengthMismatch,
     NotBinary,
@@ -197,13 +195,6 @@ def test_unique_edge_counts_partial_overlap():
 def test_unique_edge_counts_rejects_nonbinary():
     with pytest.raises(NotBinary):
         unique_edge_counts([edge_matrix(4, [(0, 1)]) * 0.5])
-
-
-def test_beta_error_bound_arithmetic():
-    assert beta_error_bound([4.0, 9.0], 2.0) == pytest.approx(1.0)
-    assert beta_error_bound([3.0, 3.0], 0.0) == 0.0
-    with pytest.raises(DegenerateFamily):
-        beta_error_bound([1.0, 0.0], 1.0)
 
 
 def test_edge_view_reproduces_dense_rows():

@@ -1,14 +1,18 @@
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from isingfit.conditioning import (
     best_subset_for_weights,
-    bipartite_cover,
     build_cover,
+    cover_size,
     verify_cover,
 )
-from isingfit.core import IsingSpec, restrict
-from isingfit.errors import InvalidEta, NegativeWeight
+from isingfit.core import IsingSpec, infinity_norm, restrict, validate_interaction
+from isingfit.errors import DimensionMismatch, InvalidEta, NegativeWeight, RetryExhausted
 from isingfit.sampler import make_rng
 from tests.test_core import random_spec
 
@@ -77,41 +81,14 @@ def test_invalid_eta():
         build_cover(J, 2.0)  # eta > M
 
 
-def test_bipartite_fast_path():
-    n = 8
-    L, R = list(range(4)), list(range(4, 8))
-    rng = make_rng(10)
-    J = np.zeros((n, n))
-    for i in L:
-        for j in R:
-            J[i, j] = J[j, i] = rng.normal()
-    cover = bipartite_cover(J, (L, R))
-    report = verify_cover(J, cover)
-    assert report.ok
-    spec = IsingSpec.zero_field(J)
-    x = 1.0 - 2.0 * rng.integers(0, 2, size=n)
-    for I in cover.sets:
-        assert restrict(spec, I, x).M == 0.0
-
-
-def test_bipartite_fast_path_rejects_nonbipartite():
-    J = random_J(6, 1.0, seed=11)
-    with pytest.raises(InvalidEta):
-        bipartite_cover(J, ([0, 1, 2], [3, 4, 5]))
-
-
 def test_verify_cover_detects_membership_violation():
     J = random_J(30, 1.0, seed=12)
     cover = build_cover(J, 0.5, seed=13)
-    broken_sets = [s.copy() for s in cover.sets]
-    victim = None
-    for j, I in enumerate(broken_sets):
-        if len(I):
-            victim = int(I[0])
-            broken_sets[j] = I[1:]
-            break
-    broken = cover.__class__(broken_sets, cover.eta, cover.M,
-                             cover.target_count, cover.ell, cover.attempts)
+    B = cover.members.toarray()
+    j = np.flatnonzero(B.any(axis=1))[0]
+    victim = int(np.flatnonzero(B[j])[0])
+    B[j, victim] = 0.0
+    broken = replace(cover, members=sparse.csr_array(B))
     report = verify_cover(J, broken)
     assert not report.ok
     assert victim in report.count_violations
@@ -177,3 +154,168 @@ def test_single_draw_success_rate():
         except Exception:
             pass
     assert ok / 200 >= 0.4
+
+
+def test_best_subset_rejects_wrong_length():
+    J = random_J(20, 1.0, seed=27)
+    cover = build_cover(J, 0.5, seed=28)
+    for length in (25, 10):
+        with pytest.raises(DimensionMismatch):
+            best_subset_for_weights(cover, np.ones(length))
+
+
+def test_sets_are_read_only_views_of_members():
+    J = random_J(40, 1.0, seed=29)
+    cover = build_cover(J, 0.5, seed=30)
+    sets = cover.sets
+    B = cover.members.toarray()
+    assert len(sets) == cover.ell == B.shape[0]
+    for I, row in zip(sets, B):
+        assert np.array_equal(I, np.flatnonzero(row))
+    with pytest.raises(ValueError):
+        sets[0][...] = 0
+
+
+# Oracle: build_cover, verify_cover and best_subset_for_weights as they ran
+# when a cover was a list of index arrays, with a dense (ell, n) product in
+# the build and one np.ix_ block per set in the check.  The new code must
+# draw the same sets and reach the same verdicts from the same generator.
+
+@dataclass(frozen=True)
+class _ListCover:
+    sets: list
+    eta: float
+    M: float
+    target_count: int
+    ell: int
+    attempts: int
+
+
+def _oracle_build_cover(J, eta, rng=None, max_retries=64, seed=0):
+    J = validate_interaction(J)
+    n = J.shape[0]
+    M = infinity_norm(J)
+    if M <= 0:
+        # no interactions: a single full set covers everything with eta 0
+        return _ListCover([np.arange(n)], eta, 0.0, 1, 1, 0)
+    if not 0 < eta <= M:
+        raise InvalidEta(f"need 0 < eta <= M={M:g}, got {eta:g}")
+    if rng is None:
+        rng = make_rng(seed)
+    eta_prime = eta / M
+    ell = cover_size(n, eta_prime)
+    target = math.ceil(eta_prime * ell / 8.0)
+    R = np.abs(J) / M  # normalized row weights
+    for attempt in range(1, max_retries + 1):
+        B = rng.random((ell, n)) < eta_prime / 2.0
+        # within-set row sums for every (set, coordinate) pair at once
+        S = B.astype(np.float64) @ R.T
+        B &= S <= eta_prime
+        counts = B.sum(axis=0)
+        if np.all(counts >= target):
+            excess = counts - target
+            # drop each over-covered coordinate from its lowest-index sets
+            rank = np.cumsum(B, axis=0)
+            B &= rank > excess[None, :]
+            sets = [np.flatnonzero(B[j]) for j in range(ell)]
+            return _ListCover(sets, eta, M, target, ell, attempt)
+    raise RetryExhausted(f"no valid cover after {max_retries} redraws")
+
+
+def _oracle_verify_cover(J, cover):
+    J = validate_interaction(J)
+    n = J.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    for I in cover.sets:
+        counts[I] += 1
+    count_viol = np.flatnonzero(counts != cover.target_count).tolist()
+    worst = 0.0
+    row_viol = []
+    tol = 1e-12
+    for j, I in enumerate(cover.sets):
+        if len(I) == 0:
+            continue
+        sub = np.abs(J[np.ix_(I, I)]).sum(axis=1)
+        worst = max(worst, float(sub.max()))
+        for pos in np.flatnonzero(sub > cover.eta + tol):
+            row_viol.append((j, int(I[pos])))
+    ok = not count_viol and not row_viol
+    return ok, count_viol, worst, row_viol
+
+
+def _oracle_best_subset_for_weights(cover, theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    if np.any(theta < 0):
+        raise NegativeWeight("weights must be nonnegative")
+    masses = np.array([theta[I].sum() for I in cover.sets])
+    j = int(np.argmax(masses))
+    return j, float(masses[j])
+
+
+def _assert_same_report(J, cover, oracle_cover):
+    got = verify_cover(J, cover)
+    ok, count_viol, worst, row_viol = _oracle_verify_cover(J, oracle_cover)
+    assert got.ok == ok
+    assert got.count_violations == count_viol
+    assert got.row_sum_violations == row_viol
+    assert abs(got.worst_row_sum - worst) <= 1e-15 * worst
+    return got
+
+
+def _assert_same_cover(J, eta, seed):
+    cover = build_cover(J, eta, rng=make_rng(seed))
+    oracle = _oracle_build_cover(J, eta, rng=make_rng(seed))
+    assert (cover.ell, cover.target_count, cover.attempts) == \
+        (oracle.ell, oracle.target_count, oracle.attempts)
+    assert len(cover.sets) == len(oracle.sets)
+    for I, K in zip(cover.sets, oracle.sets):
+        assert np.array_equal(I, K)
+    _assert_same_report(J, cover, oracle)
+    rng = make_rng(seed + 1)
+    for _ in range(5):
+        theta = rng.random(J.shape[0])
+        j, mass = best_subset_for_weights(cover, theta)
+        j_oracle, mass_oracle = _oracle_best_subset_for_weights(oracle, theta)
+        assert j == j_oracle
+        assert mass == pytest.approx(mass_oracle, rel=1e-15)
+
+
+@pytest.mark.parametrize("M,covers", [(0.5, 3), (2.0, 2), (4.0, 1)])
+def test_cover_matches_list_oracle(M, covers):
+    for rep in range(covers):
+        J = random_J(200, M, seed=100 + rep)
+        _assert_same_cover(J, min(1.0, M) / 2.0, seed=200 + rep)
+
+
+def test_cover_matches_list_oracle_on_integer_weights():
+    # a ring with integer weights 1..3 on its +-1 and +-2 neighbours: many
+    # within-set sums of |J|/M equal eta' = eta/M, exactly or within an ulp
+    # depending on the summation order; the prune and the check must break
+    # those ties as the oracle does
+    n = 80
+    rng = make_rng(1)
+    J = np.zeros((n, n))
+    for d in (1, 2):
+        w = rng.integers(1, 4, size=n).astype(np.float64)
+        i = np.arange(n)
+        J[i, (i + d) % n] = J[(i + d) % n, i] = w
+    assert infinity_norm(J) == 11.0
+    for eta in (5.0, 3.0):
+        _assert_same_cover(J, eta, seed=32)
+
+
+def test_verify_cover_reports_row_sum_violations():
+    J = random_J(30, 2.0, seed=33)
+    eta = 0.5
+    cover = build_cover(J, eta, seed=34)
+    B = cover.members.toarray()
+    # add coordinate i to set j where its within-set |J| sum would exceed eta
+    S = B @ np.abs(J)
+    j, i = np.argwhere((B == 0) & (S > eta))[0]
+    B[j, i] = 1.0
+    broken = replace(cover, members=sparse.csr_array(B))
+    oracle = _ListCover([np.flatnonzero(row) for row in B], cover.eta, cover.M,
+                        cover.target_count, cover.ell, cover.attempts)
+    report = _assert_same_report(J, broken, oracle)
+    assert not report.ok
+    assert (j, i) in report.row_sum_violations

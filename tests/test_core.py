@@ -99,45 +99,6 @@ def test_frobenius_and_trace_inner():
     assert isf.trace_inner(A, B) == 0.0
 
 
-def _jacobi_eigenvalues(A, sweeps=50):
-    """Independent oracle: cyclic Jacobi rotations on a symmetric matrix."""
-    A = A.copy()
-    n = A.shape[0]
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if A[p, q] == 0.0:
-                    continue
-                off += A[p, q] ** 2
-                theta = 0.5 * math.atan2(2 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                R = np.eye(n)
-                R[p, p] = R[q, q] = c
-                R[p, q] = s
-                R[q, p] = -s
-                A = R.T @ A @ R
-        if off < 1e-30:
-            break
-    return np.diag(A)
-
-
-def test_spectral_norm_examples():
-    assert float(isf.spectral_norm(np.zeros((3, 3)))) == 0.0
-    J = np.array([[0, 0.3], [0.3, 0]])
-    assert float(isf.spectral_norm(J)) == pytest.approx(0.3, abs=1e-9)
-
-
-def test_spectral_norm_vs_jacobi_oracle():
-    rng = make_rng(3)
-    A = rng.normal(size=(8, 8))
-    A = A + A.T
-    expected = np.max(np.abs(_jacobi_eigenvalues(A)))
-    got = isf.spectral_norm(A, tol=1e-12, max_iter=50000)
-    assert got.converged
-    assert float(got) == pytest.approx(expected, rel=1e-8)
-
-
 def test_local_field_zero_model():
     spec = IsingSpec.zero_field(np.zeros((3, 3)))
     x = np.array([1, -1, 1])

@@ -13,7 +13,6 @@ from isingfit.experiments import (
     gen_blocks,
     gen_erdos_renyi_incidence,
     gen_matchings,
-    gen_spatio_temporal,
     run_sweep,
     run_trial,
 )
@@ -53,21 +52,6 @@ def test_blocks_disjoint():
     for i in range(3):
         for j in range(i + 1, 3):
             assert trace_inner(mats[i], mats[j]) == 0.0
-
-
-def test_spatio_temporal_single_site():
-    J1, J2 = gen_spatio_temporal(1, 3, [])
-    # one site over three steps: a temporal 3-path, no spatial edges
-    assert J1[0, 1] == J1[1, 2] == 1.0
-    assert J1[0, 2] == 0.0
-    assert np.all(J2 == 0.0)
-
-
-def test_spatio_temporal_bookkeeping():
-    J1, J2 = gen_spatio_temporal(2, 2, [(0, 1)])
-    assert np.triu(J1, 1).sum() == 2.0  # one temporal edge per site
-    assert np.triu(J2, 1).sum() == 2.0  # the spatial edge at both steps
-    assert trace_inner(J1, J2) == 0.0
 
 
 def test_erdos_renyi_incidence_binary():

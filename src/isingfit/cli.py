@@ -72,9 +72,7 @@ def cmd_basis(args):
 def cmd_fit(args):
     b = basis_mod.gram_schmidt(_load_family(args.basis))
     x = load_spins(args.sample)
-    cfg = mple.MpleConfig(M=args.M, epsilon=args.epsilon,
-                          max_iters=args.max_iters, grad_tol=args.grad_tol)
-    res = mple.fit(b, x, cfg)
+    res = mple.fit(b, x, mple.MpleConfig(M=args.M, grad_tol=args.grad_tol))
     _write(args.out, {
         "beta_hat": res.beta_hat.tolist(),
         "psi_hat": res.psi_hat,
@@ -158,8 +156,6 @@ def build_parser():
     s.add_argument("--basis", required=True)
     s.add_argument("--sample", required=True)
     s.add_argument("--M", type=float, required=True)
-    s.add_argument("--epsilon", type=float, default=1.0)
-    s.add_argument("--max-iters", type=int, default=200_000)
     s.add_argument("--grad-tol", type=float, default=1e-4)
     s.add_argument("--out")
     s.set_defaults(func=cmd_fit)

@@ -107,8 +107,8 @@ class ExperimentConfig:
     seed: int = 0
     er_p: float = 0.05            # edge probability for the ER generator
     glauber_sweeps: int = 300
-    epsilon: float = 1.0
-    max_iters: int = 200_000
+    epsilon: float = 1.0          # psi_gap tolerance for callers' checks; fit does not read it
+    max_iters: int = 200_000      # fit's MpleConfig.max_programs
     eta: float = None             # unused since fit solves exactly; callers still pass it
     grad_tol: float = 1e-4
     shuffle_support: bool = False
@@ -182,9 +182,8 @@ def run_trial(cfg, k, trial):
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
         sampler = "glauber"
     beta_star, _ = project(basis, J_star)
-    mcfg = MpleConfig(M=cfg.M, epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                      T=cfg.max_iters, grad_tol=cfg.grad_tol)
-    res = fit(basis, x, mcfg)
+    res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
+                                   grad_tol=cfg.grad_tol))
     psi_star = psi(basis, beta_star, x)
     rec = TrialRecord(
         generator=cfg.generator,
@@ -192,7 +191,7 @@ def run_trial(cfg, k, trial):
         k=k,
         trial=trial,
         seed=seed,
-        frob_error=frobenius_norm(res.J_hat - J_star),
+        frob_error=frobenius_norm(combine(basis, res.beta_hat) - J_star),
         beta_error=float(np.linalg.norm(res.beta_hat - beta_star)),
         psi_gap=res.psi_hat - psi_star,
         psi_hat=res.psi_hat,

@@ -16,7 +16,9 @@ read off the edge-coordinate basis in O(m k), as each A_i is symmetric):
 for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
 Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for fit's
-budget cuts.
+budget cuts.  ``fit`` reports psi and ||A_beta||_inf at its estimate
+from the same fields and edge row sums, so it never forms an n x n
+matrix.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import combine
-from .core import check_spins, infinity_norm, validate_interaction
+from .basis import combine  # noqa: F401 -- perfbench/tracing.py wraps mple.combine
+from .core import check_spins, validate_interaction
 from .errors import DimensionMismatch, IsingfitError, LengthMismatch
 
-DEFAULT_MAX_ITERS = 2_000_000
+DEFAULT_MAX_PROGRAMS = 1_000
 
 
 def value_at_fields(f, x):
@@ -123,39 +125,24 @@ def infnorm_subgradient(edges, u, row_sums=None):
 
 @dataclass
 class MpleConfig:
-    M: float
-    epsilon: float = 1.0
-    # lam and eta do not affect fit; they stay because resolve returns
-    # (lam, T, eta) and callers unpack that 3-tuple
-    lam: float = None          # hinge-penalty weight, default 5n
-    T: int = None              # cap on fit's programs, default ceil(M^2 n^4 k / eps^2)
-    eta: float = None          # subgradient step, default M / (n sqrt(k) sqrt(T))
-    max_iters: int = DEFAULT_MAX_ITERS
+    M: float                   # the budget ||A_beta||_inf <= M
+    max_programs: int = DEFAULT_MAX_PROGRAMS  # cap on fit's quadratic programs
     grad_tol: float = 0.0      # KKT residual target; 0 runs to the floating-point optimum
 
-    def resolve(self, n, k):
-        lam = 5.0 * n if self.lam is None else self.lam
-        if self.T is None:
-            T = min(math.ceil(self.M ** 2 * n ** 4 * k / self.epsilon ** 2),
-                    self.max_iters)
-        else:
-            T = min(self.T, self.max_iters)
-        T = max(T, 1)
-        eta = self.M / (n * math.sqrt(k) * math.sqrt(T)) if self.eta is None else self.eta
-        return lam, T, eta
+    def resolve(self, n, k):  # kept for perfbench/tracing.py, which unpacks (_, cap, _)
+        return None, self.max_programs, None
 
 
 @dataclass
 class EstimationResult:
     beta_hat: np.ndarray
-    J_hat: np.ndarray
     objective_trace: np.ndarray  # psi at beta = 0 and at every Newton iterate
-    psi_hat: float
-    inf_norm_hat: float
+    psi_hat: float               # objective_trace[-1]
+    inf_norm_hat: float          # ||A_beta_hat||_inf
     iterations: int              # quadratic programs solved (steps and cuts)
     stop_reason: str = ""        # "kkt", "stalled" or "iter_cap"
     kkt_residual: float = math.nan
-    budget_active: bool = False  # ||J_hat||_inf within relative 1e-9 of M
+    budget_active: bool = False  # inf_norm_hat within relative 1e-9 of M
 
 
 # relative to M: cuts this close to M are tight at beta, and trial points
@@ -232,15 +219,13 @@ def fit(basis, x, cfg):
     is "kkt" once the residual is <= cfg.grad_tol (with grad_tol = 0: once
     no step decreases psi in floating point), "stalled" when no step
     decreases psi while the residual is still above grad_tol > 0, and
-    "iter_cap" after T quadratic programs, T from ``cfg.resolve``; the
-    paper's T = M^2 n^4 k / eps^2 is a bound, not a step count.
+    "iter_cap" after cfg.max_programs quadratic programs.
 
-    ``cfg.eta`` and ``cfg.lam`` do not affect ``fit``; they stay on
-    ``MpleConfig`` because callers pass them and unpack the 3-tuple that
-    ``resolve`` returns.
+    ``psi_hat`` is psi at the last iterate, ``objective_trace[-1]``, and
+    ``inf_norm_hat`` is ||A_beta_hat||_inf from the edge row sums that the
+    cuts use, so fit forms no n x n matrix.
     """
     x = check_spins(x, basis.n)
-    _, T, _ = cfg.resolve(basis.n, basis.k)
     M = float(cfg.M)
     edges = basis.edges
     Bx = edges.fields(x)
@@ -259,7 +244,7 @@ def fit(basis, x, cfg):
         if residual <= cfg.grad_tol:
             stop_reason = "kkt"
             break
-        if it == T:
+        if it >= cfg.max_programs:
             break
         it += 1
         d = _active_set_qp(curvature_at_fields(Bx, f), g, cuts, slack,
@@ -282,15 +267,13 @@ def fit(basis, x, cfg):
         beta, f, value = step
         trace.append(value)
 
-    J_hat = combine(basis, beta)
-    inf_hat = infinity_norm(J_hat)
+    inf_hat = float(edges.row_abs_sums(edges.coef @ beta).max())
     if inf_hat > M * (1.0 + _BALL_RTOL):
         raise IsingfitError(f"estimate escaped the budget: {inf_hat!r} > {M!r}")
     return EstimationResult(
         beta_hat=beta,
-        J_hat=J_hat,
         objective_trace=np.array(trace),
-        psi_hat=neg_log_pl(J_hat, x),
+        psi_hat=value,
         inf_norm_hat=inf_hat,
         iterations=it,
         stop_reason=stop_reason,

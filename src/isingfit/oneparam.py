@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import validate_interaction
-from .errors import DimensionMismatch, ZeroDenominator
+from .core import check_spins, validate_interaction
+from .errors import ZeroDenominator
 from .mple import (
     directional_derivative,
     directional_second_derivative,
@@ -24,9 +24,7 @@ from .mple import (
 
 def _prep(J, x):
     J = validate_interaction(J)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (J.shape[0],):
-        raise DimensionMismatch("sample length does not match J")
+    x = check_spins(x, J.shape[0])
     return J @ x, x
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isingfit import experiments
-from isingfit.basis import gram_schmidt, trace_inner, unique_edge_counts
+from isingfit.basis import combine, gram_schmidt, trace_inner, unique_edge_counts
 from isingfit.errors import NormBudgetExceeded, TooManyGroups
 from isingfit.experiments import (
     ExperimentConfig,
@@ -106,13 +106,14 @@ def test_appendix_inequality_per_trial():
     raw = gen_matchings(cfg.n, 2)  # the family run_trial fits at this config
     lam = unique_edge_counts(raw)
     for trial in range(3):
-        _, _, J_star, res = run_trial(cfg, 2, trial)
+        _, basis, J_star, res = run_trial(cfg, 2, trial)
         # convert back to raw coordinates: J = sum_s beta_raw_s J_s
         G = np.array([[trace_inner(a, b) for b in raw] for a in raw])
         beta_star_raw = np.linalg.solve(G, [trace_inner(J_star, Jm) for Jm in raw])
-        beta_hat_raw = np.linalg.solve(G, [trace_inner(res.J_hat, Jm) for Jm in raw])
+        J_hat = combine(basis, res.beta_hat)
+        beta_hat_raw = np.linalg.solve(G, [trace_inner(J_hat, Jm) for Jm in raw])
         lhs = float(np.sum(2 * lam * (beta_hat_raw - beta_star_raw) ** 2))
-        rhs = frobenius_norm(res.J_hat - J_star) ** 2
+        rhs = frobenius_norm(J_hat - J_star) ** 2
         assert lhs <= rhs + 1e-9
 
 

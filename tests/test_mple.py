@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinit
 from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.mple import (
+    DEFAULT_MAX_PROGRAMS,
     MpleConfig,
     directional_derivative,
     directional_second_derivative,
@@ -157,7 +160,7 @@ def test_psi_convexity_certificate():
 
 
 def _fit_cfg(**kw):
-    base = dict(M=0.5, epsilon=0.5, T=40000, eta=0.002, grad_tol=1e-6)
+    base = dict(M=0.5, max_programs=40000, grad_tol=1e-6)
     base.update(kw)
     return MpleConfig(**base)
 
@@ -170,11 +173,11 @@ def test_fit_one_dim_matches_grid_search():
     J_star = true_beta * b.ortho[0]
     spec = IsingSpec.zero_field(J_star)
     x = exact_sample(enumerate_distribution(spec), make_rng(30))
-    cfg = _fit_cfg(M=1.0)
-    res = fit(b, x, cfg)
+    eps = 0.5
+    res = fit(b, x, _fit_cfg(M=1.0))
     grid = np.arange(-1.0, 1.0 + 1e-9, 1e-3)
     vals = [psi(b, np.array([g]), x) for g in grid]
-    assert res.psi_hat <= min(vals) + cfg.epsilon
+    assert res.psi_hat <= min(vals) + eps
 
 
 def test_fit_zero_truth():
@@ -182,9 +185,9 @@ def test_fit_zero_truth():
     b = gram_schmidt(random_family(n, 2, seed=31))
     spec = IsingSpec.zero_field(np.zeros((n, n)))
     x = exact_sample(enumerate_distribution(spec), make_rng(32))
-    cfg = _fit_cfg(M=1.0, epsilon=1.0)
-    res = fit(b, x, cfg)
-    assert res.psi_hat <= n * math.log(2) + cfg.epsilon
+    eps = 1.0
+    res = fit(b, x, _fit_cfg(M=1.0))
+    assert res.psi_hat <= n * math.log(2) + eps
     assert res.inf_norm_hat <= 3.0
 
 
@@ -200,11 +203,11 @@ def test_fit_known_truth_certificate():
     beta_star, _ = project(b, J_star)
     from isingfit.sampler import GlauberConfig, glauber_sample
     x = glauber_sample(IsingSpec.zero_field(J_star), GlauberConfig(200, 35))
-    cfg = _fit_cfg(epsilon=1.0)
+    eps = 1.0
+    cfg = _fit_cfg()
     res = fit(b, x, cfg)
-    assert res.psi_hat <= psi(b, beta_star, x) + cfg.epsilon
+    assert res.psi_hat <= psi(b, beta_star, x) + eps
     assert res.inf_norm_hat <= 3 * cfg.M + 1e-9
-    assert np.allclose(res.J_hat, combine(b, res.beta_hat))
 
 
 def test_fit_result_bookkeeping():
@@ -212,7 +215,7 @@ def test_fit_result_bookkeeping():
     b = gram_schmidt(random_family(n, 1, seed=36))
     rng = make_rng(37)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=n)
-    res = fit(b, x, _fit_cfg(T=500, grad_tol=0.0))
+    res = fit(b, x, _fit_cfg(max_programs=500, grad_tol=0.0))
     trace = res.objective_trace
     assert res.stop_reason == "kkt" and 1 <= res.iterations < 500
     assert 2 <= len(trace) <= res.iterations + 1
@@ -221,14 +224,14 @@ def test_fit_result_bookkeeping():
     assert trace[-1] == pytest.approx(res.psi_hat, rel=1e-12)
     assert res.kkt_residual <= 1e-8
     assert res.budget_active == (res.inf_norm_hat >= 0.5 * (1 - 1e-9))
-    capped = fit(b, x, _fit_cfg(T=1, grad_tol=0.0))
+    capped = fit(b, x, _fit_cfg(max_programs=1, grad_tol=0.0))
     assert capped.stop_reason == "iter_cap" and capped.iterations == 1
     assert capped.kkt_residual > res.kkt_residual
 
 
-def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
-    # gram_schmidt, project, psi and grad_beta work on the edge view; fit
-    # stacks the basis only in combine, to form J_hat
+def test_fit_never_stacks_the_basis(monkeypatch):
+    # gram_schmidt, project, psi, grad_beta and fit all work on the edge
+    # view; fit reports psi and the infinity norm from its own loop
     rng = make_rng(41)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
     calls = []
@@ -237,17 +240,53 @@ def test_fit_stacks_the_basis_a_bounded_number_of_times(monkeypatch):
                         lambda self: calls.append(1) or stacked(self))
     b = gram_schmidt(random_family(10, 3, seed=40))
     project(b, random_family(10, 1, seed=42)[0])
-    assert not calls
     psi(b, rng.normal(size=3), x)
     grad_beta(b, rng.normal(size=3), x)
+    fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
     assert not calls
-    fit(b, x, _fit_cfg(M=0.05, T=2_000, grad_tol=0.0))
-    assert len(calls) == 1
 
+
+def test_fit_forms_no_dense_matrix():
+    # one n x n float64 array is 8 MB at n = 1024; fit's arrays are O(m k)
+    n = 1024
+    b = gram_schmidt(gen_matchings(n, 8))
+    x = np.tile([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0], n // 8)
+    tracemalloc.start()
+    try:
+        res = fit(b, x, MpleConfig(M=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop_reason == "kkt"
+    assert peak < n * n * 8 / 4
+
+
+def test_mple_config_has_three_settings():
+    assert [f.name for f in dataclasses.fields(MpleConfig)] == [
+        "M", "max_programs", "grad_tol"]
+    assert MpleConfig(M=0.5).max_programs == DEFAULT_MAX_PROGRAMS
+
+
+@pytest.mark.parametrize("kind", ["blocks", "erdos_renyi"])
+@pytest.mark.parametrize("M", [0.05, 0.5, 2.0])
+def test_fit_reports_from_its_own_loop(kind, M):
+    # psi_hat is the last accepted value and inf_norm_hat the edge row
+    # sums at the estimate; both agree with the dense oracles on
+    # combine(basis, beta_hat) up to summation order
+    b = gram_schmidt(_support(kind, 24, 3))
+    x = np.tile([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 3)
+    res = fit(b, x, MpleConfig(M=M))
+    ev = b.edges
+    assert res.psi_hat == res.objective_trace[-1]
+    assert res.inf_norm_hat == ev.row_abs_sums(ev.coef @ res.beta_hat).max()
+    J_hat = combine(b, res.beta_hat)
+    assert res.psi_hat == pytest.approx(neg_log_pl(J_hat, x), rel=1e-12, abs=0)
+    assert res.inf_norm_hat == pytest.approx(infinity_norm(J_hat), rel=1e-12, abs=0)
 
 
 def test_fit_sums_rows_once_per_trial_point(monkeypatch):
-    # the budget check and a cut's subgradient share one row_abs_sums pass
+    # the budget check and a cut's subgradient share one row_abs_sums pass,
+    # and one more pass gives inf_norm_hat at the estimate
     rng = make_rng(41)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
     calls = []
@@ -255,9 +294,9 @@ def test_fit_sums_rows_once_per_trial_point(monkeypatch):
     monkeypatch.setattr(EdgeView, "row_abs_sums",
                         lambda self, u: calls.append(1) or row_abs_sums(self, u))
     b = gram_schmidt(random_family(10, 3, seed=40))
-    res = fit(b, x, _fit_cfg(M=0.05, T=2_000, grad_tol=0.0))
+    res = fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
     assert res.budget_active
-    assert len(calls) == res.iterations
+    assert len(calls) == res.iterations + 1
 
 # ---------------------------------------------------------------------------
 # Oracle: the paper's averaged subgradient loop on the penalized objective,
@@ -274,10 +313,10 @@ def log_cosh(y):
     return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
-def _dense_fit(basis, x, cfg, trace_every=0):
+def _dense_fit(basis, x, M, T, eta, grad_tol, trace_every=0):
     x = check_spins(x, basis.n)
     n, k = basis.n, basis.k
-    lam, T, eta = cfg.resolve(n, k)
+    lam = 5.0 * n
     A = basis.stacked()
     Bx = A @ x
     row_abs = np.abs  # local alias for the hot loop
@@ -296,7 +335,7 @@ def _dense_fit(basis, x, cfg, trace_every=0):
         g = Bx @ (tanh_f - x)
         inf_norm = float(np.max(np.sum(row_abs(U), axis=1))) if n else 0.0
         h_val = float(np.sum(log_cosh(f) - x * f)) + n * math.log(2.0)
-        h_val += lam * max(0.0, inf_norm - cfg.M)
+        h_val += lam * max(0.0, inf_norm - M)
         if not math.isfinite(h_val):
             raise NonFinite(f"objective became non-finite at iteration {it}")
         if h_val < best_h:
@@ -304,13 +343,13 @@ def _dense_fit(basis, x, cfg, trace_every=0):
             best_beta = beta.copy()
         if trace_every and (it % trace_every == 0 or it == 1):
             trace.append(h_val)
-        if inf_norm > cfg.M:
+        if inf_norm > M:
             # the largest row (lowest index on ties), sgn(0) = 0
             r = int(np.argmax(np.sum(np.abs(U), axis=1)))
             g = g + lam * (A[:, r, :] @ np.sign(U[r]))
             penalty_steps += 1
         gnorm = float(np.linalg.norm(g))
-        if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol and inf_norm <= cfg.M:
+        if grad_tol > 0 and gnorm <= grad_tol and inf_norm <= M:
             beta_sum += beta * (T - it + 1)  # hold the converged iterate
             break
         beta_sum += beta
@@ -373,9 +412,8 @@ def test_fit_matches_dense_oracle(kind, M, eta, grad_tol, trace_every):
     # 5 of every 8 spins up: the pseudo-likelihood has a finite minimizer
     # on every support
     x = np.tile([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 3)
-    cfg = MpleConfig(M=M, T=3_000, eta=eta, grad_tol=grad_tol)
-    res = fit(b, x, cfg)
-    ref = _dense_fit(b, x, cfg, trace_every=trace_every)
+    res = fit(b, x, MpleConfig(M=M, max_programs=3_000, grad_tol=grad_tol))
+    ref = _dense_fit(b, x, M, 3_000, eta, grad_tol, trace_every=trace_every)
 
     lam = 5.0 * b.n
 

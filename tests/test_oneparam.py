@@ -136,9 +136,7 @@ def test_fit_scalar_matches_multiparameter_fit():
     res1 = fit_scalar(J, x, M=1.0, tol=1e-13)
     b = gram_schmidt([J])
     scale = float(np.sqrt((J ** 2).sum()))  # beta rescales by ||J||_F
-    cfg = MpleConfig(M=1.0, epsilon=0.01, T=8_000_000, max_iters=8_000_000,
-                     eta=0.0005, grad_tol=1e-9)
-    res2 = fit(b, x, cfg)
+    res2 = fit(b, x, MpleConfig(M=1.0, max_programs=8_000_000, grad_tol=1e-9))
     assert res2.beta_hat[0] / scale == pytest.approx(res1.beta_hat, abs=1e-4)
 
 
@@ -173,6 +171,17 @@ def test_fit_scalar_saturated_sample_is_boundary(scale):
 def test_partition_certificate_zero_matrix():
     with pytest.raises(ZeroDenominator):
         partition_certificate(np.zeros((4, 4)), np.ones(4), M=0.3)
+
+
+def test_samples_must_be_spins():
+    # the saturated-sample rule reads signs of x_i (Jx)_i, so x must be +-1
+    J = unit_inf_matrix(8, seed=1)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        fit_scalar(J, [1, 1, 1, 1, 0, 0, 0, 0], 1.0)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        partition_certificate(J, [3, 1, 1, 1, -1, -1, -1, -1], M=1)
+    with pytest.raises(DimensionMismatch):
+        fit_scalar(J, np.ones(7), 1.0)
 
 
 def test_certificate_covers_true_error():

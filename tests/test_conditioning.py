@@ -152,7 +152,7 @@ def test_single_draw_success_rate():
         try:
             build_cover(J, 0.5, seed=seed, max_retries=1)
             ok += 1
-        except Exception:
+        except RetryExhausted:  # an unlucky draw; any other error is a bug
             pass
     assert ok / 200 >= 0.4
 

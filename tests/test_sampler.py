@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ from scipy.special import logsumexp
 
 import isingfit as isf
 import isingfit.sampler as sampler_mod
-from isingfit.core import IsingSpec, check_spins
+from isingfit.core import IsingSpec, _field_bounds, check_spins
 from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 from isingfit.sampler import (
+    _BAND_SLACK,
+    _DENSE_ROW,
     _DRAW_CHUNK,
     _TABLE_BASE,
     _TABLE_COST,
     _TABLE_MAX_N,
     GlauberConfig,
+    _bands,
     _linear_sums,
     _log_weights,
     _scan_draws,
@@ -281,8 +285,7 @@ def _scalar_glauber(spec, cfg, rng=None, init_state=None):
     return X.astype(np.int64)
 
 
-def _model(kind, n, with_field):
-    k = 3
+def _model(kind, n, with_field, M=0.9, k=3):
     if kind == "matchings":
         raw = gen_matchings(n, k, make_rng(50))
     elif kind == "blocks":
@@ -290,8 +293,17 @@ def _model(kind, n, with_field):
     else:
         raw = gen_erdos_renyi_incidence(n, k, 0.2, make_rng(51))
     J = sum(c * R for c, R in zip(make_rng(52).uniform(-1.0, 1.0, k), raw))
-    J *= 0.9 / isf.infinity_norm(J)
+    J *= M / isf.infinity_norm(J)
     h = make_rng(53).normal(size=n) * 0.3 if with_field else np.zeros(n)
+    return IsingSpec(J, h)
+
+
+def _with_lone_sites(spec):
+    """spec with sites 0 and 1 cut off from the rest: site 0 sees only its
+    field, 0.7, and site 1 nothing at all (R_1 = 0, p = 1/2 exactly)."""
+    J, h = spec.J.copy(), spec.h.copy()
+    J[:2] = J[:, :2] = 0.0
+    h[:2] = 0.7, 0.0
     return IsingSpec(J, h)
 
 
@@ -299,16 +311,19 @@ def _model(kind, n, with_field):
 # n = 65 has rows on both sides of the dense-row cut; odd sweeps * n ends
 # on a lone step; more than _DRAW_CHUNK steps crosses a chunk boundary;
 # ``buffered`` enters with the high half of a 64-bit word pending.  The
-# first case is also run by the vectorised oracle.
+# first case is also run by the vectorised oracle.  At M = 0.5 most
+# updates are decided by their uniform alone (``_bands``), at M = 4 almost
+# none; sites 0 and 1 have R_s = |h_s| and R_s = 0.
 _CHAIN_CASES = [(30, 40, False), (33, 41, False), (64, 33, True), (65, 65, True)]
+_CHAIN_NORMS = [0.5, 0.9, 4.0]
 
 
 @pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
 @pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
 def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
-    for n, sweeps, buffered in _CHAIN_CASES:
-        spec = _model(kind, n, with_field)
+    for (n, sweeps, buffered), M in itertools.product(_CHAIN_CASES, _CHAIN_NORMS):
+        spec = _with_lone_sites(_model(kind, n, with_field, M))
         cfg = GlauberConfig(sweeps, seed=54, init=init)
         start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
         rng_a, rng_b = make_rng(56), make_rng(56)
@@ -317,15 +332,55 @@ def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
             rng_b.integers(0, n)
         got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=start)
         want = _scalar_glauber(spec, cfg, rng_b, init_state=start)
-        case = (n, sweeps, buffered)
+        case = (n, sweeps, buffered, M)
         assert got.dtype == want.dtype and np.array_equal(got, want), case
         assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
-        if case == _CHAIN_CASES[0]:
+        if case[:3] == _CHAIN_CASES[0]:
             assert np.array_equal(want, _vectorised_glauber(spec, 1, cfg, make_rng(56),
                                                             init_state=start))
             # without an explicit generator both seed one from cfg.seed
             assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
                                   _scalar_glauber(spec, cfg, init_state=start))
+
+
+def _chain_p(spec, s, x):
+    """P(x_s = +1 | x) computed as _single_chain computes it for row s."""
+    row = np.flatnonzero(spec.J[s])
+    if len(row) > _DENSE_ROW:
+        f = float(spec.J[s] @ x)
+    else:
+        f, xs = 0.0, x.tolist()
+        for j, w in zip(row.tolist(), spec.J[s, row].tolist()):
+            f += w * xs[j]
+    f += spec.h.tolist()[s]
+    return float(0.5 * (1.0 + np.tanh(f)))
+
+
+# Blocks at k = 1, n = 65 is one clique: every row takes the BLAS product.
+@pytest.mark.parametrize("kind,k,n", [("matchings", 3, 64), ("blocks", 3, 65),
+                                      ("blocks", 1, 65), ("erdos_renyi", 3, 65)])
+@pytest.mark.parametrize("M", _CHAIN_NORMS)
+def test_band_holds_the_chains_extreme_conditionals(kind, k, n, M):
+    spec = _with_lone_sites(_model(kind, n, True, M, k))
+    degrees = np.count_nonzero(spec.J, axis=1)
+    if k == 1:
+        assert degrees[2:].min() > _DENSE_ROW
+    lo, hi = _bands(_field_bounds(spec), degrees)
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    for s in range(n):
+        sign = np.where(spec.J[s] < 0.0, -1.0, 1.0)
+        for x in (sign, -sign):  # the fields +-sum_j |J_sj| + h_s
+            assert lo[s] < _chain_p(spec, s, x) < hi[s], (s, x)
+    # the edges sit within _BAND_SLACK + 1 ulp of the field band
+    R = _field_bounds(spec)
+    assert np.all(np.abs(lo - (0.5 * (1.0 - np.tanh(R)) - _BAND_SLACK)) <= 2.0 ** -52)
+    assert np.all(np.abs(hi - (0.5 * (1.0 + np.tanh(R)) + _BAND_SLACK)) <= 2.0 ** -52)
+
+
+def test_band_is_empty_where_rounding_could_reach_it():
+    lo, hi = _bands(np.array([0.0, 1e3, 1e6, 1e9]), np.array([0, 3, 3, 3]))
+    assert lo.tolist()[:2] == [0.5 - _BAND_SLACK, 0.0 - _BAND_SLACK]
+    assert lo.tolist()[2:] == [-np.inf, -np.inf] and hi.tolist()[2:] == [np.inf, np.inf]
 
 
 def _count_tables(monkeypatch):

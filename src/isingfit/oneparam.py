@@ -85,6 +85,10 @@ def fit_scalar(J, x, M, tol=1e-10):
         return ScalarFitResult(hi, d_hi, floor, cert, (-M, M), boundary=True)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent doubles, more than 1e-12 apart once
+            # |beta| passes 8192: the bracket cannot shrink any further
+            break
         d = _slope(mid, f, x)
         if abs(d) <= tol:
             return ScalarFitResult(mid, d, floor, cert, (-M, M))

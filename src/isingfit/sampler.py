@@ -8,6 +8,7 @@ when it is 1 (bit 0 is the least significant bit).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ _TABLE_MAX_N = 14    # sites above which multi-chain steps skip the lookup table
 _TABLE_COST = 4      # updates that repay building one table entry
 _TABLE_BASE = 2048   # entries' worth of fixed cost in building a table
 _BAND_SLACK = 1e-9   # widening of each single-chain site's band (see _bands)
+_LAZY_COST = 10      # forward updates that one lazily evaluated update costs
 _SPIN = (None, 1.0, -1.0)  # the spin of a band code 1 or -1
 
 
@@ -190,6 +192,17 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     at ``_bands``), it decides every update whose uniform falls outside
     it (+1 below, -1 above) without summing the field.  The draws and
     the spins are the ones the field would give.
+
+    A chain whose rows all hold at most 32 couplings, with
+    b = max_s sum_{j in N(s)} (hi_j - lo_j) < 1 over the band widths, and
+    with 10 n / (1 - b) below its window's steps (min(steps, 4096)),
+    takes the lazy path instead (``_lazy_window``): only the final state
+    is kept, and each window of draws gives it from the window's first
+    state by evaluating just the undecided updates that the window's
+    last spins read, which number at most n / (1 - b) in expectation
+    (``_goes_lazy``), with the forward loop's arithmetic.  Every other
+    chain runs forward.  Both paths take the same draws, leave the
+    generator in the same state and write the same spins.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -289,20 +302,27 @@ def _bands(R, degrees):
 def _single_chain(spec, x, rng, steps):
     """Run ``steps`` heat-bath updates on the spin array x, in place.  An
     update whose uniform falls outside its site's band (``_bands``) writes
-    the spin every field would give it, without summing the field."""
+    the spin every field would give it, without summing the field.  When
+    ``_goes_lazy`` holds, each window of draws runs ``_lazy_window``, which
+    evaluates only the updates that the window's last spins read;
+    otherwise every update runs forward, in time order."""
     n = spec.n
     J = spec.J
-    rows, cols = np.nonzero(J)
+    # row-major flat scan: the indices of np.nonzero(J), at a fraction of its cost
+    rows, cols = np.divmod(np.flatnonzero(J != 0.0), n)
     weights = J[rows, cols].tolist()
-    cols = cols.tolist()
     bounds = np.searchsorted(rows, np.arange(n + 1))
     lo, hi = _bands(_field_bounds(spec), np.diff(bounds))
+    # b of _goes_lazy: the largest sum of a row's neighbours' band widths
+    reach = float(np.bincount(rows, (hi - lo).take(cols), minlength=n).max(initial=0.0))
+    cols = cols.tolist()
     bounds = bounds.tolist()
     # (column, weight) pairs, or None for a row dense enough that one BLAS
     # product on the array x beats summing in Python
     neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
                   else None for a, b in zip(bounds, bounds[1:])]
     dense = None in neighbours
+    lazy = _goes_lazy(dense, n, reach, steps)
     h = spec.h.tolist()
     xs = x.tolist()
     p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
@@ -311,6 +331,9 @@ def _single_chain(spec, x, rng, steps):
         # ints, as Python caches them and tolist() then allocates no floats
         codes = ((uniforms < lo.take(sites)).view(np.int8)
                  - (uniforms >= hi.take(sites)).view(np.int8))
+        if lazy:
+            _lazy_window(x, neighbours, h, p_plus, sites, uniforms, codes)
+            continue
         for s, u, c in zip(sites.tolist(), uniforms.tolist(), codes.tolist()):
             if c:
                 v = _SPIN[c]
@@ -333,7 +356,91 @@ def _single_chain(spec, x, rng, steps):
             xs[s] = v
             if dense:
                 x[s] = v
-    x[:] = xs
+    if not lazy:
+        x[:] = xs
+
+
+def _goes_lazy(dense, n, b, steps):
+    """Whether a chain runs ``_lazy_window``: it has no dense row, and
+    b = max_s sum_{j in N(s)} (hi_j - lo_j), over its band widths, is
+    below 1.
+
+    An update at site j is undecided with probability at most
+    hi_j - lo_j, whatever the other updates are (its uniform is its own),
+    so following each site's last update back through undecided
+    neighbours reaches at most n / (1 - b) updates of a window in
+    expectation.  Lazy wins when that many evaluations, each costing
+    _LAZY_COST forward updates, cost less than the window's steps."""
+    return not dense and b < 1.0 and _LAZY_COST * n < (1.0 - b) * min(steps, _DRAW_CHUNK)
+
+
+def _lazy_window(x, neighbours, h, p_plus, sites, uniforms, codes):
+    """Advance the spin array x, in place, over one window of updates at
+    sites with uniforms and band codes, giving the spins the forward loop
+    gives, from the same draws.
+
+    A site's last spin is its last update's code, unless that update is
+    undecided (code 0); then it is the heat-bath choice at the field that
+    its neighbours' spins just before it give, each the spin of their own
+    last earlier update, or their spin at the window's start.  Only those
+    undecided updates are evaluated: a stack collects them (times only
+    decrease along it, so there is no recursion), and they are then
+    evaluated in time order with the forward loop's arithmetic (the same
+    column order, ``h[s]`` and memoised p), so every spin keeps its bits.
+    """
+    n = len(x)
+    # update times, by site: a stable radix sort on 16-bit sites, which
+    # hold every lazy chain's (_goes_lazy keeps n below _DRAW_CHUNK / _LAZY_COST)
+    order = np.argsort(sites.astype(np.int16), kind="stable")
+    counts = np.bincount(sites, minlength=n)
+    ends = np.cumsum(counts)
+    touched = np.flatnonzero(counts)
+    last = order.take(ends.take(touched) - 1)
+    final = codes.take(last)
+    open_ = final == 0
+    roots = last[open_].tolist()
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    xs = x.tolist()
+    times = {}   # site -> its update times in the window, ascending
+    inputs = {}  # undecided time -> (site, the keys of its neighbours' spins)
+    value = {}   # key -> spin: an update time's, or -1 - j for site j's start
+    stack = list(zip(roots, touched[open_].tolist()))
+    while stack:
+        t, s = stack.pop()
+        if t in inputs:
+            continue
+        keys = []
+        for j, _ in neighbours[s]:
+            ts = times.get(j)
+            if ts is None:
+                ts = times[j] = order[starts[j]:ends[j]].tolist()
+            i = bisect_left(ts, t)
+            if i:
+                key = ts[i - 1]
+                c = codes[key]
+                if c:
+                    value[key] = _SPIN[c]
+                elif key not in inputs:
+                    stack.append((key, j))
+            else:
+                key = -1 - j
+                value[key] = xs[j]
+            keys.append(key)
+        inputs[t] = s, keys
+    for t in sorted(inputs):
+        s, keys = inputs[t]
+        f = 0.0
+        for (_, w), key in zip(neighbours[s], keys):
+            f += w * value[key]
+        f += h[s]
+        p = p_plus.get(f)
+        if p is None:  # as in the forward loop
+            if len(p_plus) == _P_MEMO:
+                p_plus.clear()
+            p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
+        value[t] = 1.0 if uniforms[t] < p else -1.0
+    x[touched] = final
+    x[touched[open_]] = [value[t] for t in roots]
 
 
 def _scan_draws(rng, n, steps):
@@ -371,8 +478,10 @@ def _scan_draws(rng, n, steps):
                 halves[1::2] = words[:, 0] >> np.uint64(32)
                 product = halves * np.uint64(n)
                 if not np.any((product & low) < threshold):
-                    yield ((product >> np.uint64(32)).astype(np.int64),
-                           (words[:, 1:].ravel() >> np.uint64(11)) * 2.0 ** -53)
+                    # both shifted words are below 2^63: int64 views, and an
+                    # int64 -> float conversion, which is faster than uint64's
+                    yield ((product >> np.uint64(32)).view(np.int64),
+                           (words[:, 1:] >> np.uint64(11)).ravel().view(np.int64) * 2.0 ** -53)
                     left -= m
                     continue
                 bitgen.state = state

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import isingfit.oneparam as oneparam
 from isingfit.basis import gram_schmidt
 from isingfit.core import IsingSpec, infinity_norm, validate_interaction
 from isingfit.errors import DimensionMismatch, ZeroDenominator
@@ -166,6 +167,31 @@ def test_fit_scalar_saturated_sample_is_boundary(scale):
     assert res.boundary and not res.degenerate
     assert res.beta_hat == math.copysign(M, scale)
     assert res.phi_prime_at_hat * scale <= 0.0
+
+
+def test_fit_scalar_stops_when_the_bracket_cannot_shrink(monkeypatch):
+    # ||J||_inf = 1e-4 puts the root near beta = 9000, where adjacent doubles
+    # lie 1.8e-12 apart, so the bracket never narrows to 1e-12; with tol = 0
+    # no slope ends the search either.  A bounded slope count turns a
+    # search that does not end into a failure.
+    J = random_spec(14, 1e-4, seed=1).J
+    x = exact_sample(enumerate_distribution(IsingSpec.zero_field(J)), make_rng(5))
+    slope, calls = oneparam._slope, []
+
+    def bounded(*args):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("fit_scalar did not stop")
+        return slope(*args)
+
+    monkeypatch.setattr(oneparam, "_slope", bounded)
+    res = fit_scalar(J, x, M=1e5, tol=0.0)
+    b = res.beta_hat
+    assert abs(b) > 8192 and not res.boundary
+    # phi' changes sign within one double of the answer
+    d = [phi_prime(t, J, x) for t in (math.nextafter(b, -math.inf), b,
+                                      math.nextafter(b, math.inf))]
+    assert min(d[:2]) <= 0.0 <= max(d[1:])
 
 
 def test_partition_certificate_zero_matrix():

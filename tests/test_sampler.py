@@ -9,7 +9,15 @@ import isingfit as isf
 import isingfit.sampler as sampler_mod
 from isingfit.core import IsingSpec, _field_bounds, check_spins
 from isingfit.errors import DimensionTooLarge
-from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
+from isingfit.experiments import (
+    ExperimentConfig,
+    _make_raw,
+    _true_beta,
+    gen_blocks,
+    gen_erdos_renyi_incidence,
+    gen_matchings,
+    trial_seed,
+)
 from isingfit.sampler import (
     _BAND_SLACK,
     _DENSE_ROW,
@@ -294,7 +302,7 @@ def _model(kind, n, with_field, M=0.9, k=3):
         raw = gen_erdos_renyi_incidence(n, k, 0.2, make_rng(51))
     J = sum(c * R for c, R in zip(make_rng(52).uniform(-1.0, 1.0, k), raw))
     J *= M / isf.infinity_norm(J)
-    h = make_rng(53).normal(size=n) * 0.3 if with_field else np.zeros(n)
+    h = make_rng(53).normal(size=n) * min(M, 0.3) if with_field else np.zeros(n)
     return IsingSpec(J, h)
 
 
@@ -313,34 +321,115 @@ def _with_lone_sites(spec):
 # ``buffered`` enters with the high half of a 64-bit word pending.  The
 # first case is also run by the vectorised oracle.  At M = 0.5 most
 # updates are decided by their uniform alone (``_bands``), at M = 4 almost
-# none; sites 0 and 1 have R_s = |h_s| and R_s = 0.
+# none; sites 0 and 1 have R_s = |h_s| and R_s = 0.  M = 4 runs every
+# chain forward, and M = 0.02 (with fields of the same size) sends some
+# chains of every kind down the lazy path, blocks and ER with rows of
+# several couplings.
 _CHAIN_CASES = [(30, 40, False), (33, 41, False), (64, 33, True), (65, 65, True)]
-_CHAIN_NORMS = [0.5, 0.9, 4.0]
+_CHAIN_NORMS = [0.02, 0.5, 0.9, 4.0]
+
+
+def _count_paths(monkeypatch):
+    """Whether each single chain glauber_sample_many runs took the lazy path."""
+    lazy = []
+    real = sampler_mod._goes_lazy
+
+    def counted(*args):
+        lazy.append(real(*args))
+        return lazy[-1]
+
+    monkeypatch.setattr(sampler_mod, "_goes_lazy", counted)
+    return lazy
+
+
+def _check_single_chain(spec, cfg, init_state=None, buffered=False, seed=56):
+    """Spins and the next draw of glauber_sample_many against the scalar oracle."""
+    rng_a, rng_b = make_rng(seed), make_rng(seed)
+    if buffered:
+        rng_a.integers(0, spec.n)
+        rng_b.integers(0, spec.n)
+    got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=init_state)
+    want = _scalar_glauber(spec, cfg, rng_b, init_state=init_state)
+    case = (spec.n, spec.M, cfg, buffered)
+    assert got.dtype == want.dtype and np.array_equal(got, want), case
+    assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
+    return want
 
 
 @pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
 @pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
-def test_single_chain_matches_vectorised_oracle(kind, init, with_field):
+def test_single_chain_matches_vectorised_oracle(kind, init, with_field, monkeypatch):
+    lazy = _count_paths(monkeypatch)
     for (n, sweeps, buffered), M in itertools.product(_CHAIN_CASES, _CHAIN_NORMS):
         spec = _with_lone_sites(_model(kind, n, with_field, M))
         cfg = GlauberConfig(sweeps, seed=54, init=init)
         start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
-        rng_a, rng_b = make_rng(56), make_rng(56)
-        if buffered:
-            rng_a.integers(0, n)
-            rng_b.integers(0, n)
-        got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=start)
-        want = _scalar_glauber(spec, cfg, rng_b, init_state=start)
-        case = (n, sweeps, buffered, M)
-        assert got.dtype == want.dtype and np.array_equal(got, want), case
-        assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
-        if case[:3] == _CHAIN_CASES[0]:
+        want = _check_single_chain(spec, cfg, start, buffered)
+        if (n, sweeps, buffered) == _CHAIN_CASES[0]:
             assert np.array_equal(want, _vectorised_glauber(spec, 1, cfg, make_rng(56),
                                                             init_state=start))
             # without an explicit generator both seed one from cfg.seed
             assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
                                   _scalar_glauber(spec, cfg, init_state=start))
+    assert set(lazy) == {False, True}
+
+
+def _test_05_chains(k, trials):
+    """The Glauber chains of run_trial at the test_05 config (matchings,
+    n = 128, M = 0.5, 300 sweeps), as (spec, cfg, seed)."""
+    cfg = ExperimentConfig(n=128, k_grid=(k,), seed=15)
+    for trial in range(trials):
+        seed = trial_seed(cfg.seed, k, trial)
+        rng = make_rng(seed)
+        raw = _make_raw(cfg, k, rng)
+        J = sum(b * R for b, R in zip(_true_beta(cfg, k, rng), raw))
+        if isf.infinity_norm(J) > cfg.M:
+            J = J * (cfg.M / isf.infinity_norm(J))
+        yield IsingSpec.zero_field(J), GlauberConfig(cfg.glauber_sweeps, seed), seed
+
+
+# Which side of the cut chains fall on: the test_05 config is lazy; dense
+# rows (one 65-clique), b >= 1 (ER at M = 4) and a single sweep, whose
+# window holds too few steps to repay n / (1 - b) evaluations, are forward.
+def test_single_chain_paths(monkeypatch):
+    lazy = _count_paths(monkeypatch)
+    for k in (1, 8):
+        for spec, cfg, seed in _test_05_chains(k, 2):
+            _check_single_chain(spec, cfg, seed=seed)
+    assert lazy == [True] * 4
+    lazy.clear()
+    forward = [(_model("blocks", 65, False, 0.5, k=1), 20),
+               (_model("erdos_renyi", 64, True, 4.0), 20),
+               (next(_test_05_chains(8, 1))[0], 1)]
+    for spec, sweeps in forward:
+        _check_single_chain(spec, GlauberConfig(sweeps, seed=54))
+    assert lazy == [False] * 3
+
+
+# Two sites coupled by J_01: an update is undecided with probability
+# tanh|J_01|, so its value hangs on a run of earlier updates about
+# 1 / (1 - tanh|J_01|) long: 200 at J_01 = 3, and at J_01 = 6 nearly every
+# run spans its whole window of _DRAW_CHUNK steps, four times Python's
+# recursion limit.  The cost rule would send J_01 = 6 forward; _LAZY_COST = 0
+# makes every chain with b < 1 lazy.
+@pytest.mark.parametrize("coupling", [3.0, -6.0])
+def test_lazy_chain_follows_long_dependency_runs(coupling, monkeypatch):
+    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
+    lazy = _count_paths(monkeypatch)
+    J = np.array([[0.0, coupling], [coupling, 0.0]])
+    _check_single_chain(IsingSpec.zero_field(J), GlauberConfig(50_000, seed=70))
+    assert lazy == [True]
+
+
+# A lazy chain of several windows: each window starts from the spins the
+# previous one left, some of them evaluated, some decided.
+def test_lazy_chain_crosses_windows(monkeypatch):
+    lazy = _count_paths(monkeypatch)
+    spec = _model("matchings", 64, True, 0.5, k=4)
+    sweeps = 3 * _DRAW_CHUNK // 64 + 7
+    _check_single_chain(spec, GlauberConfig(sweeps, seed=71, init="all_plus"))
+    assert lazy == [True]
 
 
 def _chain_p(spec, s, x):

@@ -150,6 +150,9 @@ class EstimationResult:
 _BALL_RTOL = 1e-9
 _ARMIJO = 1e-4
 _HALVINGS = 60
+# _nnls's entering tolerance on w_j, relative to ||c_j|| times the scale
+# ||g|| + sum_i mu_i ||c_i|| of the residual it is computed from
+_NNLS_RTOL = 2.0 ** -44
 
 
 def _active_set_qp(Q, q, G, h, tol):
@@ -192,10 +195,71 @@ def _active_set_qp(Q, q, G, h, tol):
 def _kkt_residual(g, C):
     """min over mu >= 0 of ||g + C' mu||: how far -g is from the cone of
     the rows of C (the norm of g when C has no rows)."""
-    if not len(C):
-        return float(np.linalg.norm(g))
-    mu = _active_set_qp(C @ C.T, C @ g, -np.eye(len(C)), np.zeros(len(C)), 0.0)
-    return float(np.linalg.norm(g + C.T @ mu))
+    return float(np.linalg.norm(g + _nnls(C, g) @ C))
+
+
+def _nnls(C, g):
+    """A minimizer mu >= 0 of ||g + C' mu||, the projection of -g onto the
+    cone of the rows of C, by Lawson and Hanson's active-set method
+    (Solving Least Squares Problems, 1974, ch. 23).
+
+    mu = 0 when q = Cg >= 0, and -q / ||c||^2 for a single row c with
+    q < 0.  Otherwise each outer step moves into the passive set P the
+    cut j with the largest w_j = -c_j'(g + C' mu) above its rounding scale
+    _NNLS_RTOL ||c_j|| (||g|| + sum_i mu_i ||c_i||) and takes the
+    least-squares s = argmin ||g + C_P' s|| (minimum norm, so cuts in P
+    may be dependent); while some s_i < 0 it steps from mu towards s until
+    a coordinate of P reaches 0 and drops it (at least the first one, so
+    each inner step shrinks P).  A new point is kept only if it lowers the
+    residual in floating point; the point is a function of P, so no P
+    repeats and the method stops: with the KKT conditions of the
+    projection holding to rounding (no w_j above its tolerance), or where
+    rounding keeps a step from lowering the residual.  By Caratheodory's
+    theorem for cones the projection is reached on independent cuts; a
+    cut in the span of P has w_j = 0 up to rounding and stays out, so
+    p > k cuts, duplicated or dependent, need no special case."""
+    q = C @ g
+    mu = np.zeros(len(q))
+    if not len(q) or q.min() >= 0.0:
+        return mu
+    if len(q) == 1:
+        mu[0] = -q[0] / (C[0] @ C[0])
+        return mu
+    norms = np.linalg.norm(C, axis=1)
+    gnorm = float(np.linalg.norm(g))
+    passive = []
+    value = gnorm * gnorm  # ||g + C' mu||^2
+    w = -q
+    while True:
+        room = w - _NNLS_RTOL * norms * (gnorm + norms @ mu)
+        room[passive] = -1.0
+        j = int(np.argmax(room))
+        if not room[j] > 0.0:
+            return mu
+        P = passive + [j]
+        m = mu[P]
+        while True:
+            s = np.linalg.lstsq(C[P].T, -g, rcond=None)[0]
+            if s.min() >= 0.0:
+                break
+            neg = np.flatnonzero(s < 0.0)
+            ratios = m[neg] / (m[neg] - s[neg])
+            first = int(np.argmin(ratios))
+            m = m + ratios[first] * (s - m)
+            keep = m > 0.0
+            keep[neg[first]] = False
+            P = [i for i, kept in zip(P, keep.tolist()) if kept]
+            m = m[keep]
+            if not P:
+                return mu
+        trial = np.zeros(len(q))
+        trial[P] = s
+        r = g + trial @ C
+        trial_value = float(r @ r)
+        if not trial_value < value:
+            return mu
+        mu, passive, value = trial, P, trial_value
+        w = -(C @ r)
 
 
 def fit(basis, x, cfg):
@@ -216,9 +280,11 @@ def fit(basis, x, cfg):
     instead, and a cut is never added twice.
 
     ``kkt_residual`` is min over mu >= 0 of ||g + sum_i mu_i c_i|| over the
-    cuts tight at beta; tight cuts are subgradients of the budget, so by
-    convexity psi(beta) - min psi <= kkt_residual * ||beta - beta*|| (up
-    to sum_i mu_i times the 1e-9 M tightness tolerance), and
+    cuts tight at beta, an exact non-negative least-squares projection
+    (``_nnls``), so each step solves one quadratic program.  Tight cuts
+    are subgradients of the budget, so by convexity
+    psi(beta) - min psi <= kkt_residual * ||beta - beta*|| (up to
+    sum_i mu_i times the 1e-9 M tightness tolerance), and
     ||beta||_2 = ||A_beta||_F <= sqrt(n) M on the budget.  ``stop_reason``
     is "kkt" once the residual is <= cfg.grad_tol (with grad_tol = 0: once
     no step decreases psi in floating point), "stalled" when no step

@@ -17,7 +17,7 @@ from .core import _field_bounds, check_spins
 from .errors import DimensionTooLarge
 
 ENUMERATION_LIMIT = 22
-_DRAW_CHUNK = 4096  # Glauber steps decoded per random_raw call
+_DRAW_CHUNK = 16384  # Glauber steps decoded per random_raw call
 _P_MEMO = 1 << 12    # memoised conditionals per single chain
 _DENSE_ROW = 32      # nonzeros above which a row takes a BLAS product
 _TABLE_MAX_N = 14    # sites above which multi-chain steps skip the lookup table
@@ -195,7 +195,7 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
 
     A chain whose rows all hold at most 32 couplings, with
     b = max_s sum_{j in N(s)} (hi_j - lo_j) < 1 over the band widths, and
-    with 10 n / (1 - b) below its window's steps (min(steps, 4096)),
+    with 10 n / (1 - b) below its window's steps (min(steps, 16384)),
     takes the lazy path instead (``_lazy_window``): only the final state
     is kept, and each window of draws gives it from the window's first
     state by evaluating just the undecided updates that the window's

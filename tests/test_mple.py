@@ -12,9 +12,13 @@ from isingfit.basis import EdgeView, MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
 from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
+import isingfit.mple as mple_mod
 from isingfit.mple import (
     DEFAULT_MAX_PROGRAMS,
     MpleConfig,
+    _active_set_qp,
+    _kkt_residual,
+    _nnls,
     directional_derivative,
     directional_second_derivative,
     fit,
@@ -297,6 +301,108 @@ def test_fit_sums_rows_once_per_trial_point(monkeypatch):
     res = fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
     assert res.budget_active
     assert len(calls) == res.iterations + 1
+
+
+def test_fit_solves_one_program_per_step(monkeypatch):
+    # the certificate over the tight cuts is an NNLS, not a second program
+    rng = make_rng(41)
+    x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
+    calls, tight = [], []
+    monkeypatch.setattr(mple_mod, "_active_set_qp",
+                        lambda *a: calls.append(1) or _active_set_qp(*a))
+    monkeypatch.setattr(mple_mod, "_nnls",
+                        lambda C, g: tight.append(len(C)) or _nnls(C, g))
+    b = gram_schmidt(random_family(10, 3, seed=40))
+    res = fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
+    assert res.budget_active and max(tight) >= 1
+    assert len(calls) == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the certificate as fit computed it before _nnls, one general
+# active-set program with every cut in its starting working set.  Its
+# stationarity test is absolute (a step norm of at most 1e-12), so with
+# Cg in the thousands its rounded steps never reach it and it returns
+# mu ~ 0; it is compared at the scale of fit's cuts and gradients, and
+# _nnls is held to its own optimality conditions at every scale.
+
+
+def _qp_residual(g, C):
+    if not len(C):
+        return float(np.linalg.norm(g))
+    mu = _active_set_qp(C @ C.T, C @ g, -np.eye(len(C)), np.zeros(len(C)), 0.0)
+    return float(np.linalg.norm(g + C.T @ mu))
+
+
+def _random_cones(seed, scale=1.0):
+    """(g, C, case) over p = 1..8 cuts in k = 2..6 dimensions, each row and
+    g a normal vector times ``scale`` times a factor in [0.3, 3]: generic
+    cuts (p > k included), a duplicated cut, a cut that is a combination
+    of two others, g inside the cone and g with Cg >= 0."""
+    rng = make_rng(seed)
+    for p in range(1, 9):
+        for k in range(2, 7):
+            for _ in range(6):
+                C = rng.normal(size=(p, k)) * rng.uniform(0.3, 3.0, size=(p, 1)) * scale
+                g = rng.normal(size=k) * rng.uniform(0.3, 3.0) * scale
+                yield g, C, "generic"
+                if p >= 2:
+                    D = C.copy()
+                    D[-1] = D[0]
+                    yield g, D, "duplicate"
+                if p >= 3:
+                    D = C.copy()
+                    D[-1] = rng.uniform(0.0, 2.0) * D[0] - rng.uniform(0.0, 2.0) * D[1]
+                    yield g, D, "dependent"
+                yield -rng.uniform(0.0, 3.0, size=p) @ C / scale, C, "inside"
+                yield g, C * np.where(C @ g < 0.0, -1.0, 1.0)[:, None], "polar"
+
+
+def _check_certificate(g, C, case):
+    """mu = _nnls(C, g) is >= 0, and the residual is its ||g + C' mu||."""
+    mu = _nnls(C, g)
+    assert mu.shape == (len(C),) and np.all(mu >= 0.0), case
+    got = _kkt_residual(g, C)
+    assert got == float(np.linalg.norm(g + mu @ C))
+    if case == "polar":
+        assert got == float(np.linalg.norm(g)) and not mu.any()
+    return mu, got
+
+
+# With no entering tolerance a cut in the span of the passive set can
+# enter on a w_j that is rounding alone, without lowering the residual:
+# then only _nnls's residual test stops it.
+@pytest.mark.parametrize("seed,rtol", [(90, None), (91, None), (92, None), (90, 0.0)])
+def test_kkt_residual_matches_qp_oracle(seed, rtol, monkeypatch):
+    if rtol is not None:
+        monkeypatch.setattr(mple_mod, "_NNLS_RTOL", rtol)
+    seen = set()
+    for g, C, case in _random_cones(seed):
+        mu, got = _check_certificate(g, C, case)
+        # g + C' mu is formed from terms as large as ||g|| and mu_i ||c_i||
+        tol = 1e-12 * (1.0 + np.linalg.norm(g) + np.linalg.norm(C, axis=1) @ mu)
+        assert abs(got - _qp_residual(g, C)) <= tol, (case, len(C), len(g))
+        if case == "inside":
+            assert got <= tol
+        seen.add(case)
+    assert seen == {"generic", "duplicate", "dependent", "inside", "polar"}
+
+
+# The projection's optimality conditions, relative to the scale of the
+# cuts and of g + C' mu: mu >= 0, no cut lowers the residual (w <= 0) and
+# the residual is orthogonal to every cut in mu's support (w = 0 there).
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_nnls_meets_its_optimality_conditions(scale):
+    for g, C, case in _random_cones(93, scale):
+        mu, got = _check_certificate(g, C, case)
+        norms = np.linalg.norm(C, axis=1)
+        w = -(C @ (g + mu @ C))
+        tol = 1e-11 * norms * (np.linalg.norm(g) + norms @ mu)
+        assert np.all(w <= tol), (case, len(C), len(g))
+        assert np.all(np.abs(w[mu > 0.0]) <= tol[mu > 0.0]), (case, len(C), len(g))
+        if case == "inside":
+            assert got <= 1e-11 * (np.linalg.norm(g) + norms @ mu)
+
 
 # ---------------------------------------------------------------------------
 # Oracle: the paper's averaged subgradient loop on the penalized objective,

@@ -389,15 +389,19 @@ def _test_05_chains(k, trials):
         yield IsingSpec.zero_field(J), GlauberConfig(cfg.glauber_sweeps, seed), seed
 
 
-# Which side of the cut chains fall on: the test_05 config is lazy; dense
-# rows (one 65-clique), b >= 1 (ER at M = 4) and a single sweep, whose
-# window holds too few steps to repay n / (1 - b) evaluations, are forward.
+# Which side of the cut chains fall on: the test_05 config is lazy, and so
+# are matchings at n = 512, k = 8, M = 0.5, where b = max tanh|w| + 2e-9 =
+# 0.462 puts 10 n / (1 - b) at 9 517 steps, below a window of 16 384 (40
+# sweeps are one full window and a short one); dense rows (one 65-clique),
+# b >= 1 (ER at M = 4) and a single sweep, whose window holds too few
+# steps to repay n / (1 - b) evaluations, are forward.
 def test_single_chain_paths(monkeypatch):
     lazy = _count_paths(monkeypatch)
     for k in (1, 8):
         for spec, cfg, seed in _test_05_chains(k, 2):
             _check_single_chain(spec, cfg, seed=seed)
-    assert lazy == [True] * 4
+    _check_single_chain(_model("matchings", 512, False, 0.5, k=8), GlauberConfig(40, seed=54))
+    assert lazy == [True] * 5
     lazy.clear()
     forward = [(_model("blocks", 65, False, 0.5, k=1), 20),
                (_model("erdos_renyi", 64, True, 4.0), 20),
@@ -410,7 +414,7 @@ def test_single_chain_paths(monkeypatch):
 # Two sites coupled by J_01: an update is undecided with probability
 # tanh|J_01|, so its value hangs on a run of earlier updates about
 # 1 / (1 - tanh|J_01|) long: 200 at J_01 = 3, and at J_01 = 6 nearly every
-# run spans its whole window of _DRAW_CHUNK steps, four times Python's
+# run spans its whole window of _DRAW_CHUNK steps, many times Python's
 # recursion limit.  The cost rule would send J_01 = 6 forward; _LAZY_COST = 0
 # makes every chain with b < 1 lazy.
 @pytest.mark.parametrize("coupling", [3.0, -6.0])
@@ -545,13 +549,34 @@ def test_multi_chain_size_cap(n, monkeypatch):
     assert built == ([n] if n <= _TABLE_MAX_N else [])
 
 
-# n = 2**31 + 1 rejects about half of all site draws, and 2**32 - 2**20
-# about one in 4096, so some chunks are redone by scalar calls and some
-# not; an MT19937 generator lays its words out differently and is drawn
-# from by scalar calls
+class _CountedCalls:
+    """A Generator whose scalar ``integers`` calls are counted."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+
+    def integers(self, *args):
+        self.calls += 1
+        return self._rng.integers(*args)
+
+    def random(self):
+        return self._rng.random()
+
+
+# One site draw in 2**32 / (2**32 mod n) is rejected.  n = 2**31 + 1
+# rejects about half of them, so every chunk is redone by scalar calls.
+# _REJECTING rejects one in _DRAW_CHUNK, so a chunk of _DRAW_CHUNK steps
+# is clean with probability about 1/e: some chunks are decoded in bulk and
+# some redone.  An MT19937 generator lays its words out differently and is
+# drawn from by scalar calls.
+_REJECTING = 2 ** 32 - 2 ** 32 // _DRAW_CHUNK
+
+
 @pytest.mark.parametrize("n,bit_generator", [
     (1, np.random.Philox), (3, np.random.Philox), (128, np.random.Philox),
-    (2 ** 31 + 1, np.random.Philox), (2 ** 32 - 2 ** 20, np.random.Philox),
+    (2 ** 31 + 1, np.random.Philox), (_REJECTING, np.random.Philox),
     (128, np.random.MT19937)])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
@@ -560,8 +585,16 @@ def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
     if buffered:
         rng_a.integers(0, n)
         rng_b.integers(0, n)
-    chunks = list(_scan_draws(rng_a, n, steps))
+    counted = _CountedCalls(rng_a)
+    chunks, redone = [], []
+    for chunk in _scan_draws(counted, n, steps):
+        chunks.append(chunk)
+        redone.append(counted.calls > 0)
+        counted.calls = 0
     assert max(len(s) for s, _ in chunks) <= _DRAW_CHUNK
+    if n == _REJECTING:
+        full = [r for (s, _), r in zip(chunks, redone) if len(s) == _DRAW_CHUNK]
+        assert set(full) == {False, True}, full
     sites = np.concatenate([s for s, _ in chunks])
     uniforms = np.concatenate([u for _, u in chunks])
     want = [(rng_b.integers(0, n), rng_b.random()) for _ in range(steps)]

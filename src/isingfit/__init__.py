@@ -7,7 +7,6 @@ from .core import (
     infinity_norm,
     interaction_edges,
     local_field,
-    restrict,
     trace_inner,
     validate_interaction,
 )
@@ -17,7 +16,6 @@ from .basis import (
     gram_schmidt,
     min_singular_value,
     project,
-    unique_edge_counts,
 )
 from .sampler import (
     ExactDistribution,
@@ -39,9 +37,8 @@ from .mple import (
     neg_log_pl,
 )
 from .conditioning import SubsetCover, best_subset_for_weights, build_cover, verify_cover
-from .oneparam import fit_scalar, partition_certificate, phi_double_prime, phi_prime, phi_scalar
+from .oneparam import fit_scalar, phi_prime
 from .metrics import (
-    conditional_mean_zero_check,
     conditional_variance_floor,
     linear_variance_exact,
     tv_chi_exact,

@@ -23,7 +23,6 @@ from .core import frobenius_norm, interaction_edges, trace_inner
 from .errors import (
     AllDegenerate,
     LengthMismatch,
-    NotBinary,
     ShapeMismatch,
 )
 
@@ -189,21 +188,4 @@ def min_singular_value(raw):
     G = gram_matrix([np.asarray(J, dtype=np.float64) for J in raw])
     ev = np.linalg.eigvalsh(G)
     return float(np.sqrt(max(ev[0], 0.0)))
-
-
-def unique_edge_counts(incidence):
-    """Per-graph counts of unordered edges not shared with any other graph."""
-    edge_sets = []
-    for J in incidence:
-        J = np.asarray(J)
-        if not np.all(np.isin(J, (0, 1))):
-            raise NotBinary("incidence matrices must be 0/1")
-        i, j, _ = interaction_edges(J)
-        edge_sets.append(set(zip(i.tolist(), j.tolist())))
-    out = []
-    for s, E in enumerate(edge_sets):
-        others = set().union(*(F for t, F in enumerate(edge_sets) if t != s)) \
-            if len(edge_sets) > 1 else set()
-        out.append(len(E - others))
-    return np.array(out)
 

@@ -18,9 +18,7 @@ from .errors import (
     AsymmetryError,
     DiagonalError,
     DimensionMismatch,
-    EmptySubset,
     IndexOutOfRange,
-    MissingAssignment,
     NonFinite,
 )
 
@@ -180,32 +178,6 @@ def local_field(spec, x, i):
 def conditional_prob_plus(spec, x, i):
     """Pr[x_i = +1 | x_{-i}] = (1 + tanh(local field)) / 2."""
     return 0.5 * (1.0 + np.tanh(local_field(spec, x, i)))
-
-
-def restrict(spec, I, x_minus):
-    """Conditional model on the coordinates in ``I`` given spins outside.
-
-    ``x_minus`` is a length-n vector whose entries outside ``I`` must be
-    +-1 (entries inside ``I`` are ignored).  The interaction restricts to
-    I x I and the conditioned spins fold into the external field.
-    """
-    I = np.asarray(I, dtype=np.intp)
-    if I.size == 0:
-        raise EmptySubset("restriction subset must be nonempty")
-    n = spec.n
-    if np.any(I < 0) or np.any(I >= n):
-        raise IndexOutOfRange("subset index outside [0, n)")
-    mask = np.zeros(n, dtype=bool)
-    mask[I] = True
-    outside = ~mask
-    x_minus = np.asarray(x_minus, dtype=np.float64)
-    if x_minus.shape != (n,):
-        raise MissingAssignment(f"need a length-{n} assignment vector")
-    if np.any(np.abs(x_minus[outside]) != 1):
-        raise MissingAssignment("every coordinate outside I needs a +-1 value")
-    Jp = spec.J[np.ix_(I, I)]
-    hp = spec.h[I] + spec.J[np.ix_(I, np.flatnonzero(outside))] @ x_minus[outside]
-    return IsingSpec(Jp, hp)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,6 @@ class IndexOutOfRange(IsingfitError):
     pass
 
 
-class EmptySubset(IsingfitError):
-    pass
-
-
-class MissingAssignment(IsingfitError):
-    pass
-
-
 class DimensionTooLarge(IsingfitError):
     pass
 
@@ -45,10 +37,6 @@ class LengthMismatch(IsingfitError):
     pass
 
 
-class NotBinary(IsingfitError):
-    pass
-
-
 class NonFinite(IsingfitError):
     pass
 
@@ -62,10 +50,6 @@ class InvalidEta(IsingfitError):
 
 
 class NegativeWeight(IsingfitError):
-    pass
-
-
-class ZeroDenominator(IsingfitError):
     pass
 
 

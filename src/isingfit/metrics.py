@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from .core import _field_bounds
 from .errors import DimensionMismatch, DimensionTooLarge
-from .sampler import _linear_sums, enumerate_distribution, make_rng, spin_table
+from .sampler import _linear_sums, enumerate_distribution
 
 DIVERGENCE_LIMIT = 18
 
@@ -70,38 +70,3 @@ def conditional_variance_floor(spec):
     worst = _field_bounds(spec)
     return float(np.min(1.0 / np.cosh(worst) ** 2)) if spec.n else 1.0
 
-
-def conditional_mean_zero_check(spec, cover, A, assignments=10, rng=None):
-    """Max |E[sum_{i in I_j} (A_i x)(x_i - tanh(J_i x)) | x_{-I_j}]|.
-
-    The conditional mean is identically zero; this verifies it by exact
-    summation over the spins inside each set, for randomly drawn outside
-    assignments.
-    """
-    if rng is None:
-        rng = make_rng(0)
-    A = np.asarray(A, dtype=np.float64)
-    n = spec.n
-    worst = 0.0
-    for I in cover.sets:
-        I = np.asarray(I, dtype=np.intp)
-        m = len(I)
-        if m == 0:
-            continue
-        if m > 20:
-            raise DimensionTooLarge(f"subset of size {m} too large for exact sums")
-        inner = spin_table(m)  # all 2^m assignments on I
-        for _ in range(assignments):
-            x = 1.0 - 2.0 * rng.integers(0, 2, size=n).astype(np.float64)
-            X = np.tile(x, (inner.shape[0], 1))
-            X[:, I] = inner
-            # conditional weights of x_I given x_{-I}
-            w = 0.5 * np.einsum("ci,ij,cj->c", X, spec.J, X) + X @ spec.h
-            w -= w.max()
-            p = np.exp(w)
-            p /= p.sum()
-            fields = X @ spec.J.T + spec.h  # (2^m, n) local fields
-            terms = (X @ A.T[:, I]) * (X[:, I] - np.tanh(fields[:, I]))
-            mean = float(p @ terms.sum(axis=1))
-            worst = max(worst, abs(mean))
-    return worst

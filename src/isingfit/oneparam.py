@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_spins, validate_interaction
-from .errors import ZeroDenominator
-from .mple import (
-    directional_derivative,
-    directional_second_derivative,
-    gradient_at_fields,
-    neg_log_pl,
-)
+from .mple import directional_derivative, gradient_at_fields
 
 
 def _prep(J, x):
@@ -33,21 +27,10 @@ def _slope(beta, f, x):
     return float(gradient_at_fields(f, beta * f, x))
 
 
-def phi_scalar(beta, J, x):
-    """phi(beta) = neg_log_pl(beta J)."""
-    return neg_log_pl(beta * validate_interaction(J), x)
-
-
 def phi_prime(beta, J, x):
     """d phi / d beta: the derivative of neg_log_pl along J at beta J."""
     J = validate_interaction(J)
     return directional_derivative(beta * J, J, x)
-
-
-def phi_double_prime(beta, J, x):
-    """Second derivative: the curvature along J at beta J; nonnegative."""
-    J = validate_interaction(J)
-    return directional_second_derivative(beta * J, J, x)
 
 
 @dataclass
@@ -112,16 +95,3 @@ def _certificate(f, x, M):
     cert = max(abs(d_lo), abs(d_hi)) / floor if floor > 0.0 else math.inf
     return d_lo, d_hi, floor, cert
 
-
-def partition_certificate(J, x, *, M):
-    """Observable error certificate and the partition-function proxy.
-
-    Returns (x'Jx, certificate) where the certificate divides the largest
-    |phi'| over the search bracket [-M, M]'s endpoints by the curvature
-    floor sech^2(M ||Jx||_inf) ||Jx||_2^2; neither depends on the
-    estimate, so M is the only argument beyond J and x.
-    """
-    f, x = _prep(J, x)
-    if not np.any(f):
-        raise ZeroDenominator("Jx = 0: curvature floor vanishes")
-    return float(x @ f), _certificate(f, x, M)[3]

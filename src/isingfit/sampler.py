@@ -195,14 +195,20 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
 
     A chain whose rows all hold at most 32 couplings, with
     b = max_s sum_{j in N(s)} (hi_j - lo_j) < 1 over the band widths, and
-    with 10 n / (1 - b) below its window's steps (min(steps, 16384)),
-    takes the lazy path instead (``_lazy_window``): only the final state
-    is kept, and each window of draws gives it from the window's first
-    state by evaluating just the undecided updates that the window's
-    last spins read, which number at most n / (1 - b) in expectation
-    (``_goes_lazy``), with the forward loop's arithmetic.  Every other
-    chain runs forward.  Both paths take the same draws, leave the
-    generator in the same state and write the same spins.
+    with 10 n / (1 - b) below its steps, takes the lazy path instead
+    (``_lazy_chain``): only the final state is kept, and it is resolved
+    backward from the last draw.  Each site's last update gives its spin
+    when it is decided; an undecided one is followed back through its
+    neighbours' earlier updates, across chunks of draws as far as they
+    reach, and only those updates, at most n / (1 - b) in expectation
+    (``_goes_lazy``), are evaluated, in time order with the forward
+    loop's arithmetic.  One forward pass records each chunk's generator
+    state (``_draw_plan``) and decodes no draw; a bulk chunk's words are
+    only given the rejection test, or, when 2^32 mod n = 0 and none can be
+    rejected, skipped with ``Philox.advance``.  Only the chunks that the
+    search visits are regenerated and decoded, usually just the last.
+    Every other chain runs forward.  Both paths take the same draws,
+    leave the generator in the same state and write the same spins.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -303,9 +309,9 @@ def _single_chain(spec, x, rng, steps):
     """Run ``steps`` heat-bath updates on the spin array x, in place.  An
     update whose uniform falls outside its site's band (``_bands``) writes
     the spin every field would give it, without summing the field.  When
-    ``_goes_lazy`` holds, each window of draws runs ``_lazy_window``, which
-    evaluates only the updates that the window's last spins read;
-    otherwise every update runs forward, in time order."""
+    ``_goes_lazy`` holds, ``_lazy_chain`` evaluates only the updates that
+    the final spins read; otherwise every update runs forward, in time
+    order."""
     n = spec.n
     J = spec.J
     # row-major flat scan: the indices of np.nonzero(J), at a fraction of its cost
@@ -322,18 +328,14 @@ def _single_chain(spec, x, rng, steps):
     neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
                   else None for a, b in zip(bounds, bounds[1:])]
     dense = None in neighbours
-    lazy = _goes_lazy(dense, n, reach, steps)
     h = spec.h.tolist()
+    if _goes_lazy(dense, n, reach, steps):
+        _lazy_chain(x, neighbours, h, lo, hi, rng, steps)
+        return
     xs = x.tolist()
     p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
     for sites, uniforms in _scan_draws(rng, n, steps):
-        # 1 below the band, -1 above it, 0 where the field decides; small
-        # ints, as Python caches them and tolist() then allocates no floats
-        codes = ((uniforms < lo.take(sites)).view(np.int8)
-                 - (uniforms >= hi.take(sites)).view(np.int8))
-        if lazy:
-            _lazy_window(x, neighbours, h, p_plus, sites, uniforms, codes)
-            continue
+        codes = _band_codes(sites, uniforms, lo, hi)
         for s, u, c in zip(sites.tolist(), uniforms.tolist(), codes.tolist()):
             if c:
                 v = _SPIN[c]
@@ -356,91 +358,197 @@ def _single_chain(spec, x, rng, steps):
             xs[s] = v
             if dense:
                 x[s] = v
-    if not lazy:
-        x[:] = xs
+    x[:] = xs
+
+
+def _band_codes(sites, uniforms, lo, hi):
+    """Per update: 1 below its site's band, -1 above it, 0 where the field
+    decides; small ints, as Python caches them and tolist() then allocates
+    no floats."""
+    return ((uniforms < lo.take(sites)).view(np.int8)
+            - (uniforms >= hi.take(sites)).view(np.int8))
 
 
 def _goes_lazy(dense, n, b, steps):
-    """Whether a chain runs ``_lazy_window``: it has no dense row, and
+    """Whether a chain runs ``_lazy_chain``: it has no dense row, and
     b = max_s sum_{j in N(s)} (hi_j - lo_j), over its band widths, is
     below 1.
 
     An update at site j is undecided with probability at most
     hi_j - lo_j, whatever the other updates are (its uniform is its own),
     so following each site's last update back through undecided
-    neighbours reaches at most n / (1 - b) updates of a window in
-    expectation.  Lazy wins when that many evaluations, each costing
-    _LAZY_COST forward updates, cost less than the window's steps."""
-    return not dense and b < 1.0 and _LAZY_COST * n < (1.0 - b) * min(steps, _DRAW_CHUNK)
+    neighbours reaches at most n / (1 - b) updates in expectation.  Lazy
+    wins when that many evaluations, each costing _LAZY_COST forward
+    updates, cost less than the chain's steps."""
+    return not dense and b < 1.0 and _LAZY_COST * n < (1.0 - b) * steps
 
 
-def _lazy_window(x, neighbours, h, p_plus, sites, uniforms, codes):
-    """Advance the spin array x, in place, over one window of updates at
-    sites with uniforms and band codes, giving the spins the forward loop
-    gives, from the same draws.
+def _lazy_chain(x, neighbours, h, lo, hi, rng, steps):
+    """Give the spin array x, in place, the spins that ``steps`` forward
+    updates leave, from the same draws, by resolving them backward from
+    the last draw.
 
-    A site's last spin is its last update's code, unless that update is
-    undecided (code 0); then it is the heat-bath choice at the field that
-    its neighbours' spins just before it give, each the spin of their own
-    last earlier update, or their spin at the window's start.  Only those
-    undecided updates are evaluated: a stack collects them (times only
-    decrease along it, so there is no recursion), and they are then
-    evaluated in time order with the forward loop's arithmetic (the same
-    column order, ``h[s]`` and memoised p), so every spin keeps its bits.
+    A site's spin at a time is its last earlier update's band code, unless
+    that update is undecided (code 0); then it is the heat-bath choice at
+    the field that its neighbours' spins just before it give, each found
+    the same way, or the initial spin before step 0.  The search starts
+    with every site requested at the last step and visits the chunks of
+    draws (``_draw_plan``) from the last one back.  Inside a chunk, a
+    stack follows each undecided update back through its neighbours'
+    earlier updates (times only decrease along it, so there is no
+    recursion); a spin read before the chunk's first update becomes a
+    request on the previous chunk.  The search stops when no request is
+    left, so the chunks before it are never decoded.  The undecided
+    updates it collected are then evaluated in time order with the
+    forward loop's arithmetic (the same column order, ``h[s]`` and
+    memoised p), so every spin keeps its bits.
     """
     n = len(x)
-    # update times, by site: a stable radix sort on 16-bit sites, which
-    # hold every lazy chain's (_goes_lazy keeps n below _DRAW_CHUNK / _LAZY_COST)
-    order = np.argsort(sites.astype(np.int16), kind="stable")
-    counts = np.bincount(sites, minlength=n)
-    ends = np.cumsum(counts)
-    touched = np.flatnonzero(counts)
-    last = order.take(ends.take(touched) - 1)
-    final = codes.take(last)
-    open_ = final == 0
-    roots = last[open_].tolist()
-    starts, ends = (ends - counts).tolist(), ends.tolist()
-    xs = x.tolist()
-    times = {}   # site -> its update times in the window, ascending
-    inputs = {}  # undecided time -> (site, the keys of its neighbours' spins)
-    value = {}   # key -> spin: an update time's, or -1 - j for site j's start
-    stack = list(zip(roots, touched[open_].tolist()))
-    while stack:
-        t, s = stack.pop()
-        if t in inputs:
-            continue
-        keys = []
-        for j, _ in neighbours[s]:
-            ts = times.get(j)
-            if ts is None:
-                ts = times[j] = order[starts[j]:ends[j]].tolist()
-            i = bisect_left(ts, t)
-            if i:
-                key = ts[i - 1]
-                c = codes[key]
-                if c:
-                    value[key] = _SPIN[c]
-                elif key not in inputs:
-                    stack.append((key, j))
+    plan = _draw_plan(rng, n, steps)
+    # site -> the slots (a list of keys, an index) that its spin fills; a
+    # key is an update's time, or -1 - j for site j's initial spin
+    final = [None] * n
+    requests = {j: [(final, j)] for j in range(n)}
+    inputs = {}  # undecided time -> (site, the keys of its neighbours' spins, uniform)
+    value = {}   # key -> spin
+    # the smallest type that holds every site: numpy's stable sort of a
+    # type of at most 16 bits is a radix sort
+    sort_type = np.min_scalar_type(n - 1)
+    base = steps
+    chunk = len(plan)
+    while requests and chunk:
+        chunk -= 1
+        sites, uniforms = _planned_draws(rng, n, plan[chunk])
+        base -= len(sites)
+        codes = _band_codes(sites, uniforms, lo, hi)
+        order = np.argsort(sites.astype(sort_type), kind="stable")  # update times, by site
+        counts = np.bincount(sites, minlength=n)
+        ends = np.cumsum(counts)
+        asked = list(requests)
+        last = order.take(ends.take(asked) - 1)  # valid where counts > 0
+        starts, ends = (ends - counts).tolist(), ends.tolist()
+        earlier = {}  # requests on the previous chunk
+        stack = []
+        for j, t, c, k in zip(asked, last.tolist(), codes.take(last).tolist(),
+                              counts.take(asked).tolist()):
+            slots = requests[j]
+            if not k:
+                earlier[j] = slots
+                continue
+            key = base + t
+            if c:
+                value[key] = _SPIN[c]
             else:
-                key = -1 - j
-                value[key] = xs[j]
-            keys.append(key)
-        inputs[t] = s, keys
+                stack.append((t, j))
+            for keys, i in slots:
+                keys[i] = key
+        times = {}  # site -> its update times in the chunk, ascending
+        while stack:
+            t, s = stack.pop()
+            if base + t in inputs:
+                continue
+            keys = []
+            for j, _ in neighbours[s]:
+                ts = times.get(j)
+                if ts is None:
+                    ts = times[j] = order[starts[j]:ends[j]].tolist()
+                i = bisect_left(ts, t)
+                if i:
+                    tj = ts[i - 1]
+                    key = base + tj
+                    c = codes[tj]
+                    if c:
+                        value[key] = _SPIN[c]
+                    elif key not in inputs:
+                        stack.append((tj, j))
+                    keys.append(key)
+                else:
+                    earlier.setdefault(j, []).append((keys, len(keys)))
+                    keys.append(None)
+            inputs[base + t] = s, keys, uniforms[t]
+        requests = earlier
+    xs = x.tolist()
+    for j, slots in requests.items():  # read before step 0
+        value[-1 - j] = xs[j]
+        for keys, i in slots:
+            keys[i] = -1 - j
+    p_plus = {}  # as in the forward loop
     for t in sorted(inputs):
-        s, keys = inputs[t]
+        s, keys, u = inputs[t]
         f = 0.0
         for (_, w), key in zip(neighbours[s], keys):
             f += w * value[key]
         f += h[s]
         p = p_plus.get(f)
-        if p is None:  # as in the forward loop
+        if p is None:
             if len(p_plus) == _P_MEMO:
                 p_plus.clear()
             p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
-        value[t] = 1.0 if uniforms[t] < p else -1.0
-    x[touched] = final
-    x[touched[open_]] = [value[t] for t in roots]
+        value[t] = 1.0 if u < p else -1.0
+    x[:] = [value[key] for key in final]
+
+
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _chunk_sizes(bitgen, n, steps):
+    """Yield (m, bulk) for each chunk of ``steps`` draws: its step count,
+    and whether its draws may be decoded from raw words.  The caller takes
+    each chunk's draws before asking for the next, as a chunk's size
+    depends on the generator's state at its start."""
+    bulk = n > 1 and isinstance(bitgen, np.random.Philox)
+    left = steps
+    while left:
+        m = min(left, _DRAW_CHUNK)
+        if not bulk:
+            yield m, False
+        elif bitgen.state["has_uint32"] or m == 1:
+            m = 1
+            yield m, False
+        else:
+            m -= m % 2
+            yield m, True
+        left -= m
+
+
+def _site_products(words, n):
+    """The Lemire products of a chunk's site halves with n: the low, then
+    the high 32-bit half of each aligned pair's first word."""
+    halves = np.empty(2 * len(words), dtype=np.uint64)
+    halves[0::2] = words[:, 0] & _LOW
+    halves[1::2] = words[:, 0] >> np.uint64(32)
+    halves *= np.uint64(n)
+    return halves
+
+
+def _bulk_words(bitgen, n, m):
+    """The raw words and site products of a bulk chunk of m steps, or None,
+    with the generator put back, when a site draw is rejected."""
+    state = bitgen.state
+    words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
+    product = _site_products(words, n)
+    if np.any((product & _LOW) < np.uint64((1 << 32) % n)):
+        bitgen.state = state
+        return None
+    return words, product
+
+
+def _bulk_draws(words, product):
+    """The sites and uniforms of a chunk's raw words and site products."""
+    # both shifted words are below 2^63: int64 views, and an int64 -> float
+    # conversion, which is faster than uint64's
+    return ((product >> np.uint64(32)).view(np.int64),
+            (words[:, 1:] >> np.uint64(11)).ravel().view(np.int64) * 2.0 ** -53)
+
+
+def _scalar_draws(rng, n, m):
+    """The sites and uniforms of m pairs of scalar calls."""
+    sites = np.empty(m, dtype=np.int64)
+    uniforms = np.empty(m)
+    for i in range(m):
+        sites[i] = rng.integers(0, n)
+        uniforms[i] = rng.random()
+    return sites, uniforms
 
 
 def _scan_draws(rng, n, steps):
@@ -460,38 +568,55 @@ def _scan_draws(rng, n, steps):
     n <= 2^32, the range integers(0, n) draws with 32-bit words.
     """
     bitgen = rng.bit_generator
-    bulk = n > 1 and isinstance(bitgen, np.random.Philox)
-    low = np.uint64(0xFFFFFFFF)
-    threshold = np.uint64((1 << 32) % n)
-    left = steps
-    while left:
-        m = min(left, _DRAW_CHUNK)
-        if bulk:
-            state = bitgen.state
-            if state["has_uint32"] or m == 1:
-                m = 1
-            else:
-                m -= m % 2
-                words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
-                halves = np.empty(m, dtype=np.uint64)
-                halves[0::2] = words[:, 0] & low
-                halves[1::2] = words[:, 0] >> np.uint64(32)
-                product = halves * np.uint64(n)
-                if not np.any((product & low) < threshold):
-                    # both shifted words are below 2^63: int64 views, and an
-                    # int64 -> float conversion, which is faster than uint64's
-                    yield ((product >> np.uint64(32)).view(np.int64),
-                           (words[:, 1:] >> np.uint64(11)).ravel().view(np.int64) * 2.0 ** -53)
-                    left -= m
-                    continue
-                bitgen.state = state
-        sites = np.empty(m, dtype=np.int64)
-        uniforms = np.empty(m)
-        for i in range(m):
-            sites[i] = rng.integers(0, n)
-            uniforms[i] = rng.random()
-        yield sites, uniforms
-        left -= m
+    for m, bulk in _chunk_sizes(bitgen, n, steps):
+        raw = _bulk_words(bitgen, n, m) if bulk else None
+        yield _scalar_draws(rng, n, m) if raw is None else _bulk_draws(*raw)
+
+
+def _draw_plan(rng, n, steps):
+    """The chunks of ``_scan_draws`` as (generator state at the chunk's
+    start, steps, bulk), leaving rng in the state that the draws leave
+    but decoding none of them; ``_planned_draws`` decodes one.
+
+    A bulk chunk's words are generated and given only the rejection test.
+    When 2^32 mod n = 0 no site can be rejected, so its 3m/2 words are
+    skipped instead: ``Philox.advance`` passes whole blocks of four words,
+    after the generator's buffered ones, and ``random_raw`` the rest.  A
+    chunk that rejects, and every other chunk that ``_scan_draws`` takes
+    by scalar calls, is drawn by them."""
+    bitgen = rng.bit_generator
+    plan = []
+    for m, bulk in _chunk_sizes(bitgen, n, steps):
+        state = bitgen.state
+        if bulk and (1 << 32) % n == 0:
+            words = 3 * m // 2
+            buffered = 4 - state["buffer_pos"]
+            if words > buffered:
+                blocks, words = divmod(words - buffered, 4)
+                bitgen.advance(blocks)
+            bitgen.random_raw(words)
+        else:
+            bulk = bulk and _bulk_words(bitgen, n, m) is not None
+            if not bulk:
+                _scalar_draws(rng, n, m)
+        plan.append((state, m, bulk))
+    return plan
+
+
+def _planned_draws(rng, n, chunk):
+    """The (sites, uniforms) of one chunk of ``_draw_plan``, regenerated
+    from its saved state; rng is left where it was."""
+    state, m, bulk = chunk
+    bitgen = rng.bit_generator
+    now = bitgen.state
+    bitgen.state = state
+    if bulk:
+        words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
+        draws = _bulk_draws(words, _site_products(words, n))
+    else:
+        draws = _scalar_draws(rng, n, m)
+    bitgen.state = now
+    return draws
 
 
 def glauber_sample(spec, cfg, rng=None, init_state=None):

@@ -11,10 +11,10 @@ from isingfit.conditioning import (
     cover_size,
     verify_cover,
 )
-from isingfit.core import IsingSpec, infinity_norm, restrict, validate_interaction
+from isingfit.core import IsingSpec, infinity_norm, validate_interaction
 from isingfit.errors import DimensionMismatch, InvalidEta, NegativeWeight, RetryExhausted
 from isingfit.sampler import make_rng
-from tests.test_core import random_spec
+from tests.test_core import random_spec, restrict
 
 
 def random_J(n, M, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isingfit import experiments
-from isingfit.basis import combine, gram_schmidt, trace_inner, unique_edge_counts
+from isingfit.basis import combine, gram_schmidt, trace_inner
 from isingfit.errors import NormBudgetExceeded, TooManyGroups
 from isingfit.experiments import (
     ExperimentConfig,
@@ -19,6 +19,7 @@ from isingfit.experiments import (
 from isingfit.core import IsingSpec, frobenius_norm, infinity_norm
 from isingfit.metrics import tv_chi_exact
 from isingfit.sampler import make_rng
+from tests.test_basis import unique_edge_counts
 
 
 def test_matchings_k1_n4():

@@ -6,16 +6,9 @@ import pytest
 import isingfit.oneparam as oneparam
 from isingfit.basis import gram_schmidt
 from isingfit.core import IsingSpec, infinity_norm, validate_interaction
-from isingfit.errors import DimensionMismatch, ZeroDenominator
-from isingfit.mple import MpleConfig, fit
-from isingfit.oneparam import (
-    ScalarFitResult,
-    fit_scalar,
-    partition_certificate,
-    phi_double_prime,
-    phi_prime,
-    phi_scalar,
-)
+from isingfit.errors import DimensionMismatch
+from isingfit.mple import MpleConfig, directional_second_derivative, fit, neg_log_pl
+from isingfit.oneparam import ScalarFitResult, fit_scalar, phi_prime
 from isingfit.sampler import (
     enumerate_distribution,
     exact_sample,
@@ -24,6 +17,17 @@ from isingfit.sampler import (
     spin_table,
 )
 from tests.test_core import random_spec
+
+
+# Oracles: phi(beta) = neg_log_pl(beta J) and phi''(beta), the curvature
+# along J at beta J.
+def phi_scalar(beta, J, x):
+    return neg_log_pl(beta * validate_interaction(J), x)
+
+
+def phi_double_prime(beta, J, x):
+    J = validate_interaction(J)
+    return directional_second_derivative(beta * J, J, x)
 
 
 def unit_inf_matrix(n, seed):
@@ -194,18 +198,11 @@ def test_fit_scalar_stops_when_the_bracket_cannot_shrink(monkeypatch):
     assert min(d[:2]) <= 0.0 <= max(d[1:])
 
 
-def test_partition_certificate_zero_matrix():
-    with pytest.raises(ZeroDenominator):
-        partition_certificate(np.zeros((4, 4)), np.ones(4), M=0.3)
-
-
 def test_samples_must_be_spins():
     # the saturated-sample rule reads signs of x_i (Jx)_i, so x must be +-1
     J = unit_inf_matrix(8, seed=1)
     with pytest.raises(ValueError, match=r"\+1 or -1"):
         fit_scalar(J, [1, 1, 1, 1, 0, 0, 0, 0], 1.0)
-    with pytest.raises(ValueError, match=r"\+1 or -1"):
-        partition_certificate(J, [3, 1, 1, 1, -1, -1, -1, -1], M=1)
     with pytest.raises(DimensionMismatch):
         fit_scalar(J, np.ones(7), 1.0)
 
@@ -244,21 +241,6 @@ def test_certificate_valid_when_row_sums_exceed_one():
         deriv = max(abs(phi_prime(-M, J, x)), abs(phi_prime(M, J, x)))
         assert res.certificate >= deriv / min_curv * (1 - 1e-12)
         assert abs(res.beta_hat - beta_star) <= res.certificate
-        _, cert = partition_certificate(J, x, M=M)
-        assert cert == res.certificate
-
-
-def test_partition_certificate_at_zero_estimate():
-    J = unit_inf_matrix(14, seed=19)
-    dist = enumerate_distribution(IsingSpec.zero_field(0.4 * J))
-    rng = make_rng(23)
-    for _ in range(5):
-        x = exact_sample(dist, rng)
-        xJx, cert = partition_certificate(J, x, M=1.0)
-        assert xJx == pytest.approx(float(x @ J @ x))
-        assert cert == fit_scalar(J, x, M=1.0).certificate
-        with pytest.raises(TypeError):  # an estimate passed where M was
-            partition_certificate(J, x, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -27,8 +28,10 @@ from isingfit.sampler import (
     _TABLE_MAX_N,
     GlauberConfig,
     _bands,
+    _draw_plan,
     _linear_sums,
     _log_weights,
+    _planned_draws,
     _scan_draws,
     empirical_distribution,
     enumerate_distribution,
@@ -389,19 +392,34 @@ def _test_05_chains(k, trials):
         yield IsingSpec.zero_field(J), GlauberConfig(cfg.glauber_sweeps, seed), seed
 
 
+def _matching(n, k, M, seed):
+    """J of _model("matchings", n, False, M, k) in structure, built without
+    its k dense n x n incidence matrices: n / 2k pairs per matching, each
+    matching with one weight from uniform(-1, 1), scaled to ||J||_inf = M."""
+    per = n // (2 * k)
+    order = make_rng(seed).permutation(n)[:2 * k * per]
+    w = np.repeat(make_rng(seed + 1).uniform(-1.0, 1.0, k), per)
+    J = np.zeros((n, n))
+    J[order[0::2], order[1::2]] = J[order[1::2], order[0::2]] = w * (M / np.abs(w).max())
+    return IsingSpec.zero_field(J)
+
+
 # Which side of the cut chains fall on: the test_05 config is lazy, and so
 # are matchings at n = 512, k = 8, M = 0.5, where b = max tanh|w| + 2e-9 =
-# 0.462 puts 10 n / (1 - b) at 9 517 steps, below a window of 16 384 (40
-# sweeps are one full window and a short one); dense rows (one 65-clique),
-# b >= 1 (ER at M = 4) and a single sweep, whose window holds too few
-# steps to repay n / (1 - b) evaluations, are forward.
+# 0.462 puts 10 n / (1 - b) at 9 519 steps, below the chain's 20 480, and
+# at n = 2048 with 20 sweeps, 38 075 against 40 960 (a chain that a
+# per-window rule, with windows of _DRAW_CHUNK steps, would send forward);
+# dense rows (one 65-clique), b >= 1 (ER at M = 4) and a single sweep,
+# whose chain holds too few steps to repay n / (1 - b) evaluations, are
+# forward.
 def test_single_chain_paths(monkeypatch):
     lazy = _count_paths(monkeypatch)
     for k in (1, 8):
         for spec, cfg, seed in _test_05_chains(k, 2):
             _check_single_chain(spec, cfg, seed=seed)
     _check_single_chain(_model("matchings", 512, False, 0.5, k=8), GlauberConfig(40, seed=54))
-    assert lazy == [True] * 5
+    _check_single_chain(_matching(2048, 8, 0.5, seed=57), GlauberConfig(20, seed=54))
+    assert lazy == [True] * 6
     lazy.clear()
     forward = [(_model("blocks", 65, False, 0.5, k=1), 20),
                (_model("erdos_renyi", 64, True, 4.0), 20),
@@ -411,12 +429,46 @@ def test_single_chain_paths(monkeypatch):
     assert lazy == [False] * 3
 
 
+# A test_05-config k8 chain has 38 400 steps: two chunks of _DRAW_CHUNK
+# and a last one of 5 632, which holds every draw that its final spins read.
+def test_lazy_chain_decodes_only_the_chunks_it_reads(monkeypatch):
+    lazy = _count_paths(monkeypatch)
+    decoded = []
+    real = sampler_mod._planned_draws
+
+    def counted(rng, n, chunk):
+        decoded.append(chunk[1])
+        return real(rng, n, chunk)
+
+    monkeypatch.setattr(sampler_mod, "_planned_draws", counted)
+    spec, cfg, seed = next(_test_05_chains(8, 1))
+    _check_single_chain(spec, cfg, seed=seed)
+    assert lazy == [True] and cfg.burn_in_sweeps * spec.n == 2 * _DRAW_CHUNK + 5632
+    assert decoded == [5632]
+
+
+# The search keeps its state in plain lists and dicts: a chain that left
+# reference cycles behind would hand them to the cyclic collector, which
+# then holds their memory until its next pass.
+def test_lazy_chain_leaves_no_garbage(monkeypatch):
+    lazy = _count_paths(monkeypatch)
+    spec, cfg, _ = next(_test_05_chains(8, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        glauber_sample_many(spec, 1, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert lazy == [True]
+
+
 # Two sites coupled by J_01: an update is undecided with probability
 # tanh|J_01|, so its value hangs on a run of earlier updates about
-# 1 / (1 - tanh|J_01|) long: 200 at J_01 = 3, and at J_01 = 6 nearly every
-# run spans its whole window of _DRAW_CHUNK steps, many times Python's
-# recursion limit.  The cost rule would send J_01 = 6 forward; _LAZY_COST = 0
-# makes every chain with b < 1 lazy.
+# 1 / (1 - tanh|J_01|) long: 200 at J_01 = 3, and at J_01 = 6 about 81 000,
+# several chunks of _DRAW_CHUNK steps and many times Python's recursion
+# limit, so the search crosses chunks.  The cost rule would send J_01 = 6
+# forward; _LAZY_COST = 0 makes every chain with b < 1 lazy.
 @pytest.mark.parametrize("coupling", [3.0, -6.0])
 def test_lazy_chain_follows_long_dependency_runs(coupling, monkeypatch):
     monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
@@ -426,14 +478,19 @@ def test_lazy_chain_follows_long_dependency_runs(coupling, monkeypatch):
     assert lazy == [True]
 
 
-# A lazy chain of several windows: each window starts from the spins the
-# previous one left, some of them evaluated, some decided.
+# A lazy chain of three full chunks and a last one of 448 steps, whose
+# search reads past the last chunk's start into the chunk before it; and,
+# with _LAZY_COST = 0, a chain of one sweep, where about a third of the
+# sites are never updated and read their provided initial spins.
 def test_lazy_chain_crosses_windows(monkeypatch):
     lazy = _count_paths(monkeypatch)
     spec = _model("matchings", 64, True, 0.5, k=4)
     sweeps = 3 * _DRAW_CHUNK // 64 + 7
     _check_single_chain(spec, GlauberConfig(sweeps, seed=71, init="all_plus"))
-    assert lazy == [True]
+    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
+    start = 1 - 2 * make_rng(55).integers(0, 2, size=64)
+    _check_single_chain(spec, GlauberConfig(1, seed=71, init="provided"), start)
+    assert lazy == [True, True]
 
 
 def _chain_p(spec, s, x):
@@ -581,10 +638,10 @@ _REJECTING = 2 ** 32 - 2 ** 32 // _DRAW_CHUNK
 @pytest.mark.parametrize("buffered", [False, True])
 def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
     steps = 2 * _DRAW_CHUNK + 3
-    rng_a, rng_b = (np.random.Generator(bit_generator(57)) for _ in range(2))
+    rng_a, rng_b, rng_c = (np.random.Generator(bit_generator(57)) for _ in range(3))
     if buffered:
-        rng_a.integers(0, n)
-        rng_b.integers(0, n)
+        for rng in (rng_a, rng_b, rng_c):
+            rng.integers(0, n)
     counted = _CountedCalls(rng_a)
     chunks, redone = [], []
     for chunk in _scan_draws(counted, n, steps):
@@ -601,5 +658,17 @@ def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
     assert sites.dtype == np.int64
     assert sites.tolist() == [int(s) for s, _ in want]
     assert uniforms.tolist() == [u for _, u in want]
+    # the plan holds the same chunks, each bulk where _scan_draws decoded
+    # it, and regenerates them from its saved states in any order
+    plan = _draw_plan(rng_c, n, steps)
+    assert [(m, bulk) for _, m, bulk in plan] == [(len(s), not r) for (s, _), r in
+                                                  zip(chunks, redone)]
+    for i in reversed(range(len(plan))):
+        got = _planned_draws(rng_c, n, plan[i])
+        assert got[0].dtype == np.int64
+        assert got[0].tolist() == chunks[i][0].tolist()
+        assert got[1].tolist() == chunks[i][1].tolist()
     # the same state after, buffered 32-bit half included
-    assert [rng_a.integers(0, 3), rng_a.random()] == [rng_b.integers(0, 3), rng_b.random()]
+    after = [rng_b.integers(0, 3), rng_b.random()]
+    assert [rng_a.integers(0, 3), rng_a.random()] == after
+    assert [rng_c.integers(0, 3), rng_c.random()] == after

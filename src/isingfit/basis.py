@@ -6,10 +6,12 @@ the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
 coordinates: the values of A_1..A_k' on the union of the raw matrices'
 strictly-upper supports (``MatrixBasis.edges``), where
 <A, B> = 2 a.b for the edge values a, b, together with the change matrix
-that writes each A_i in the raw J's.  ``gram_schmidt`` reads each raw
-matrix once, through its support, and keeps none of them; ``project``
-gathers from J on the edges.  ``ortho`` and ``stacked()`` are dense n x n
-views scattered from the edges, for callers that need them.
+that writes each A_i in the raw J's.  ``gram_schmidt_edges`` takes the
+raw family as edge lists; ``gram_schmidt`` reads each dense raw matrix
+once, through its support, keeps none of them and hands the edges to
+it.  ``project`` gathers from J on the edges.  ``ortho`` and
+``stacked()`` are dense n x n views scattered from the edges, for
+callers that need them.
 """
 
 from __future__ import annotations
@@ -85,17 +87,10 @@ class MatrixBasis:
 
 
 def gram_schmidt(raw, rank_tol=1e-9):
-    """Modified Gram-Schmidt under the trace inner product, on the edge
-    values of the raw matrices over their union strictly-upper support.
-
-    Each input is validated on its own support (:func:`interaction_edges`)
-    and is never copied densely.  One re-orthogonalization pass is applied
-    to each vector.  Inputs whose residual drops below rank_tol times their
-    original Frobenius norm are dropped (recorded via the change matrix
-    having fewer rows), not an error.  Each A_i is signed so that its first
-    edge value above 1e-14 in magnitude is positive; edges where every A_i
-    is 0 are left out.
-    """
+    """Modified Gram-Schmidt under the trace inner product of dense raw
+    matrices: each is validated on its own support
+    (:func:`interaction_edges`), never copied densely, and its edges go to
+    :func:`gram_schmidt_edges`."""
     if not raw:
         raise AllDegenerate("empty matrix family")
     mats = [np.asarray(J, dtype=np.float64) for J in raw]
@@ -103,19 +98,45 @@ def gram_schmidt(raw, rank_tol=1e-9):
     n = mats[0].shape[0]
     if any(J.shape != (n, n) for J in mats):
         raise ShapeMismatch("matrices in a family must share a dimension")
+    return gram_schmidt_edges(n, *edge_union(n, found), rank_tol)
+
+
+def edge_union(n, family):
+    """The union of a family's edge lists and each member's values on it.
+
+    ``family`` holds one ``(rows, cols, values)`` per member, as
+    :func:`interaction_edges` returns them: strictly-upper pairs with
+    nonzero values, each pair once.  Returns the union's ``rows`` and
+    ``cols`` in row-major order and the (k, m) array whose row s is
+    member s on the union (0 off its own edges).
+    """
     # sort and drop repeats instead of np.unique, whose hash path (numpy
     # >= 2.3) took 6.6 ms against 0.43 ms on a 42 000-key union
-    union = np.sort(np.concatenate([i * n + j for i, j, _ in found]))
+    union = np.sort(np.concatenate([i * n + j for i, j, _ in family]))
     union = union[np.diff(union, prepend=-1) != 0]
     rows, cols = np.divmod(union, n)
-    values = np.zeros((len(mats), union.size))  # row s: J_s on the union
-    for s, (i, j, v) in enumerate(found):
+    values = np.zeros((len(family), union.size))
+    for s, (i, j, v) in enumerate(family):
         values[s, np.searchsorted(union, i * n + j)] = v
+    return rows, cols, values
+
+
+def gram_schmidt_edges(n, rows, cols, values, rank_tol=1e-9):
+    """Modified Gram-Schmidt under the trace inner product, on a family's
+    values over its union strictly-upper edges (:func:`edge_union`), where
+    <A, B> = 2 a.b.
+
+    One re-orthogonalization pass is applied to each vector.  Inputs whose
+    residual drops below rank_tol times their original Frobenius norm are
+    dropped (recorded via the change matrix having fewer rows), not an
+    error.  Each A_i is signed so that its first edge value above 1e-14 in
+    magnitude is positive; edges where every A_i is 0 are left out.
+    """
     ortho = []
     change = []
     for idx, v in enumerate(values):
         scale = math.sqrt(2.0 * (v @ v))
-        coeffs = np.zeros(len(mats))
+        coeffs = np.zeros(len(values))
         coeffs[idx] = 1.0
         for _ in range(2):  # MGS + one re-orthogonalization pass
             for a, row in zip(ortho, change):

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import combine, gram_schmidt, project
-from .core import IsingSpec, frobenius_norm, infinity_norm, matrix_to_json
+from .basis import combine, edge_union, gram_schmidt_edges
+# perfbench/tracing.py wraps experiments.gram_schmidt and experiments.project
+from .basis import gram_schmidt, project  # noqa: F401
+from .core import IsingSpec, infinity_norm, matrix_to_json
 from .errors import IsingfitError, NormBudgetExceeded, TooManyGroups
 from .mple import MpleConfig, fit, psi
 from .sampler import (
@@ -32,6 +34,52 @@ EXACT_SAMPLE_LIMIT = 18
 
 # ---------------------------------------------------------------------------
 # Generators
+#
+# Each family is drawn as edge lists, one (rows, cols, values) per member in
+# the form ``interaction_edges`` returns (strictly-upper pairs in row-major
+# order, nonzero values); the public gen_* are dense scatters of them.
+
+def _scatter(n, edges):
+    rows, cols, values = edges
+    J = np.zeros((n, n))
+    J[rows, cols] = values
+    J[cols, rows] = values
+    return J
+
+
+def _unit_edges(n, a, b):
+    """The pairs {a_e, b_e} (a_e != b_e) as edges of weight 1."""
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    rows, cols = np.divmod(keys, n)
+    return rows, cols, np.ones(keys.size)
+
+
+def _matchings_edges(n, k, rng=None):
+    per = n // (2 * k)
+    if per < 1:
+        raise TooManyGroups(f"cannot fit {k} matchings of >=1 edge into n={n}")
+    order = np.arange(n) if rng is None else rng.permutation(n)
+    pairs = order[:2 * k * per].reshape(k, per, 2)
+    return [_unit_edges(n, p[:, 0], p[:, 1]) for p in pairs]
+
+
+def _blocks_edges(n, k, rng=None):
+    size = n // k
+    if size < 2:
+        raise TooManyGroups(f"blocks of size {size} have no edges")
+    order = np.arange(n) if rng is None else rng.permutation(n)
+    a, b = np.triu_indices(size, k=1)
+    return [_unit_edges(n, nodes[a], nodes[b])
+            for nodes in order[:k * size].reshape(k, size)]
+
+
+def _erdos_renyi_edges(n, k, p, rng):
+    family = []
+    for _ in range(k):
+        rows, cols = np.divmod(np.flatnonzero(np.triu(rng.random((n, n)) < p, k=1)), n)
+        family.append((rows, cols, np.ones(rows.size)))
+    return family
+
 
 def gen_matchings(n, k, rng=None):
     """k incidence matrices on disjoint edge sets (matching-style).
@@ -39,44 +87,18 @@ def gen_matchings(n, k, rng=None):
     Coordinates are paired up (after an optional shuffle) and the pairs
     dealt out in contiguous blocks of floor(n / 2k) per matrix.
     """
-    per = n // (2 * k)
-    if per < 1:
-        raise TooManyGroups(f"cannot fit {k} matchings of >=1 edge into n={n}")
-    order = np.arange(n)
-    if rng is not None:
-        order = rng.permutation(n)
-    mats = []
-    for s in range(k):
-        J = np.zeros((n, n))
-        for e in range(per):
-            a, b = order[2 * (s * per + e)], order[2 * (s * per + e) + 1]
-            J[a, b] = J[b, a] = 1.0
-        mats.append(J)
-    return mats
+    return [_scatter(n, e) for e in _matchings_edges(n, k, rng)]
 
 
 def gen_blocks(n, k, rng=None):
-    """k complete graphs on disjoint contiguous coordinate blocks."""
-    size = n // k
-    if size < 2:
-        raise TooManyGroups(f"blocks of size {size} have no edges")
-    mats = []
-    for s in range(k):
-        J = np.zeros((n, n))
-        lo, hi = s * size, (s + 1) * size
-        J[lo:hi, lo:hi] = 1.0
-        np.fill_diagonal(J, 0.0)
-        mats.append(J)
-    return mats
+    """k complete graphs on disjoint blocks of floor(n / k) coordinates,
+    contiguous after an optional shuffle."""
+    return [_scatter(n, e) for e in _blocks_edges(n, k, rng)]
 
 
 def gen_erdos_renyi_incidence(n, k, p, rng):
     """k independent G(n, p) incidence matrices (supports may overlap)."""
-    mats = []
-    for _ in range(k):
-        U = np.triu(rng.random((n, n)) < p, k=1).astype(np.float64)
-        mats.append(U + U.T)
-    return mats
+    return [_scatter(n, e) for e in _erdos_renyi_edges(n, k, p, rng)]
 
 
 def gen_assouad(basis, c, theta):
@@ -148,13 +170,14 @@ def trial_seed(seed, k, trial):
     return (seed * 1_000_003 + k * 7919 + trial) & 0x7FFFFFFFFFFFFFFF
 
 
-def _make_raw(cfg, k, rng):
+def _raw_edges(cfg, k, rng):
+    """The raw family of a trial as edge lists."""
     if cfg.generator == "matchings":
-        return gen_matchings(cfg.n, k, rng if cfg.shuffle_support else None)
+        return _matchings_edges(cfg.n, k, rng if cfg.shuffle_support else None)
     if cfg.generator == "blocks":
-        return gen_blocks(cfg.n, k, rng if cfg.shuffle_support else None)
+        return _blocks_edges(cfg.n, k, rng if cfg.shuffle_support else None)
     if cfg.generator == "erdos_renyi_incidence":
-        return gen_erdos_renyi_incidence(cfg.n, k, cfg.er_p, rng)
+        return _erdos_renyi_edges(cfg.n, k, cfg.er_p, rng)
     raise ValueError(f"unknown generator {cfg.generator!r}")
 
 
@@ -165,34 +188,58 @@ def _true_beta(cfg, k, rng):
 
 
 def run_trial(cfg, k, trial):
+    """One estimation cell: draw the raw family, orthonormalize it, scale
+    J* to the budget, sample x, fit, and score the estimate.
+
+    The trial works on the union edges of the raw family.  J* is
+    u* = sum_s beta_s v_s there, summed left to right as a dense sum of
+    the raw matrices would be, and is scattered densely once, for its
+    infinity norm, the model and the returned ``J_star``.  beta* is
+    <J*, A_i>, gathered on the basis edges, and J* less its projection
+    onto the span is the residual r on the union edges, so
+    ``frob_error`` = ||J_hat - J*||_F = sqrt(||beta_hat - beta*||^2 +
+    2 ||r||^2) with no n x n work.  Returns (record, basis, J_star, fit
+    result).
+    """
     seed = trial_seed(cfg.seed, k, trial)
     rng = make_rng(seed)
-    raw = _make_raw(cfg, k, rng)
-    basis = gram_schmidt(raw)
+    n = cfg.n
+    rows, cols, values = edge_union(n, _raw_edges(cfg, k, rng))
+    basis = gram_schmidt_edges(n, rows, cols, values)
     beta_raw = _true_beta(cfg, k, rng)
-    J_star = sum(b * Jm for b, Jm in zip(beta_raw, raw))
+    u_star = sum(b * v for b, v in zip(beta_raw, values))
+    J_star = np.zeros((n, n))
+    J_star[rows, cols] = u_star
+    J_star[cols, rows] = u_star
     inf = infinity_norm(J_star)
     if inf > cfg.M and inf > 0:
-        J_star = J_star * (cfg.M / inf)
+        J_star *= cfg.M / inf
+        u_star = u_star * (cfg.M / inf)
     spec = IsingSpec.zero_field(J_star)
-    if cfg.n <= EXACT_SAMPLE_LIMIT:
+    if n <= EXACT_SAMPLE_LIMIT:
         x = exact_sample(enumerate_distribution(spec), rng)
         sampler = "exact"
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
         sampler = "glauber"
-    beta_star, _ = project(basis, J_star)
+    ev = basis.edges
+    on_basis = np.searchsorted(rows * n + cols, ev.rows * n + ev.cols)
+    u_basis = u_star[on_basis]
+    beta_star = ev.coef.T @ (u_basis + u_basis)
+    residual = u_star.copy()
+    residual[on_basis] -= ev.coef @ beta_star
     res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
                                    grad_tol=cfg.grad_tol))
     psi_star = psi(basis, beta_star, x)
+    diff = res.beta_hat - beta_star
     rec = TrialRecord(
         generator=cfg.generator,
-        n=cfg.n,
+        n=n,
         k=k,
         trial=trial,
         seed=seed,
-        frob_error=frobenius_norm(combine(basis, res.beta_hat) - J_star),
-        beta_error=float(np.linalg.norm(res.beta_hat - beta_star)),
+        frob_error=math.sqrt(diff @ diff + 2.0 * (residual @ residual)),
+        beta_error=float(np.linalg.norm(diff)),
         psi_gap=res.psi_hat - psi_star,
         psi_hat=res.psi_hat,
         psi_star=psi_star,

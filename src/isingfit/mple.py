@@ -281,7 +281,8 @@ def fit(basis, x, cfg):
 
     ``kkt_residual`` is min over mu >= 0 of ||g + sum_i mu_i c_i|| over the
     cuts tight at beta, an exact non-negative least-squares projection
-    (``_nnls``), so each step solves one quadratic program.  Tight cuts
+    (``_nnls``), so each step solves one quadratic program; it is solved
+    again only when beta or the set of tight cuts changes.  Tight cuts
     are subgradients of the budget, so by convexity
     psi(beta) - min psi <= kkt_residual * ||beta - beta*|| (up to
     sum_i mu_i times the 1e-9 M tightness tolerance), and
@@ -307,10 +308,16 @@ def fit(basis, x, cfg):
     trace = [value]
     stop_reason = "iter_cap"
     it = 0
+    g = gradient_at_fields(Bx, f, x)
+    certified = None  # the tight cuts that residual was computed over, at beta
     while True:
-        g = gradient_at_fields(Bx, f, x)
         slack = M - cuts @ beta
-        residual = _kkt_residual(g, cuts[slack <= _BALL_RTOL * M])
+        tight = np.flatnonzero(slack <= _BALL_RTOL * M)
+        # a cut added at the same beta changes the certificate only if it
+        # is tight there
+        if certified is None or not np.array_equal(tight, certified):
+            residual = _kkt_residual(g, cuts[tight])
+            certified = tight
         if residual <= cfg.grad_tol:
             stop_reason = "kkt"
             break
@@ -335,6 +342,8 @@ def fit(basis, x, cfg):
             stop_reason = "kkt" if cfg.grad_tol == 0 else "stalled"
             break
         beta, f, value = step
+        g = gradient_at_fields(Bx, f, x)
+        certified = None
         trace.append(value)
 
     inf_hat = float(edges.row_abs_sums(edges.coef @ beta).max())

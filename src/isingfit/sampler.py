@@ -318,20 +318,22 @@ def _single_chain(spec, x, rng, steps):
     rows, cols = np.divmod(np.flatnonzero(J != 0.0), n)
     weights = J[rows, cols].tolist()
     bounds = np.searchsorted(rows, np.arange(n + 1))
-    lo, hi = _bands(_field_bounds(spec), np.diff(bounds))
+    degrees = np.diff(bounds)
+    lo, hi = _bands(_field_bounds(spec), degrees)
     # b of _goes_lazy: the largest sum of a row's neighbours' band widths
     reach = float(np.bincount(rows, (hi - lo).take(cols), minlength=n).max(initial=0.0))
+    # a row dense enough that one BLAS product on the array x beats
+    # summing in Python
+    dense = bool(degrees.max(initial=0) > _DENSE_ROW)
     cols = cols.tolist()
     bounds = bounds.tolist()
-    # (column, weight) pairs, or None for a row dense enough that one BLAS
-    # product on the array x beats summing in Python
-    neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
-                  else None for a, b in zip(bounds, bounds[1:])]
-    dense = None in neighbours
     h = spec.h.tolist()
     if _goes_lazy(dense, n, reach, steps):
-        _lazy_chain(x, neighbours, h, lo, hi, rng, steps)
+        _lazy_chain(x, _Rows(cols, weights, bounds), h, lo, hi, rng, steps)
         return
+    # (column, weight) pairs, or None for a dense row
+    neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
+                  else None for a, b in zip(bounds, bounds[1:])]
     xs = x.tolist()
     p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
     for sites, uniforms in _scan_draws(rng, n, steps):
@@ -359,6 +361,20 @@ def _single_chain(spec, x, rng, steps):
             if dense:
                 x[s] = v
     x[:] = xs
+
+
+class _Rows(dict):
+    """Row s's (column, weight) pairs, as ``_single_chain``'s forward loop
+    lists them, built when ``_lazy_chain`` first reads the row."""
+
+    def __init__(self, cols, weights, bounds):
+        super().__init__()
+        self._cols, self._weights, self._bounds = cols, weights, bounds
+
+    def __missing__(self, s):
+        a, b = self._bounds[s], self._bounds[s + 1]
+        row = self[s] = tuple(zip(self._cols[a:b], self._weights[a:b]))
+        return row
 
 
 def _band_codes(sites, uniforms, lo, hi):

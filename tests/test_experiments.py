@@ -1,24 +1,48 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from isingfit import experiments
-from isingfit.basis import combine, gram_schmidt, trace_inner
+from isingfit.basis import (
+    combine,
+    edge_union,
+    gram_schmidt,
+    gram_schmidt_edges,
+    project,
+    trace_inner,
+)
 from isingfit.errors import NormBudgetExceeded, TooManyGroups
 from isingfit.experiments import (
+    EXACT_SAMPLE_LIMIT,
     ExperimentConfig,
+    TrialRecord,
+    _blocks_edges,
+    _erdos_renyi_edges,
+    _matchings_edges,
+    _scatter,
+    _true_beta,
     gen_assouad,
     gen_blocks,
     gen_erdos_renyi_incidence,
     gen_matchings,
     run_sweep,
     run_trial,
+    trial_seed,
 )
-from isingfit.core import IsingSpec, frobenius_norm, infinity_norm
+from isingfit.core import IsingSpec, frobenius_norm, infinity_norm, interaction_edges
 from isingfit.metrics import tv_chi_exact
-from isingfit.sampler import make_rng
+from isingfit.mple import MpleConfig, fit, psi
+from isingfit.sampler import (
+    GlauberConfig,
+    enumerate_distribution,
+    exact_sample,
+    glauber_sample,
+    make_rng,
+)
 from tests.test_basis import unique_edge_counts
 
 
@@ -155,3 +179,187 @@ def test_sweep_propagates_non_package_errors(monkeypatch):
     cfg = ExperimentConfig(n=8, k_grid=(1,), trials=1, M=0.5, max_iters=100)
     with pytest.raises(TypeError, match="bug in fit"):
         run_sweep(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Edge generators and the edge-native trial, against the dense code they
+# replaced.
+
+def _dense_matchings(n, k, rng=None):
+    per = n // (2 * k)
+    order = np.arange(n) if rng is None else rng.permutation(n)
+    mats = []
+    for s in range(k):
+        J = np.zeros((n, n))
+        for e in range(per):
+            a, b = order[2 * (s * per + e)], order[2 * (s * per + e) + 1]
+            J[a, b] = J[b, a] = 1.0
+        mats.append(J)
+    return mats
+
+
+def _dense_blocks(n, k):
+    size = n // k
+    mats = []
+    for s in range(k):
+        J = np.zeros((n, n))
+        J[s * size:(s + 1) * size, s * size:(s + 1) * size] = 1.0
+        np.fill_diagonal(J, 0.0)
+        mats.append(J)
+    return mats
+
+
+def _dense_erdos_renyi(n, k, p, rng):
+    mats = []
+    for _ in range(k):
+        U = np.triu(rng.random((n, n)) < p, k=1).astype(np.float64)
+        mats.append(U + U.T)
+    return mats
+
+
+_GENERATORS = {
+    "matchings": (gen_matchings, _matchings_edges),
+    "blocks": (gen_blocks, _blocks_edges),
+    "erdos_renyi": (lambda n, k, rng: gen_erdos_renyi_incidence(n, k, 0.2, rng),
+                    lambda n, k, rng: _erdos_renyi_edges(n, k, 0.2, rng)),
+}
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_generators_scatter_their_edges(kind, shuffle):
+    # each member's edges are interaction_edges of its dense matrix, bit
+    # for bit, and both forms leave the generator at the same draw
+    n, k = 26, 3
+    dense_gen, edge_gen = _GENERATORS[kind]
+    a, b = make_rng(90), make_rng(90)
+    passed = shuffle or kind == "erdos_renyi"
+    mats = dense_gen(n, k, a if passed else None)
+    family = edge_gen(n, k, b if passed else None)
+    assert len(mats) == len(family) == k
+    for J, (rows, cols, values) in zip(mats, family):
+        want = interaction_edges(J)
+        for got, exp in zip((rows, cols, values), want):
+            assert got.dtype == exp.dtype and np.array_equal(got, exp)
+        assert np.array_equal(J, _scatter(n, (rows, cols, values)))
+    assert a.random() == b.random()
+
+
+def test_generators_keep_their_dense_output():
+    for n, k in ((24, 4), (25, 3), (16, 8)):
+        pairs = [(gen_matchings(n, k), _dense_matchings(n, k)),
+                 (gen_matchings(n, k, make_rng(n)), _dense_matchings(n, k, make_rng(n))),
+                 (gen_blocks(n, k), _dense_blocks(n, k)),
+                 (gen_erdos_renyi_incidence(n, k, 0.3, make_rng(n)),
+                  _dense_erdos_renyi(n, k, 0.3, make_rng(n)))]
+        for got, want in pairs:
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_shuffled_blocks_relabel_the_unshuffled_family():
+    # block s holds the coordinates order[s * size:(s + 1) * size] of one
+    # permutation drawn from rng, as gen_matchings pairs up its order
+    n, k = 23, 3
+    ref = make_rng(92)
+    order = ref.permutation(n)
+    rng = make_rng(92)
+    shuffled = gen_blocks(n, k, rng)
+    plain = gen_blocks(n, k)
+    for S, U in zip(shuffled, plain):
+        assert np.array_equal(S[np.ix_(order, order)], U)
+    assert not all(np.array_equal(S, U) for S, U in zip(shuffled, plain))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATORS))
+def test_gram_schmidt_is_the_edge_entry_on_dense_input(kind):
+    n = 30
+    dense_gen, edge_gen = _GENERATORS[kind]
+    for k in (1, 4, 7):
+        want = gram_schmidt(dense_gen(n, k, make_rng(k)))
+        got = gram_schmidt_edges(n, *edge_union(n, edge_gen(n, k, make_rng(k))))
+        for a, b in ((got.edges.rows, want.edges.rows), (got.edges.cols, want.edges.cols),
+                     (got.edges.coef, want.edges.coef), (got.change, want.change)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _dense_run_trial(cfg, k, trial):
+    """run_trial as it was on dense matrices: k dense raw matrices, J* as
+    their dense sum, beta* from project and frob_error from combine."""
+    seed = trial_seed(cfg.seed, k, trial)
+    rng = make_rng(seed)
+    shuffle = rng if cfg.shuffle_support else None
+    if cfg.generator == "matchings":
+        raw = gen_matchings(cfg.n, k, shuffle)
+    elif cfg.generator == "blocks":
+        raw = gen_blocks(cfg.n, k, shuffle)
+    else:
+        raw = gen_erdos_renyi_incidence(cfg.n, k, cfg.er_p, rng)
+    basis = gram_schmidt(raw)
+    beta_raw = _true_beta(cfg, k, rng)
+    J_star = sum(b * Jm for b, Jm in zip(beta_raw, raw))
+    inf = infinity_norm(J_star)
+    if inf > cfg.M and inf > 0:
+        J_star = J_star * (cfg.M / inf)
+    spec = IsingSpec.zero_field(J_star)
+    if cfg.n <= EXACT_SAMPLE_LIMIT:
+        x = exact_sample(enumerate_distribution(spec), rng)
+        sampler = "exact"
+    else:
+        x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
+        sampler = "glauber"
+    beta_star, _ = project(basis, J_star)
+    res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
+                                   grad_tol=cfg.grad_tol))
+    psi_star = psi(basis, beta_star, x)
+    rec = TrialRecord(
+        generator=cfg.generator, n=cfg.n, k=k, trial=trial, seed=seed,
+        frob_error=frobenius_norm(combine(basis, res.beta_hat) - J_star),
+        beta_error=float(np.linalg.norm(res.beta_hat - beta_star)),
+        psi_gap=res.psi_hat - psi_star, psi_hat=res.psi_hat, psi_star=psi_star,
+        inf_norm_hat=res.inf_norm_hat, iterations=res.iterations, sampler=sampler)
+    return rec, basis, J_star, res
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("generator", ["blocks", "erdos_renyi_incidence", "matchings"])
+def test_run_trial_matches_dense_oracle(generator, shuffle):
+    # every output is the dense trial's, bit for bit, except frob_error,
+    # which is computed from coordinates instead of an n x n difference
+    for n in (16, 64, 128):
+        for k in (1, 4, 8):
+            cfg = ExperimentConfig(generator=generator, n=n, k_grid=(k,), seed=93,
+                                   er_p=0.1, glauber_sweeps=30, max_iters=30_000,
+                                   grad_tol=1e-4, shuffle_support=shuffle)
+            rec, basis, J_star, res = run_trial(cfg, k, 0)
+            want_rec, want_basis, want_J, want_res = _dense_run_trial(cfg, k, 0)
+            for f in dataclasses.fields(TrialRecord):
+                if f.name != "frob_error":
+                    assert repr(getattr(rec, f.name)) == repr(getattr(want_rec, f.name)), f.name
+            assert abs(rec.frob_error - want_rec.frob_error) <= max(
+                1e-12 * want_rec.frob_error, 1e-14)
+            assert rec.frob_error >= rec.beta_error
+            assert np.array_equal(J_star, want_J)
+            for a, b in ((basis.edges.rows, want_basis.edges.rows),
+                         (basis.edges.coef, want_basis.edges.coef),
+                         (basis.change, want_basis.change),
+                         (res.beta_hat, want_res.beta_hat),
+                         (res.objective_trace, want_res.objective_trace)):
+                assert np.array_equal(a, b)
+
+
+def test_run_trial_forms_no_dense_stack():
+    # one n x n float64 array is 32 MiB at n = 2048; the trial keeps J* and
+    # the model's copy of it, and no k n^2 raw family or basis stack
+    n = 2048
+    cfg = ExperimentConfig(n=n, k_grid=(8,), seed=61, glauber_sweeps=5,
+                           max_iters=30_000, grad_tol=1e-4)
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg, 8, 0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.error and math.isfinite(rec.frob_error)
+    assert peak < 4 * n * n * 8

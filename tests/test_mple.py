@@ -13,6 +13,7 @@ from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinit
 from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 import isingfit.mple as mple_mod
+from isingfit import experiments
 from isingfit.mple import (
     DEFAULT_MAX_PROGRAMS,
     MpleConfig,
@@ -316,6 +317,101 @@ def test_fit_solves_one_program_per_step(monkeypatch):
     res = fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
     assert res.budget_active and max(tight) >= 1
     assert len(calls) == res.iterations
+
+
+def _fit_every_certificate(basis, x, cfg):
+    """fit as it was before it kept its certificate: the gradient and the
+    NNLS over the tight cuts computed afresh on every pass, also after a
+    cut that leaves beta and the tight cuts as they were."""
+    x = check_spins(x, basis.n)
+    M = float(cfg.M)
+    tol = mple_mod._BALL_RTOL
+    edges = basis.edges
+    Bx = edges.fields(x)
+    beta = np.zeros(basis.k)
+    f = beta @ Bx
+    value = mple_mod.value_at_fields(f, x)
+    cuts = np.zeros((0, basis.k))
+    trace = [value]
+    stop_reason = "iter_cap"
+    it = 0
+    while True:
+        g = mple_mod.gradient_at_fields(Bx, f, x)
+        slack = M - cuts @ beta
+        residual = _kkt_residual(g, cuts[slack <= tol * M])
+        if residual <= cfg.grad_tol:
+            stop_reason = "kkt"
+            break
+        if it >= cfg.max_programs:
+            break
+        it += 1
+        d = _active_set_qp(mple_mod.curvature_at_fields(Bx, f), g, cuts, slack, tol * M)
+        trial = beta + d
+        u = edges.coef @ trial
+        row_sums = edges.row_abs_sums(u)
+        peak = float(row_sums.max())
+        if peak > M * (1.0 + tol):
+            c = mple_mod.infnorm_subgradient(edges, u, row_sums)
+            if not any(np.array_equal(c, old) for old in cuts):
+                cuts = np.vstack([cuts, c])
+                continue
+        if peak > M:
+            d = trial * (M / peak) - beta
+        step = mple_mod._armijo(Bx, x, beta, value, g @ d, d)
+        if step is None:
+            stop_reason = "kkt" if cfg.grad_tol == 0 else "stalled"
+            break
+        beta, f, value = step
+        trace.append(value)
+    inf_hat = float(edges.row_abs_sums(edges.coef @ beta).max())
+    return mple_mod.EstimationResult(
+        beta_hat=beta, objective_trace=np.array(trace), psi_hat=value,
+        inf_norm_hat=inf_hat, iterations=it, stop_reason=stop_reason,
+        kkt_residual=residual, budget_active=inf_hat >= M * (1.0 - tol))
+
+
+def test_fit_keeps_its_certificate_with_the_same_bits(monkeypatch):
+    # fit's inputs in run_trial on matchings (k = 8), ER (k = 8) and blocks
+    # (k = 4) at n = 128, where the oracle repeats _nnls calls on cuts that
+    # are not tight at an unchanged beta, and two small fits where a cut
+    # added at an unchanged beta is tight there; fit makes each distinct
+    # call of the oracle once and returns the oracle's bits
+    cases = []
+    monkeypatch.setattr(experiments, "fit",
+                        lambda b, x, cfg: cases.append((b, x, cfg)) or fit(b, x, cfg))
+    for generator, k, trials in (("matchings", 8, 3), ("erdos_renyi_incidence", 8, 2),
+                                 ("blocks", 4, 2)):
+        cfg = experiments.ExperimentConfig(generator=generator, n=128, k_grid=(k,),
+                                           seed=61, max_iters=30_000, grad_tol=1e-4)
+        for trial in range(trials):
+            experiments.run_trial(cfg, k, trial)
+    rng = make_rng(177)
+    raw = gen_erdos_renyi_incidence(8, 2, 0.5, rng)
+    cases.append((gram_schmidt(raw), 1.0 - 2.0 * rng.integers(0, 2, size=8),
+                  _fit_cfg(M=0.5, grad_tol=0.0)))
+    rng = make_rng(388)
+    cases.append((gram_schmidt(random_family(6, 3, seed=388)),
+                  1.0 - 2.0 * rng.integers(0, 2, size=6), _fit_cfg(M=0.5, grad_tol=0.0)))
+    calls = []
+    monkeypatch.setattr(mple_mod, "_nnls", lambda C, g: calls.append(
+        (C.shape, C.tobytes(), g.tobytes())) or _nnls(C, g))
+    saved = 0
+    for b, x, cfg in cases:
+        calls.clear()
+        got = fit(b, x, cfg)
+        made = list(calls)
+        assert len(set(made)) == len(made)
+        calls.clear()
+        want = _fit_every_certificate(b, x, cfg)
+        assert set(made) == set(calls)
+        saved += len(calls) - len(made)
+        for f in dataclasses.fields(want):
+            a, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(w, np.ndarray):
+                assert a.dtype == w.dtype and np.array_equal(a, w), f.name
+            else:
+                assert repr(a) == repr(w), f.name
+    assert len(cases) == 9 and saved > 0
 
 
 # ---------------------------------------------------------------------------

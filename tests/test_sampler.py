@@ -12,7 +12,8 @@ from isingfit.core import IsingSpec, _field_bounds, check_spins
 from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import (
     ExperimentConfig,
-    _make_raw,
+    _raw_edges,
+    _scatter,
     _true_beta,
     gen_blocks,
     gen_erdos_renyi_incidence,
@@ -385,7 +386,7 @@ def _test_05_chains(k, trials):
     for trial in range(trials):
         seed = trial_seed(cfg.seed, k, trial)
         rng = make_rng(seed)
-        raw = _make_raw(cfg, k, rng)
+        raw = [_scatter(cfg.n, e) for e in _raw_edges(cfg, k, rng)]
         J = sum(b * R for b, R in zip(_true_beta(cfg, k, rng), raw))
         if isf.infinity_norm(J) > cfg.M:
             J = J * (cfg.M / isf.infinity_norm(J))
@@ -445,6 +446,26 @@ def test_lazy_chain_decodes_only_the_chunks_it_reads(monkeypatch):
     _check_single_chain(spec, cfg, seed=seed)
     assert lazy == [True] and cfg.burn_in_sweeps * spec.n == 2 * _DRAW_CHUNK + 5632
     assert decoded == [5632]
+
+
+def test_lazy_chain_builds_only_the_rows_it_reads(monkeypatch):
+    # a test_05 k8 chain reads a fraction of its 128 rows; each row it
+    # built is the forward loop's (column, weight) tuple
+    rows = []
+    real = sampler_mod._lazy_chain
+
+    def kept(x, neighbours, *args):
+        rows.append(neighbours)
+        return real(x, neighbours, *args)
+
+    monkeypatch.setattr(sampler_mod, "_lazy_chain", kept)
+    spec, cfg, seed = next(_test_05_chains(8, 1))
+    _check_single_chain(spec, cfg, seed=seed)
+    (built,) = rows
+    assert 0 < len(built) < spec.n // 2
+    for s, row in built.items():
+        cols = np.flatnonzero(spec.J[s])
+        assert row == tuple(zip(cols.tolist(), spec.J[s, cols].tolist()))
 
 
 # The search keeps its state in plain lists and dicts: a chain that left

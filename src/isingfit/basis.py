@@ -56,11 +56,14 @@ class EdgeView:
                          + np.bincount(self.cols, a * xr, self.n)
                          for a in self.coef.T])
 
-    def dense(self):
-        """The (k, n, n) stack of A_1..A_k'."""
-        out = np.zeros((self.coef.shape[1], self.n, self.n))
-        out[:, self.rows, self.cols] = self.coef.T
-        out[:, self.cols, self.rows] = self.coef.T
+    def dense(self, values=None):
+        """The (j, n, n) symmetric matrices whose strictly-upper entries on
+        the edges are the columns of ``values`` (m, j), 0 elsewhere; by
+        default ``coef``, the stack of A_1..A_k'."""
+        values = self.coef if values is None else values
+        out = np.zeros((values.shape[1], self.n, self.n))
+        out[:, self.rows, self.cols] = values.T
+        out[:, self.cols, self.rows] = values.T
         return out
 
 
@@ -82,8 +85,10 @@ class MatrixBasis:
         """A_1..A_k' as dense n x n matrices."""
         return list(self.edges.dense())
 
-    def stacked(self):
-        return self.edges.dense()
+    def stacked(self, values=None):
+        """The (k, n, n) stack of A_1..A_k', or of the matrices with edge
+        values ``values`` (m, j) (see :meth:`EdgeView.dense`)."""
+        return self.edges.dense(values)
 
 
 def gram_schmidt(raw, rank_tol=1e-9):

@@ -191,12 +191,14 @@ def run_trial(cfg, k, trial):
     """One estimation cell: draw the raw family, orthonormalize it, scale
     J* to the budget, sample x, fit, and score the estimate.
 
-    The trial works on the union edges of the raw family.  J* is
-    u* = sum_s beta_s v_s there, summed left to right as a dense sum of
-    the raw matrices would be, and is scattered densely once, for its
-    infinity norm, the model and the returned ``J_star``.  beta* is
-    <J*, A_i>, gathered on the basis edges, and J* less its projection
-    onto the span is the residual r on the union edges, so
+    The trial works on the union edges of the raw family, which are the
+    basis edges: on each union edge the first member that has it is 1
+    there and every earlier A_i is 0, so that member is kept and its A_i
+    is nonzero there.  J* is u* = sum_s beta_s v_s on these edges, summed
+    left to right as a dense sum of the raw matrices would be, and the
+    basis scatters it densely once, for its infinity norm, the model and
+    the returned ``J_star``.  beta* is <J*, A_i>, gathered on the edges,
+    and J* less its projection onto the span is the residual r there, so
     ``frob_error`` = ||J_hat - J*||_F = sqrt(||beta_hat - beta*||^2 +
     2 ||r||^2) with no n x n work.  Returns (record, basis, J_star, fit
     result).
@@ -208,9 +210,7 @@ def run_trial(cfg, k, trial):
     basis = gram_schmidt_edges(n, rows, cols, values)
     beta_raw = _true_beta(cfg, k, rng)
     u_star = sum(b * v for b, v in zip(beta_raw, values))
-    J_star = np.zeros((n, n))
-    J_star[rows, cols] = u_star
-    J_star[cols, rows] = u_star
+    J_star = basis.stacked(u_star[:, None])[0]
     inf = infinity_norm(J_star)
     if inf > cfg.M and inf > 0:
         J_star *= cfg.M / inf
@@ -222,12 +222,9 @@ def run_trial(cfg, k, trial):
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
         sampler = "glauber"
-    ev = basis.edges
-    on_basis = np.searchsorted(rows * n + cols, ev.rows * n + ev.cols)
-    u_basis = u_star[on_basis]
-    beta_star = ev.coef.T @ (u_basis + u_basis)
-    residual = u_star.copy()
-    residual[on_basis] -= ev.coef @ beta_star
+    coef = basis.edges.coef
+    beta_star = coef.T @ (u_star + u_star)
+    residual = u_star - coef @ beta_star
     res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
                                    grad_tol=cfg.grad_tol))
     psi_star = psi(basis, beta_star, x)

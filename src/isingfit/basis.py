@@ -160,9 +160,16 @@ def gram_schmidt_edges(n, rows, cols, values, rank_tol=1e-9):
         change.append(coeffs)
     if not ortho:
         raise AllDegenerate("every input matrix is numerically zero")
+    # the kept edges from the contiguous vectors, not a pass over (m, k) coef,
+    # which stays C-ordered: an F-ordered coef changes the bits of coef @ beta
+    keep = ortho[0] != 0.0
+    for v in ortho[1:]:
+        keep |= v != 0.0
     coef = np.stack(ortho, axis=1)
-    keep = np.any(coef != 0.0, axis=1)
-    edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
+    if keep.all():
+        edges = EdgeView(n, rows.copy(), cols.copy(), coef)
+    else:
+        edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
     return MatrixBasis(edges, np.array(change))
 
 

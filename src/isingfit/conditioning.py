@@ -52,7 +52,7 @@ class SubsetCover:
 def _members(rows, cols, ell, n):
     """CSR membership matrix from memberships in row-major order."""
     # imported here, not at module level: only covers need scipy.sparse, and
-    # loading it costs every other ``import isingfit`` ~20 ms and ~1.5 MB
+    # loading it (with scipy._lib._array_api) costs ~0.2 s and ~20 MB
     from scipy import sparse
 
     indptr = np.zeros(ell + 1, dtype=np.int64)

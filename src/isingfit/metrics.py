@@ -11,13 +11,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import _field_bounds
 from .errors import DimensionMismatch, DimensionTooLarge
 from .sampler import _linear_sums, enumerate_distribution
 
 DIVERGENCE_LIMIT = 18
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) for a finite 1-D float64 array, bit for bit as
+    ``scipy.special.logsumexp`` (scipy 1.17) computes it.
+
+    The m entries equal to the maximum are taken out of the sum, which is
+    then log1p(s / m) + log(m) + max, with s the sum of exp(a - max) over
+    the rest (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).  Not
+    for infinite, NaN or multi-dimensional input.
+    """
+    top = a.max()
+    tied = a == top
+    m = np.float64(np.count_nonzero(tied))
+    rest = np.where(tied, -np.inf, a)
+    s = np.sum(np.exp(np.subtract(rest, top, out=rest), out=rest))
+    # scipy skips s / m when s == 0, which only matters for m == 0; here m >= 1
+    return np.log1p(s / m) + np.log(m) + top
 
 
 @dataclass(frozen=True)
@@ -42,7 +59,7 @@ def tv_chi_exact(P, Q):
     lq = np.subtract(dq.log_weights, dq.log_partition + Q.n * math.log(2.0), out=work)
     lq *= 2.0
     lp = np.subtract(dp.log_weights, dp.log_partition + P.n * math.log(2.0))
-    chi = float(np.expm1(logsumexp(np.subtract(lq, lp, out=lq))))
+    chi = float(np.expm1(_logsumexp(np.subtract(lq, lp, out=lq))))
     chi = max(chi, 0.0)
     return DivergenceReport(tv, chi, tv <= math.sqrt(chi / 2.0) + 1e-12)
 

@@ -9,8 +9,10 @@ from isingfit.basis import (
     EdgeView,
     MatrixBasis,
     combine,
+    edge_union,
     gram_matrix,
     gram_schmidt,
+    gram_schmidt_edges,
     min_singular_value,
     project,
 )
@@ -62,6 +64,25 @@ def test_duplicate_matrix_dropped():
     J = edge_matrix(4, [(0, 1), (2, 3)])
     b = gram_schmidt([J, J.copy()])
     assert b.k == 1
+
+
+def test_edge_held_only_by_a_dropped_member_is_left_out():
+    J1 = edge_matrix(4, [(0, 1), (2, 3)])
+    E = edge_matrix(4, [(0, 2)])
+    b = gram_schmidt([J1, J1 + 1e-12 * E])
+    assert b.k == 1
+    assert b.edges.rows.tolist() == [0, 2] and b.edges.cols.tolist() == [1, 3]
+    assert b.edges.coef.flags.c_contiguous
+    assert np.array_equal(b.ortho[0], J1 / 2.0)
+
+
+def test_edges_do_not_alias_the_callers_arrays():
+    n = 12
+    raw = gen_erdos_renyi_incidence(n, 3, 0.3, make_rng(5))
+    rows, cols, values = edge_union(n, [interaction_edges(J) for J in raw])
+    ev = gram_schmidt_edges(n, rows, cols, values).edges
+    assert ev.rows.size == rows.size and ev.coef.flags.c_contiguous
+    assert not np.shares_memory(ev.rows, rows) and not np.shares_memory(ev.cols, cols)
 
 
 def test_gram_matrix_is_identity():

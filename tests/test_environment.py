@@ -1,5 +1,7 @@
 import ctypes
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,3 +31,36 @@ def test_blas_is_pinned_to_one_thread():
     if threads is None:
         pytest.skip("numpy does not bundle OpenBLAS here")
     assert threads == 1
+
+
+def test_estimation_path_does_not_import_scipy():
+    # scipy.special costs ~0.2 s and ~18 MB to import; only covers need scipy
+    code = (
+        "import sys, numpy as np\n"
+        "import isingfit, isingfit.cli\n"
+        "from isingfit import (IsingSpec, build_cover, fit_scalar, gram_schmidt,\n"
+        "                      linear_variance_exact, log_partition, project,\n"
+        "                      tv_chi_exact, verify_cover)\n"
+        "from isingfit.experiments import ExperimentConfig, gen_matchings, run_trial\n"
+        "from isingfit.mple import grad_beta, psi\n"
+        "for n, sampler in ((8, 'exact'), (24, 'glauber')):\n"
+        "    rec = run_trial(ExperimentConfig(n=n, k_grid=(2,), glauber_sweeps=5), 2, 0)[0]\n"
+        "    assert rec.sampler == sampler and not rec.error, rec\n"
+        "raw = gen_matchings(6, 2)\n"
+        "b = gram_schmidt(raw)\n"
+        "beta, x = np.array([0.3, -0.2]), np.array([1.0, -1, 1, 1, -1, 1])\n"
+        "project(b, raw[0]), psi(b, beta, x), grad_beta(b, beta, x)\n"
+        "P = IsingSpec.zero_field(0.3 * raw[0])\n"
+        "Q = IsingSpec.zero_field(0.2 * raw[1])\n"
+        "fit_scalar(raw[0], x, 0.5), log_partition(P), tv_chi_exact(P, Q)\n"
+        "linear_variance_exact(P, x)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "assert verify_cover(raw[0], build_cover(raw[0], 0.5, seed=1)).ok\n"
+        "assert 'scipy.sparse' in sys.modules\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

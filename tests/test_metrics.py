@@ -8,6 +8,7 @@ from isingfit.conditioning import build_cover
 from isingfit.core import IsingSpec
 from isingfit.errors import DimensionMismatch, DimensionTooLarge
 from isingfit.metrics import (
+    _logsumexp,
     conditional_variance_floor,
     linear_variance_exact,
     tv_chi_exact,
@@ -52,6 +53,20 @@ def _tv_chi_oracle(P, Q):
     lq = dq.log_weights - (dq.log_partition + Q.n * math.log(2.0))
     chi = float(np.expm1(logsumexp(2.0 * lq - lp)))
     return tv, max(chi, 0.0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 1000, 2 ** 16, 2 ** 18])
+def test_logsumexp_matches_scipy_bitwise(length):
+    rng = make_rng(length)
+    for scale in (1e-3, 1.0, 30.0, 700.0):
+        for shift in (0.0, 1e5, -1e5):
+            for ties in (1, 2, 3):
+                a = rng.normal(size=length) * scale + shift
+                a[rng.choice(length, min(ties, length), replace=False)] = a.max()
+                want = logsumexp(a)
+                assert _logsumexp(a) == want, (scale, shift, ties)
+    a = np.full(length, -2.5)
+    assert _logsumexp(a) == logsumexp(a)
 
 
 @pytest.mark.parametrize("with_field", [False, True])

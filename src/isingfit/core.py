@@ -196,11 +196,22 @@ def matrix_to_json(J):
 
 
 def matrix_from_json(obj):
+    """Inverse of ``matrix_to_json``: each entry [i, j, value] has integer
+    indices 0 <= i < j < n and names its pair once; ValueError names the
+    first entry that does not."""
     n = int(obj["n"])
     J = np.zeros((n, n))
-    for i, j, v in obj["entries"]:
+    seen = set()
+    for entry in obj["entries"]:
+        i, j, v = entry
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                   for t in (i, j)):
+            raise ValueError(f"entry {entry!r}: indices must be integers")
         if not (0 <= i < j < n):
             raise ValueError(f"entry ({i},{j}) is not strictly upper triangular")
+        if (i, j) in seen:
+            raise ValueError(f"entry {entry!r}: pair ({i},{j}) is listed twice")
+        seen.add((i, j))
         J[i, j] = v
         J[j, i] = v
     return validate_interaction(J)

@@ -59,3 +59,7 @@ class NormBudgetExceeded(IsingfitError):
 
 class TooManyGroups(IsingfitError):
     pass
+
+
+class InvalidBudget(IsingfitError):
+    """A norm budget M that is NaN, infinite or negative."""

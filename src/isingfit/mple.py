@@ -16,9 +16,12 @@ read off the edge-coordinate basis in O(m k), as each A_i is symmetric):
 for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
 Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for fit's
-budget cuts.  ``fit`` reports psi and ||A_beta||_inf at its estimate
-from the same fields and edge row sums, so it never forms an n x n
-matrix.
+budget cuts.  fit has one solver, Lawson and Hanson's non-negative least
+squares ``_nnls``: its certificate ``_kkt_residual`` is one projection
+onto the cone of the tight cuts, and its Newton step ``_newton_step`` is
+one least-distance program reduced to the same NNLS.  ``fit`` reports
+psi and ||A_beta||_inf at its estimate from the same fields and edge row
+sums, so it never forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .basis import combine  # noqa: F401 -- perfbench/tracing.py wraps mple.combine
 from .core import check_spins, validate_interaction
-from .errors import DimensionMismatch, IsingfitError, LengthMismatch
+from .errors import DimensionMismatch, InvalidBudget, IsingfitError, LengthMismatch
 
 DEFAULT_MAX_PROGRAMS = 1_000
 
@@ -123,11 +126,20 @@ def infnorm_subgradient(edges, u, row_sums=None):
     return edges.coef[e].T @ np.sign(u[e])
 
 
+def check_budget(M):
+    """Raise InvalidBudget unless the budget M is finite and >= 0."""
+    if not (math.isfinite(M) and M >= 0.0):
+        raise InvalidBudget(f"budget M must be finite and >= 0, got {M!r}")
+
+
 @dataclass
 class MpleConfig:
     M: float                   # the budget ||A_beta||_inf <= M
     max_programs: int = DEFAULT_MAX_PROGRAMS  # cap on fit's quadratic programs
     grad_tol: float = 0.0      # KKT residual target; 0 runs to the floating-point optimum
+
+    def __post_init__(self):
+        check_budget(self.M)
 
     def resolve(self, n, k):  # kept for perfbench/tracing.py, which unpacks (_, cap, _)
         return None, self.max_programs, None
@@ -155,43 +167,6 @@ _HALVINGS = 60
 _NNLS_RTOL = 2.0 ** -44
 
 
-def _active_set_qp(Q, q, G, h, tol):
-    """argmin 1/2 z'Qz + q'z subject to G z <= h, by a primal active-set
-    method from the feasible z = 0 (every row with h_i <= tol starts in the
-    working set).  Each equality-constrained step is the minimum-norm
-    solution of its KKT system, so Q and the working set may be singular.
-    The objective never increases, so a capped run still returns a point
-    no worse than 0."""
-    k = len(q)
-    z = np.zeros(k)
-    work = [i for i in range(len(h)) if h[i] <= tol]
-    for _ in range(4 * (k + len(h)) + 4):
-        A = G[work]
-        # the entries of np.block([[Q, A.T], [A, 0]]) at a sixth of its cost
-        K = np.zeros((k + len(work), k + len(work)))
-        K[:k, :k] = Q
-        K[:k, k:] = A.T
-        K[k:, :k] = A
-        rhs = np.concatenate([-(Q @ z + q), np.zeros(len(work))])
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        p, mu = sol[:k], sol[k:]
-        if np.linalg.norm(p) <= 1e-12 * (1.0 + np.linalg.norm(z)):
-            if not work or mu.min() >= -1e-12 * (1.0 + np.abs(mu).max()):
-                break
-            del work[int(np.argmin(mu))]
-            continue
-        Gp = G @ p
-        room = h - G @ z
-        alpha, block = 1.0, None
-        for i in np.flatnonzero(Gp > 0.0):
-            if i not in work and room[i] < alpha * Gp[i]:
-                alpha, block = max(room[i] / Gp[i], 0.0), int(i)
-        z = z + alpha * p
-        if block is not None:
-            work.append(block)
-    return z
-
-
 def _kkt_residual(g, C):
     """min over mu >= 0 of ||g + C' mu||: how far -g is from the cone of
     the rows of C (the norm of g when C has no rows)."""
@@ -208,16 +183,17 @@ def _nnls(C, g):
     cut j with the largest w_j = -c_j'(g + C' mu) above its rounding scale
     _NNLS_RTOL ||c_j|| (||g|| + sum_i mu_i ||c_i||) and takes the
     least-squares s = argmin ||g + C_P' s|| (minimum norm, so cuts in P
-    may be dependent); while some s_i < 0 it steps from mu towards s until
-    a coordinate of P reaches 0 and drops it (at least the first one, so
-    each inner step shrinks P).  A new point is kept only if it lowers the
-    residual in floating point; the point is a function of P, so no P
-    repeats and the method stops: with the KKT conditions of the
-    projection holding to rounding (no w_j above its tolerance), or where
-    rounding keeps a step from lowering the residual.  By Caratheodory's
-    theorem for cones the projection is reached on independent cuts; a
-    cut in the span of P has w_j = 0 up to rounding and stays out, so
-    p > k cuts, duplicated or dependent, need no special case."""
+    may be dependent; -c'g / ||c||^2 when P is one cut c); while some
+    s_i < 0 it steps from mu towards s until a coordinate of P reaches 0
+    and drops it (at least the first one, so each inner step shrinks P).
+    A new point is kept only if it lowers the residual in floating point;
+    the point is a function of P, so no P repeats and the method stops:
+    with the KKT conditions of the projection holding to rounding (no w_j
+    above its tolerance), or where rounding keeps a step from lowering the
+    residual.  By Caratheodory's theorem for cones the projection is
+    reached on independent cuts; a cut in the span of P has w_j = 0 up to
+    rounding and stays out, so p > k cuts, duplicated or dependent, need
+    no special case."""
     q = C @ g
     mu = np.zeros(len(q))
     if not len(q) or q.min() >= 0.0:
@@ -225,8 +201,8 @@ def _nnls(C, g):
     if len(q) == 1:
         mu[0] = -q[0] / (C[0] @ C[0])
         return mu
-    norms = np.linalg.norm(C, axis=1)
-    gnorm = float(np.linalg.norm(g))
+    norms = np.sqrt((C * C).sum(axis=1))
+    gnorm = math.sqrt(g @ g)
     passive = []
     value = gnorm * gnorm  # ||g + C' mu||^2
     w = -q
@@ -239,7 +215,11 @@ def _nnls(C, g):
         P = passive + [j]
         m = mu[P]
         while True:
-            s = np.linalg.lstsq(C[P].T, -g, rcond=None)[0]
+            if len(P) == 1:
+                c = C[P[0]]
+                s = np.array([-(c @ g) / (c @ c)])
+            else:
+                s = np.linalg.lstsq(C[P].T, -g, rcond=None)[0]
             if s.min() >= 0.0:
                 break
             neg = np.flatnonzero(s < 0.0)
@@ -262,35 +242,89 @@ def _nnls(C, g):
         w = -(C @ r)
 
 
+# eigenvalues of the Newton Hessian are raised to this fraction of the
+# largest; the floor moves a step on a singular Hessian by about its own
+# size, and at 1e-12 the rounding it amplifies broke cuts on such programs
+_EIG_FLOOR = 1e-10
+
+
+def _whitening(H):
+    """W = V diag(max(lam, _EIG_FLOOR lam_max))^-1/2 from H = V diag(lam) V',
+    so W W' ~ H^-1, and W = 0 for a zero H (every sech^2 of the fields
+    underflowed), which gives no step.  Hv = 0 gives Bx'v = 0, so fit's
+    gradient is orthogonal to the null space of H and the floor leaves the
+    minimum-norm step there; fit stops on the KKT residual of the true
+    problem, so the floor only shapes the step."""
+    lam, V = np.linalg.eigh(H)
+    if not lam[-1] > 0.0:
+        return np.zeros_like(H)
+    return V / np.sqrt(np.maximum(lam, _EIG_FLOOR * lam[-1]))
+
+
+def _newton_step(W, g, C, slack):
+    """argmin 1/2 d'Hd + g'd subject to C d <= max(slack, 0), given the
+    whitening W = _whitening(H), by Lawson and Hanson's reduction to a
+    least-distance program (ch. 23) and one _nnls.
+
+    d = W(z - a) with a = W'g turns the program into min ||z|| subject to
+    E z <= b, E = C W, b = max(slack, 0) + E a.  z = 0 (the Newton step
+    -W a) when b >= 0; otherwise z = s r[:k] / ||r||^2 with r the residual
+    of the NNLS over the rows [-E_i, -b_i / s] towards -e_(k+1).  The unit
+    s = sqrt(max_i(-b_i / ||E_i||) ||a||) lies between bounds on ||z||, so
+    ||z|| / s is neither too small for the NNLS to see nor so large that
+    r cancels.  z - a cancels when d is short against the Newton step, so
+    one least-squares correction puts d back on the cuts with mu_i > 0."""
+    a = g @ W
+    if len(C):
+        E = C @ W
+        h = np.maximum(slack, 0.0)
+        b = h + E @ a
+        out = b < 0.0
+        if out.any():
+            s = math.sqrt(np.max(-b[out] / np.sqrt((E[out] ** 2).sum(axis=1)))
+                          * math.sqrt(a @ a))
+            rows = -np.column_stack([E, b / s])
+            target = np.zeros(len(a) + 1)
+            target[-1] = -1.0
+            mu = _nnls(rows, target)
+            r = target + mu @ rows
+            d = W @ (s * r[:-1] / (r @ r) - a)
+            P = mu > 0.0
+            return d - W @ np.linalg.lstsq(E[P], C[P] @ d - h[P], rcond=None)[0]
+    return -(W @ a)
+
+
 def fit(basis, x, cfg):
     """The budgeted maximum pseudo-likelihood estimate: argmin psi(beta)
     subject to ||A_beta||_inf <= M, by a damped Newton method from the
     feasible beta = 0.
 
     With f = beta @ Bx (Bx = (A_i x)_i formed once), each step solves the
-    Newton quadratic program min_d 1/2 d'Hd + g'd, with g the gradient
-    kernel and H = curvature_at_fields(Bx, f) (k x k), subject to the cuts
-    c'(beta + d) <= M found so far, then backtracks (Armijo) on psi.  A
-    trial point beta + d outside the budget adds the cut
+    Newton program min_d 1/2 d'Hd + g'd, with g the gradient kernel and
+    H = curvature_at_fields(Bx, f) (k x k), subject to the cuts
+    c'(beta + d) <= M found so far (``_newton_step``: at most one NNLS,
+    on the whitening of H, one eigh per iterate), then backtracks (Armijo)
+    on psi.  A trial point beta + d outside the budget adds the cut
     c = infnorm_subgradient at that point and the program is solved again
-    from the same beta.  c is a subgradient of a norm, so
-    c'beta' <= ||A_beta'||_inf for every beta': each cut holds on the
-    whole budget, the iterates never leave it and psi never increases.  A
-    trial point within relative 1e-9 above M is scaled onto the budget
+    from the same beta, with the same whitening.  c is a subgradient of a
+    norm, so c'beta' <= ||A_beta'||_inf for every beta': each cut holds on
+    the whole budget, the iterates never leave it and psi never increases.
+    A trial point within relative 1e-9 above M is scaled onto the budget
     instead, and a cut is never added twice.
 
     ``kkt_residual`` is min over mu >= 0 of ||g + sum_i mu_i c_i|| over the
-    cuts tight at beta, an exact non-negative least-squares projection
-    (``_nnls``), so each step solves one quadratic program; it is solved
-    again only when beta or the set of tight cuts changes.  Tight cuts
-    are subgradients of the budget, so by convexity
+    cuts tight at beta, the NNLS projection ``_kkt_residual``; it is
+    solved again only when beta or the set of tight cuts changes.  Tight
+    cuts are subgradients of the budget, so by convexity
     psi(beta) - min psi <= kkt_residual * ||beta - beta*|| (up to
     sum_i mu_i times the 1e-9 M tightness tolerance), and
-    ||beta||_2 = ||A_beta||_F <= sqrt(n) M on the budget.  ``stop_reason``
-    is "kkt" once the residual is <= cfg.grad_tol (with grad_tol = 0: once
-    no step decreases psi in floating point), "stalled" when no step
-    decreases psi while the residual is still above grad_tol > 0, and
-    "iter_cap" after cfg.max_programs quadratic programs.
+    ||beta||_2 = ||A_beta||_F <= sqrt(n) M on the budget.  The stop is
+    judged on this residual of the true problem, whatever the step's
+    eigenvalue floor did.  ``stop_reason`` is "kkt" once the residual is
+    <= cfg.grad_tol (with grad_tol = 0: once no step decreases psi in
+    floating point), "stalled" when no step decreases psi while the
+    residual is still above grad_tol > 0, and "iter_cap" after
+    cfg.max_programs programs.
 
     ``psi_hat`` is psi at the last iterate, ``objective_trace[-1]``, and
     ``inf_norm_hat`` is ||A_beta_hat||_inf from the edge row sums that the
@@ -309,6 +343,7 @@ def fit(basis, x, cfg):
     stop_reason = "iter_cap"
     it = 0
     g = gradient_at_fields(Bx, f, x)
+    W = _whitening(curvature_at_fields(Bx, f))
     certified = None  # the tight cuts that residual was computed over, at beta
     while True:
         slack = M - cuts @ beta
@@ -324,8 +359,7 @@ def fit(basis, x, cfg):
         if it >= cfg.max_programs:
             break
         it += 1
-        d = _active_set_qp(curvature_at_fields(Bx, f), g, cuts, slack,
-                           _BALL_RTOL * M)
+        d = _newton_step(W, g, cuts, slack)
         trial = beta + d
         u = edges.coef @ trial
         row_sums = edges.row_abs_sums(u)
@@ -342,7 +376,7 @@ def fit(basis, x, cfg):
             stop_reason = "kkt" if cfg.grad_tol == 0 else "stalled"
             break
         beta, f, value = step
-        g = gradient_at_fields(Bx, f, x)
+        g, W = gradient_at_fields(Bx, f, x), _whitening(curvature_at_fields(Bx, f))
         certified = None
         trace.append(value)
 

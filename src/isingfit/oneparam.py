@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_spins, validate_interaction
-from .mple import directional_derivative, gradient_at_fields
+from .mple import check_budget, directional_derivative, gradient_at_fields
 
 
 def _prep(J, x):
@@ -49,8 +49,10 @@ def fit_scalar(J, x, M, tol=1e-10):
 
     Returns the boundary point (flagged) when phi' keeps one sign on the
     whole interval; a zero Jx yields the degenerate result beta_hat = 0
-    with an infinite certificate.
+    with an infinite certificate.  An M that is NaN, infinite or negative
+    raises InvalidBudget.
     """
+    check_budget(M)
     f, x = _prep(J, x)
     if not np.any(f):
         return ScalarFitResult(0.0, 0.0, 0.0, math.inf, (-M, M),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,29 @@ def test_matrix_json_round_trip(tmp_path):
     isf.core.save_matrix(path, spec.J)
     back = isf.core.load_matrix(path)
     assert np.allclose(back, spec.J)
+
+
+# numpy would index with 1.5 (IndexError) or True (a boolean mask, then an
+# AsymmetryError), and a repeated pair would silently keep its last value:
+# each is refused with the entry named.
+@pytest.mark.parametrize("entries,needle", [
+    ([[0, 1.5, 0.2]], "[0, 1.5, 0.2]"),
+    ([[0, True, 0.2]], "[0, True, 0.2]"),
+    ([[0.0, 1, 0.2]], "[0.0, 1, 0.2]"),
+    ([["0", 1, 0.2]], "['0', 1, 0.2]"),
+    ([[0, 1, 0.2], [1, 2, 0.1], [0, 1, 0.3]], "[0, 1, 0.3]"),
+])
+def test_matrix_json_rejects_bad_entries(entries, needle):
+    with pytest.raises(ValueError) as info:
+        isf.core.matrix_from_json({"n": 3, "entries": entries})
+    assert needle in str(info.value)
+
+
+def test_matrix_json_reads_json_text():
+    obj = json.loads('{"n": 3, "entries": [[0, 2, 0.25], [1, 2, -0.5]]}')
+    J = isf.core.matrix_from_json(obj)
+    assert J[0, 2] == J[2, 0] == 0.25 and J[1, 2] == J[2, 1] == -0.5
+    assert np.count_nonzero(J) == 4
 
 
 def test_spin_json_round_trip(tmp_path):

@@ -10,16 +10,17 @@ import pytest
 
 from isingfit.basis import EdgeView, MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
-from isingfit.errors import DimensionMismatch, LengthMismatch, NonFinite
+from isingfit.errors import DimensionMismatch, InvalidBudget, LengthMismatch, NonFinite
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 import isingfit.mple as mple_mod
 from isingfit import experiments
 from isingfit.mple import (
     DEFAULT_MAX_PROGRAMS,
     MpleConfig,
-    _active_set_qp,
     _kkt_residual,
+    _newton_step,
     _nnls,
+    _whitening,
     directional_derivative,
     directional_second_derivative,
     fit,
@@ -272,6 +273,21 @@ def test_mple_config_has_three_settings():
     assert MpleConfig(M=0.5).max_programs == DEFAULT_MAX_PROGRAMS
 
 
+# NaN fails every comparison and a negative M has an empty budget ball, so
+# fit could neither hold nor certify such a budget: it is refused up front.
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_mple_config_rejects_a_budget_that_is_not_finite_and_non_negative(M):
+    with pytest.raises(InvalidBudget):
+        MpleConfig(M=M)
+
+
+def test_fit_at_a_zero_budget_returns_zero():
+    b = gram_schmidt(gen_matchings(8, 2))
+    res = fit(b, np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0]), MpleConfig(M=0))
+    assert not res.beta_hat.any() and res.inf_norm_hat == 0.0
+    assert res.stop_reason == "kkt"
+
+
 @pytest.mark.parametrize("kind", ["blocks", "erdos_renyi"])
 @pytest.mark.parametrize("M", [0.05, 0.5, 2.0])
 def test_fit_reports_from_its_own_loop(kind, M):
@@ -309,8 +325,8 @@ def test_fit_solves_one_program_per_step(monkeypatch):
     rng = make_rng(41)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
     calls, tight = [], []
-    monkeypatch.setattr(mple_mod, "_active_set_qp",
-                        lambda *a: calls.append(1) or _active_set_qp(*a))
+    monkeypatch.setattr(mple_mod, "_newton_step",
+                        lambda *a: calls.append(1) or _newton_step(*a))
     monkeypatch.setattr(mple_mod, "_nnls",
                         lambda C, g: tight.append(len(C)) or _nnls(C, g))
     b = gram_schmidt(random_family(10, 3, seed=40))
@@ -345,7 +361,8 @@ def _fit_every_certificate(basis, x, cfg):
         if it >= cfg.max_programs:
             break
         it += 1
-        d = _active_set_qp(mple_mod.curvature_at_fields(Bx, f), g, cuts, slack, tol * M)
+        W = _whitening(mple_mod.curvature_at_fields(Bx, f))
+        d = _newton_step(W, g, cuts, slack)
         trial = beta + d
         u = edges.coef @ trial
         row_sums = edges.row_abs_sums(u)
@@ -415,12 +432,50 @@ def test_fit_keeps_its_certificate_with_the_same_bits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the certificate as fit computed it before _nnls, one general
-# active-set program with every cut in its starting working set.  Its
+# Oracle: the general active-set program that fit ran for its Newton step
+# (and, before _nnls, for its certificate), kept verbatim.  Its
 # stationarity test is absolute (a step norm of at most 1e-12), so with
 # Cg in the thousands its rounded steps never reach it and it returns
 # mu ~ 0; it is compared at the scale of fit's cuts and gradients, and
-# _nnls is held to its own optimality conditions at every scale.
+# _nnls and _newton_step are held to their own optimality conditions at
+# every scale.
+
+
+def _active_set_qp(Q, q, G, h, tol):
+    """argmin 1/2 z'Qz + q'z subject to G z <= h, by a primal active-set
+    method from the feasible z = 0 (every row with h_i <= tol starts in the
+    working set).  Each equality-constrained step is the minimum-norm
+    solution of its KKT system, so Q and the working set may be singular.
+    The objective never increases, so a capped run still returns a point
+    no worse than 0."""
+    k = len(q)
+    z = np.zeros(k)
+    work = [i for i in range(len(h)) if h[i] <= tol]
+    for _ in range(4 * (k + len(h)) + 4):
+        A = G[work]
+        # the entries of np.block([[Q, A.T], [A, 0]]) at a sixth of its cost
+        K = np.zeros((k + len(work), k + len(work)))
+        K[:k, :k] = Q
+        K[:k, k:] = A.T
+        K[k:, :k] = A
+        rhs = np.concatenate([-(Q @ z + q), np.zeros(len(work))])
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        p, mu = sol[:k], sol[k:]
+        if np.linalg.norm(p) <= 1e-12 * (1.0 + np.linalg.norm(z)):
+            if not work or mu.min() >= -1e-12 * (1.0 + np.abs(mu).max()):
+                break
+            del work[int(np.argmin(mu))]
+            continue
+        Gp = G @ p
+        room = h - G @ z
+        alpha, block = 1.0, None
+        for i in np.flatnonzero(Gp > 0.0):
+            if i not in work and room[i] < alpha * Gp[i]:
+                alpha, block = max(room[i] / Gp[i], 0.0), int(i)
+        z = z + alpha * p
+        if block is not None:
+            work.append(block)
+    return z
 
 
 def _qp_residual(g, C):
@@ -498,6 +553,98 @@ def test_nnls_meets_its_optimality_conditions(scale):
         assert np.all(np.abs(w[mu > 0.0]) <= tol[mu > 0.0]), (case, len(C), len(g))
         if case == "inside":
             assert got <= 1e-11 * (np.linalg.norm(g) + norms @ mu)
+
+
+def _random_programs(seed, scale):
+    """(H, g, C, slack, singular, case) over k = 1..8 dimensions and 0..8
+    cuts, with H, g, C and slack all times ``scale``: a positive definite
+    H, or a singular H = BB' with g in its range (as fit's gradient is in
+    the range of its Hessian); generic, duplicated and dependent cuts;
+    every slack zero or every slack positive."""
+    rng = make_rng(seed)
+    for k in range(1, 9):
+        for p in range(9):
+            for singular in (False, True):
+                if singular and k == 1:
+                    continue
+                B = rng.normal(size=(k, k - 1 if singular else k + 2))
+                H = B @ B.T * scale
+                g = B @ rng.normal(size=B.shape[1]) * scale
+                C = rng.normal(size=(p, k)) * rng.uniform(0.3, 3.0, size=(p, 1)) * scale
+                cases = [("generic", C)]
+                if p >= 2:
+                    D = C.copy()
+                    D[-1] = D[0]
+                    cases.append(("duplicate", D))
+                if p >= 3:
+                    D = C.copy()
+                    D[-1] = rng.uniform(0.0, 2.0) * D[0] - rng.uniform(0.0, 2.0) * D[1]
+                    cases.append(("dependent", D))
+                for case, D in cases:
+                    yield H, g, D, np.zeros(p), singular, case
+                    yield H, g, D, rng.uniform(0.0, 1.0, size=p) * scale, singular, case
+
+
+def _check_step(H, g, C, slack, d, rtol, length):
+    """d is feasible and meets the KKT conditions of min 1/2 d'Hd + g'd
+    subject to C d <= max(slack, 0), each to rtol times the scale of its
+    terms, with ``length`` the scale of a step; returns the objective."""
+    h = np.maximum(slack, 0.0)
+    norms = np.linalg.norm(C, axis=1)
+    room = h - C @ d
+    assert np.all(room >= -rtol * (norms * length + h))
+    # mu >= 0 on the cuts active at d, the others at 0
+    active = room <= rtol * (norms * length + h)
+    grad = H @ d + g
+    mu = _nnls(C[active], grad)
+    scale = np.linalg.norm(H) * length + np.linalg.norm(g) + norms[active] @ mu
+    assert np.linalg.norm(grad + mu @ C[active]) <= rtol * scale
+    return 0.5 * d @ H @ d + g @ d
+
+
+# On a singular H the step is exact only up to the eigenvalue floor
+# (_EIG_FLOOR = 1e-10): the floor moves the step by about its own size, so
+# those programs are held to 1e-9 and the others to 1e-10.
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+def test_newton_step_solves_its_program(scale):
+    # the step is feasible, meets its KKT conditions and is no worse than
+    # the old active-set program wherever that one's point is feasible
+    seen = set()
+    for H, g, C, slack, singular, case in _random_programs(94, scale):
+        rtol = 1e-9 if singular else 1e-10
+        d = _newton_step(_whitening(H), g, C, slack)
+        z = _active_set_qp(H, g, C, np.maximum(slack, 0.0), 0.0)
+        newton = np.linalg.lstsq(H, -g, rcond=None)[0]
+        length = max(np.linalg.norm(d), np.linalg.norm(z), np.linalg.norm(newton))
+        got = _check_step(H, g, C, slack, d, rtol, length)
+        try:
+            want = _check_step(H, g, C, slack, z, rtol, length)
+        except AssertionError:  # the old program's point is not a solution
+            want = math.inf
+        tol = rtol * (np.linalg.norm(H) * length ** 2 + np.linalg.norm(g) * length)
+        assert got <= want + tol, (case, len(C), len(g))
+        seen.add((case, singular, bool(slack.any())))
+    assert seen == {(c, singular, s) for c in ("generic", "duplicate", "dependent")
+                    for singular in (False, True) for s in (False, True)}
+
+
+def test_newton_step_keeps_a_tight_cut_at_a_large_curvature():
+    # the Newton step -H^-1 g = -1e-12 (1, 1, 1, 1) breaks the tight cut
+    # -d_1 <= 0; an absolute stationarity test (the oracle's) takes it for
+    # the answer, the least-distance step keeps d_1 at 0
+    H, g = 1e8 * np.eye(4), np.full(4, 1e-4)
+    C, slack = -np.eye(4)[:1], np.zeros(1)
+    assert C[0] @ _active_set_qp(H, g, C, slack, 0.0) > 0.0
+    d = _newton_step(_whitening(H), g, C, slack)
+    _check_step(H, g, C, slack, d, 1e-10, 1e-12)
+    assert d == pytest.approx([0.0, -1e-12, -1e-12, -1e-12], abs=1e-24)
+
+
+def test_newton_step_is_zero_at_a_zero_hessian():
+    # every sech^2 of the fields underflows once |f_i| > ~355
+    W = _whitening(np.zeros((3, 3)))
+    for C in (np.zeros((0, 3)), -np.eye(3)[:1]):
+        assert not _newton_step(W, np.ones(3), C, np.zeros(len(C))).any()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import isingfit.oneparam as oneparam
 from isingfit.basis import gram_schmidt
 from isingfit.core import IsingSpec, infinity_norm, validate_interaction
-from isingfit.errors import DimensionMismatch
+from isingfit.errors import DimensionMismatch, InvalidBudget
 from isingfit.mple import MpleConfig, directional_second_derivative, fit, neg_log_pl
 from isingfit.oneparam import ScalarFitResult, fit_scalar, phi_prime
 from isingfit.sampler import (
@@ -321,3 +321,20 @@ def test_fit_scalar_matches_bisection_oracle(row_sum, j_seed, beta_star,
         assert (got.boundary, got.degenerate) == (want.boundary, want.degenerate)
         assert got.second_deriv_floor == want.second_deriv_floor
         assert got.certificate == pytest.approx(want.certificate, rel=1e-12)
+
+
+# A negative M would bracket [-M, M] backwards, and its "boundary" answer
+# would lie outside the budget.
+@pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf, -1.0])
+def test_fit_scalar_rejects_a_budget_that_is_not_finite_and_non_negative(M):
+    J = unit_inf_matrix(8, seed=1)
+    x = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(InvalidBudget):
+        fit_scalar(J, x, M)
+
+
+def test_fit_scalar_at_a_zero_budget_returns_zero():
+    J = unit_inf_matrix(8, seed=1)
+    x = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    res = fit_scalar(J, x, 0.0)
+    assert res.beta_hat == 0.0 and res.bracket == (0.0, 0.0)

@@ -5,11 +5,10 @@ The span of raw matrices J_1..J_k is equipped with the inner product
 the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
 coordinates: the values of A_1..A_k' on the union of the raw matrices'
 strictly-upper supports (``MatrixBasis.edges``), where
-<A, B> = 2 a.b for the edge values a, b, together with the change matrix
-that writes each A_i in the raw J's.  ``gram_schmidt_edges`` takes the
-raw family as edge lists; ``gram_schmidt`` reads each dense raw matrix
-once, through its support, keeps none of them and hands the edges to
-it.  ``project`` gathers from J on the edges.  ``ortho`` and
+<A, B> = 2 a.b for the edge values a, b.  ``gram_schmidt_edges`` takes
+the raw family as edge lists; ``gram_schmidt`` reads each dense raw
+matrix once, through its support, keeps none of them and hands the edges
+to it.  ``project`` gathers from J on the edges.  ``ortho`` and
 ``stacked()`` are dense n x n views scattered from the edges, for
 callers that need them.
 """
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, interaction_edges, trace_inner
+from .core import interaction_edges, trace_inner
 from .errors import (
     AllDegenerate,
     LengthMismatch,
@@ -70,7 +69,6 @@ class EdgeView:
 @dataclass(frozen=True)
 class MatrixBasis:
     edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
-    change: np.ndarray   # (k', k): each A_i as a combination of the raw J's
 
     @property
     def n(self):
@@ -91,7 +89,10 @@ class MatrixBasis:
         return self.edges.dense(values)
 
 
-def gram_schmidt(raw, rank_tol=1e-9):
+_RANK_TOL = 1e-9  # relative residual below which a raw matrix is dependent
+
+
+def gram_schmidt(raw):
     """Modified Gram-Schmidt under the trace inner product of dense raw
     matrices: each is validated on its own support
     (:func:`interaction_edges`), never copied densely, and its edges go to
@@ -103,7 +104,7 @@ def gram_schmidt(raw, rank_tol=1e-9):
     n = mats[0].shape[0]
     if any(J.shape != (n, n) for J in mats):
         raise ShapeMismatch("matrices in a family must share a dimension")
-    return gram_schmidt_edges(n, *edge_union(n, found), rank_tol)
+    return gram_schmidt_edges(n, *edge_union(n, found))
 
 
 def edge_union(n, family):
@@ -126,38 +127,31 @@ def edge_union(n, family):
     return rows, cols, values
 
 
-def gram_schmidt_edges(n, rows, cols, values, rank_tol=1e-9):
+def gram_schmidt_edges(n, rows, cols, values):
     """Modified Gram-Schmidt under the trace inner product, on a family's
     values over its union strictly-upper edges (:func:`edge_union`), where
     <A, B> = 2 a.b.
 
     One re-orthogonalization pass is applied to each vector.  Inputs whose
-    residual drops below rank_tol times their original Frobenius norm are
-    dropped (recorded via the change matrix having fewer rows), not an
+    residual drops below 1e-9 times their original Frobenius norm are
+    dropped (the basis then has fewer members than the family), not an
     error.  Each A_i is signed so that its first edge value above 1e-14 in
     magnitude is positive; edges where every A_i is 0 are left out.
     """
     ortho = []
-    change = []
-    for idx, v in enumerate(values):
+    for v in values:
         scale = math.sqrt(2.0 * (v @ v))
-        coeffs = np.zeros(len(values))
-        coeffs[idx] = 1.0
         for _ in range(2):  # MGS + one re-orthogonalization pass
-            for a, row in zip(ortho, change):
-                c = 2.0 * (v @ a)
-                v = v - c * a
-                coeffs = coeffs - c * row
+            for a in ortho:
+                v = v - 2.0 * (v @ a) * a
         r = math.sqrt(2.0 * (v @ v))
-        if scale == 0.0 or r <= rank_tol * scale:
+        if scale == 0.0 or r <= _RANK_TOL * scale:
             continue
         v = v / r
-        coeffs = coeffs / r
         nz = np.flatnonzero(np.abs(v) > 1e-14)
         if nz.size and v[nz[0]] < 0:
-            v, coeffs = -v, -coeffs
+            v = -v
         ortho.append(v)
-        change.append(coeffs)
     if not ortho:
         raise AllDegenerate("every input matrix is numerically zero")
     # the kept edges from the contiguous vectors, not a pass over (m, k) coef,
@@ -170,7 +164,7 @@ def gram_schmidt_edges(n, rows, cols, values, rank_tol=1e-9):
         edges = EdgeView(n, rows.copy(), cols.copy(), coef)
     else:
         edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
-    return MatrixBasis(edges, np.array(change))
+    return MatrixBasis(edges)
 
 
 def combine(basis, beta):
@@ -199,7 +193,7 @@ def project(basis, J):
     R = J.copy()
     R[ev.rows, ev.cols] -= u
     R[ev.cols, ev.rows] -= u
-    np.square(R, out=R)  # frobenius_norm(R) without a second n x n array
+    np.square(R, out=R)  # the Frobenius norm without a second n x n array
     return beta, float(np.sqrt(np.sum(R)))
 
 

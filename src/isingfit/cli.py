@@ -86,7 +86,7 @@ def cmd_fit(args):
 
 def cmd_cover(args):
     J = load_matrix(args.model)
-    cover = conditioning.build_cover(J, args.eta, seed=args.seed,
+    cover = conditioning.build_cover(J, args.eta, rng=sampler.make_rng(args.seed),
                                      max_retries=args.max_retries)
     report = conditioning.verify_cover(J, cover)
     _write(args.out, {

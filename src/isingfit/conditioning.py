@@ -76,14 +76,14 @@ def cover_size(n, eta_prime):
     return max(1, math.ceil(32.0 * math.log(4.0) * math.log(n) / eta_prime ** 2))
 
 
-def build_cover(J, eta, rng=None, max_retries=64, seed=0):
+def build_cover(J, eta, rng=None, max_retries=64):
     """Draw a cover by the probabilistic construction.
 
     Each candidate set takes coordinates independently with probability
     eta'/2, prunes coordinates whose within-set row sum of |J|/M exceeds
     eta', and the whole family is redrawn until every coordinate is in at
     least target_count sets, then trimmed (from the lowest-index sets) to
-    exact counts.
+    exact counts.  The draws come from ``rng``, by default ``make_rng(0)``.
     """
     J = validate_interaction(J)
     n = J.shape[0]
@@ -95,7 +95,7 @@ def build_cover(J, eta, rng=None, max_retries=64, seed=0):
     if not 0 < eta <= M:
         raise InvalidEta(f"need 0 < eta <= M={M:g}, got {eta:g}")
     if rng is None:
-        rng = make_rng(seed)
+        rng = make_rng(0)
     eta_prime = eta / M
     ell = cover_size(n, eta_prime)
     target = math.ceil(eta_prime * ell / 8.0)
@@ -108,8 +108,10 @@ def build_cover(J, eta, rng=None, max_retries=64, seed=0):
         counts = np.bincount(cols, minlength=n)
         if np.all(counts >= target):
             # drop each over-covered coordinate from its lowest-index sets:
-            # rank each membership among its column's, in set order
-            order = np.argsort(cols, kind="stable")
+            # rank each membership among its column's, in set order; the
+            # stable sort of the smallest type that holds every coordinate is
+            # a radix sort up to 16 bits, with the order of the int64 sort
+            order = np.argsort(cols.astype(np.min_scalar_type(n - 1)), kind="stable")
             rank = np.empty_like(order)
             rank[order] = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
             keep = rank >= (counts - target)[cols]

@@ -30,7 +30,10 @@ def _as_square(J):
     return J
 
 
-def _check_interaction(asym, diag, tol):
+_SYM_TOL = 1e-12  # asymmetry and diagonal averaged or zeroed away
+
+
+def _check_interaction(asym, diag):
     """Raise on the worst |J_ij - J_ji| and |J_ii| of a square matrix.
 
     Every non-finite entry makes its own J_ij - J_ji non-finite, so a
@@ -38,41 +41,41 @@ def _check_interaction(asym, diag, tol):
     """
     if not math.isfinite(asym):
         raise NonFinite("interaction matrix has a NaN or infinite entry")
-    if asym > tol:
-        raise AsymmetryError(f"max |J_ij - J_ji| = {asym:g} exceeds tol {tol:g}")
-    if diag > tol:
-        raise DiagonalError(f"max |J_ii| = {diag:g} exceeds tol {tol:g}")
+    if asym > _SYM_TOL:
+        raise AsymmetryError(f"max |J_ij - J_ji| = {asym:g} exceeds tol {_SYM_TOL:g}")
+    if diag > _SYM_TOL:
+        raise DiagonalError(f"max |J_ii| = {diag:g} exceeds tol {_SYM_TOL:g}")
 
 
-def validate_interaction(J, tol=1e-12):
+def validate_interaction(J):
     """Validate and canonicalize an interaction matrix.
 
-    Small asymmetries (at most ``tol``) are averaged out; diagonal entries
-    at most ``tol`` in magnitude are zeroed.  Anything larger, and any NaN
+    Small asymmetries (at most 1e-12) are averaged out; diagonal entries
+    at most 1e-12 in magnitude are zeroed.  Anything larger, and any NaN
     or infinite entry, raises.
     """
     J = _as_square(J)
     with np.errstate(invalid="ignore"):  # inf - inf; reported as NonFinite
         asym = np.max(np.abs(J - J.T)) if J.size else 0.0
     d = np.max(np.abs(np.diag(J))) if J.size else 0.0
-    _check_interaction(asym, d, tol)
+    _check_interaction(asym, d)
     out = 0.5 * (J + J.T)
     np.fill_diagonal(out, 0.0)
     out.flags.writeable = False
     return out
 
 
-def interaction_edges(J, tol=1e-12):
+def interaction_edges(J):
     """Validate an interaction matrix on its support and return its edges.
 
     Applies the rules, errors and messages of :func:`validate_interaction`
     but reads J only through one ``J != 0`` scan and gathers on that
     support.  Returns ``(rows, cols, values)``: the nonzero strictly-upper
-    entries of ``validate_interaction(J, tol)``, in row-major order.
+    entries of ``validate_interaction(J)``, in row-major order.
 
     The scan yields each nonzero upper entry once, already in row-major
     order; a lower entry adds its pair only when the upper mirror is 0
-    (possible within ``tol`` asymmetry), and one stable sort puts those few
+    (possible within 1e-12 asymmetry), and one stable sort puts those few
     in place.  Each value is 0.5 * (J_ij + J_ji) from the two gathers the
     validation makes, so no pair is deduplicated or gathered again.
     """
@@ -85,7 +88,7 @@ def interaction_edges(J, tol=1e-12):
         asym = np.max(np.abs(v - t)) if v.size else 0.0
     on_diag = r == c
     d = np.max(np.abs(v[on_diag])) if on_diag.any() else 0.0
-    _check_interaction(asym, d, tol)
+    _check_interaction(asym, d)
     lower_only = (r > c) & (t == 0.0)
     pick = (r < c) | lower_only
     # No np.unique: on numpy >= 2.3 it hashes, then sorts (0.9 ms for the

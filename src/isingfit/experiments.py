@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,11 +247,7 @@ def run_trial(cfg, k, trial):
     return rec, basis, J_star, res
 
 
-_CSV_FIELDS = [
-    "generator", "n", "k", "trial", "seed", "frob_error", "beta_error",
-    "psi_gap", "psi_hat", "psi_star", "inf_norm_hat", "iterations",
-    "sampler", "error",
-]
+_CSV_FIELDS = [f.name for f in fields(TrialRecord)]
 
 
 def run_sweep(cfg, out_dir=None, save_instances=False):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _field_bounds, check_spins
+from .core import _field_bounds
 from .errors import DimensionTooLarge
 
 ENUMERATION_LIMIT = 22
@@ -153,21 +153,19 @@ def default_burn_in(spec):
 class GlauberConfig:
     burn_in_sweeps: int
     seed: int = 0
-    init: str = "uniform_random"  # uniform_random | all_plus | provided
 
     def __post_init__(self):
         if self.burn_in_sweeps < 1:
             raise ValueError("burn_in_sweeps must be >= 1")
-        if self.init not in ("uniform_random", "all_plus", "provided"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
-def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
+def glauber_sample_many(spec, count, cfg, rng=None):
     """Run ``count`` independent random-scan heat-bath chains.
 
-    Each chain performs burn_in_sweeps * n single-site updates: pick a
-    uniform site, resample it from its conditional.  Returns a
-    (count, n) int matrix of final states.
+    Each chain starts from uniformly random spins and performs
+    burn_in_sweeps * n single-site updates: pick a uniform site, resample
+    it from its conditional.  Returns a (count, n) int matrix of final
+    states.
 
     With ``count > 1``, n <= 14 and at least 4 * (n * 2^n + 2048)
     updates (steps * count), each chain is held as its configuration
@@ -213,14 +211,7 @@ def glauber_sample_many(spec, count, cfg, rng=None, init_state=None):
     if rng is None:
         rng = make_rng(cfg.seed)
     n = spec.n
-    if cfg.init == "all_plus":
-        X = np.ones((count, n))
-    elif cfg.init == "provided":
-        if init_state is None:
-            raise ValueError("init='provided' needs init_state")
-        X = np.tile(check_spins(init_state, n), (count, 1))
-    else:
-        X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
+    X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
     steps = cfg.burn_in_sweeps * n
     if count == 1:
         _single_chain(spec, X[0], rng, steps)
@@ -635,9 +626,9 @@ def _planned_draws(rng, n, chunk):
     return draws
 
 
-def glauber_sample(spec, cfg, rng=None, init_state=None):
+def glauber_sample(spec, cfg, rng=None):
     """Single Glauber draw; see glauber_sample_many."""
-    return glauber_sample_many(spec, 1, cfg, rng=rng, init_state=init_state)[0]
+    return glauber_sample_many(spec, 1, cfg, rng=rng)[0]
 
 
 def empirical_distribution(samples, n):

@@ -24,14 +24,14 @@ def random_J(n, M, seed):
 def test_cover_invariants_hold():
     for M in (0.5, 2.0):
         J = random_J(60, M, seed=int(M * 10))
-        cover = build_cover(J, 0.5 * min(1.0, M), seed=1)
+        cover = build_cover(J, 0.5 * min(1.0, M), rng=make_rng(1))
         report = verify_cover(J, cover)
         assert report.ok, (report.count_violations, report.row_sum_violations)
 
 
 def test_cover_membership_counts_exact():
     J = random_J(40, 1.5, seed=2)
-    cover = build_cover(J, 0.5, seed=3)
+    cover = build_cover(J, 0.5, rng=make_rng(3))
     counts = np.zeros(40, dtype=int)
     for I in cover.sets:
         counts[I] += 1
@@ -41,7 +41,7 @@ def test_cover_membership_counts_exact():
 def test_cover_row_sums_within_eta():
     J = random_J(50, 2.0, seed=4)
     eta = 0.5
-    cover = build_cover(J, eta, seed=5)
+    cover = build_cover(J, eta, rng=make_rng(5))
     for I in cover.sets:
         if len(I) == 0:
             continue
@@ -52,7 +52,7 @@ def test_cover_row_sums_within_eta():
 def test_restricted_models_satisfy_dobrushin():
     J = random_J(30, 2.0, seed=6)
     eta = 0.5  # below 1, so conditionals are high-temperature
-    cover = build_cover(J, eta, seed=7)
+    cover = build_cover(J, eta, rng=make_rng(7))
     spec = IsingSpec.zero_field(J)
     rng = make_rng(8)
     # the trim empties most low-index sets; walk the first 20 non-empty ones
@@ -84,7 +84,7 @@ def test_invalid_eta():
 
 def test_verify_cover_detects_membership_violation():
     J = random_J(30, 1.0, seed=12)
-    cover = build_cover(J, 0.5, seed=13)
+    cover = build_cover(J, 0.5, rng=make_rng(13))
     B = cover.members.toarray()
     j = np.flatnonzero(B.any(axis=1))[0]
     victim = int(np.flatnonzero(B[j])[0])
@@ -98,14 +98,14 @@ def test_verify_cover_detects_membership_violation():
 def test_best_subset_guarantee_uniform():
     J = random_J(40, 1.0, seed=14)
     eta = 0.5
-    cover = build_cover(J, eta, seed=15)
+    cover = build_cover(J, eta, rng=make_rng(15))
     j, mass = best_subset_for_weights(cover, np.ones(40))
     assert mass >= (eta / (8 * cover.M)) * 40 - 1e-9
 
 
 def test_best_subset_single_coordinate():
     J = random_J(20, 1.0, seed=16)
-    cover = build_cover(J, 0.5, seed=17)
+    cover = build_cover(J, 0.5, rng=make_rng(17))
     theta = np.zeros(20)
     theta[7] = 3.0
     j, mass = best_subset_for_weights(cover, theta)
@@ -116,7 +116,7 @@ def test_best_subset_single_coordinate():
 def test_best_subset_random_weights_exhaustive():
     J = random_J(100, 1.0, seed=18)
     eta = 0.5
-    cover = build_cover(J, eta, seed=19)
+    cover = build_cover(J, eta, rng=make_rng(19))
     rng = make_rng(20)
     for _ in range(20):
         theta = rng.random(100)
@@ -128,7 +128,7 @@ def test_best_subset_random_weights_exhaustive():
 
 def test_best_subset_rejects_negative_weights():
     J = random_J(10, 1.0, seed=21)
-    cover = build_cover(J, 0.5, seed=22)
+    cover = build_cover(J, 0.5, rng=make_rng(22))
     with pytest.raises(NegativeWeight):
         best_subset_for_weights(cover, -np.ones(10))
 
@@ -136,7 +136,7 @@ def test_best_subset_rejects_negative_weights():
 def test_averaging_identity():
     # (1/ell) sum_j sum_{i in I_j} theta_i == (target/ell) * sum theta
     J = random_J(30, 1.0, seed=23)
-    cover = build_cover(J, 0.5, seed=24)
+    cover = build_cover(J, 0.5, rng=make_rng(24))
     rng = make_rng(25)
     theta = rng.random(30)
     total = sum(theta[I].sum() for I in cover.sets) / cover.ell
@@ -150,7 +150,7 @@ def test_single_draw_success_rate():
     ok = 0
     for seed in range(200):
         try:
-            build_cover(J, 0.5, seed=seed, max_retries=1)
+            build_cover(J, 0.5, rng=make_rng(seed), max_retries=1)
             ok += 1
         except RetryExhausted:  # an unlucky draw; any other error is a bug
             pass
@@ -159,7 +159,7 @@ def test_single_draw_success_rate():
 
 def test_best_subset_rejects_wrong_length():
     J = random_J(20, 1.0, seed=27)
-    cover = build_cover(J, 0.5, seed=28)
+    cover = build_cover(J, 0.5, rng=make_rng(28))
     for length in (25, 10):
         with pytest.raises(DimensionMismatch):
             best_subset_for_weights(cover, np.ones(length))
@@ -167,7 +167,7 @@ def test_best_subset_rejects_wrong_length():
 
 def test_sets_are_read_only_views_of_members():
     J = random_J(40, 1.0, seed=29)
-    cover = build_cover(J, 0.5, seed=30)
+    cover = build_cover(J, 0.5, rng=make_rng(30))
     sets = cover.sets
     B = cover.members.toarray()
     assert len(sets) == cover.ell == B.shape[0]
@@ -308,7 +308,7 @@ def test_cover_matches_list_oracle_on_integer_weights():
 def test_verify_cover_reports_row_sum_violations():
     J = random_J(30, 2.0, seed=33)
     eta = 0.5
-    cover = build_cover(J, eta, seed=34)
+    cover = build_cover(J, eta, rng=make_rng(34))
     B = cover.members.toarray()
     # add coordinate i to set j where its within-set |J| sum would exceed eta
     S = B @ np.abs(J)

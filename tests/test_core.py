@@ -27,24 +27,24 @@ def random_spec(n, M, seed, with_field=False):
 
 
 def test_validate_zero_matrix():
-    out = isf.validate_interaction(np.zeros((2, 2)), tol=1e-12)
+    out = isf.validate_interaction(np.zeros((2, 2)))
     assert np.all(out == 0)
 
 
 def test_validate_symmetric_ok():
     J = np.array([[0, 0.3], [0.3, 0]])
-    out = isf.validate_interaction(J, tol=1e-12)
+    out = isf.validate_interaction(J)
     assert np.array_equal(out, J)
 
 
 def test_validate_asymmetric_raises():
     with pytest.raises(AsymmetryError):
-        isf.validate_interaction(np.array([[0, 0.3], [0.2, 0]]), tol=1e-12)
+        isf.validate_interaction(np.array([[0, 0.3], [0.2, 0]]))
 
 
 def test_validate_bad_diagonal_raises():
     with pytest.raises(DiagonalError):
-        isf.validate_interaction(np.array([[0.5, 0.3], [0.3, 0]]), tol=1e-12)
+        isf.validate_interaction(np.array([[0.5, 0.3], [0.3, 0]]))
 
 
 def test_validate_enforces_exact_symmetry():
@@ -52,7 +52,7 @@ def test_validate_enforces_exact_symmetry():
     J = rng.normal(size=(6, 6)) * 1e-14
     J = J + J.T + rng.normal(size=(6, 6)) * 1e-15
     np.fill_diagonal(J, 1e-14)
-    out = isf.validate_interaction(J, tol=1e-12)
+    out = isf.validate_interaction(J)
     assert np.array_equal(out, out.T)
     assert np.all(np.diag(out) == 0.0)
 

@@ -39,8 +39,8 @@ def test_estimation_path_does_not_import_scipy():
         "import sys, numpy as np\n"
         "import isingfit, isingfit.cli\n"
         "from isingfit import (IsingSpec, build_cover, fit_scalar, gram_schmidt,\n"
-        "                      linear_variance_exact, log_partition, project,\n"
-        "                      tv_chi_exact, verify_cover)\n"
+        "                      linear_variance_exact, log_partition, make_rng,\n"
+        "                      project, tv_chi_exact, verify_cover)\n"
         "from isingfit.experiments import ExperimentConfig, gen_matchings, run_trial\n"
         "from isingfit.mple import grad_beta, psi\n"
         "for n, sampler in ((8, 'exact'), (24, 'glauber')):\n"
@@ -56,7 +56,7 @@ def test_estimation_path_does_not_import_scipy():
         "linear_variance_exact(P, x)\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
-        "assert verify_cover(raw[0], build_cover(raw[0], 0.5, seed=1)).ok\n"
+        "assert verify_cover(raw[0], build_cover(raw[0], 0.5, rng=make_rng(1))).ok\n"
         "assert 'scipy.sparse' in sys.modules\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

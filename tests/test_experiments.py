@@ -280,7 +280,7 @@ def test_gram_schmidt_is_the_edge_entry_on_dense_input(kind):
         want = gram_schmidt(dense_gen(n, k, make_rng(k)))
         got = gram_schmidt_edges(n, *edge_union(n, edge_gen(n, k, make_rng(k))))
         for a, b in ((got.edges.rows, want.edges.rows), (got.edges.cols, want.edges.cols),
-                     (got.edges.coef, want.edges.coef), (got.change, want.change)):
+                     (got.edges.coef, want.edges.coef)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -343,7 +343,6 @@ def test_run_trial_matches_dense_oracle(generator, shuffle):
             assert np.array_equal(J_star, want_J)
             for a, b in ((basis.edges.rows, want_basis.edges.rows),
                          (basis.edges.coef, want_basis.edges.coef),
-                         (basis.change, want_basis.change),
                          (res.beta_hat, want_res.beta_hat),
                          (res.objective_trace, want_res.objective_trace)):
                 assert np.array_equal(a, b)

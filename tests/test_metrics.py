@@ -199,7 +199,7 @@ def conditional_mean_zero_check(spec, cover, A, assignments=10, rng=None):
 
 def test_conditional_mean_zero_exact():
     spec = random_spec(10, 1.5, seed=14)
-    cover = build_cover(spec.J, 0.5, seed=15)
+    cover = build_cover(spec.J, 0.5, rng=make_rng(15))
     A = random_spec(10, 1.0, seed=16).J
     worst = conditional_mean_zero_check(spec, cover, A, assignments=5)
     assert worst <= 1e-10
@@ -207,7 +207,7 @@ def test_conditional_mean_zero_exact():
 
 def test_conditional_mean_zero_trivial_direction():
     spec = random_spec(8, 1.0, seed=17)
-    cover = build_cover(spec.J, 0.5, seed=18)
+    cover = build_cover(spec.J, 0.5, rng=make_rng(18))
     worst = conditional_mean_zero_check(spec, cover, np.zeros((8, 8)),
                                         assignments=3)
     assert worst == 0.0
@@ -215,7 +215,7 @@ def test_conditional_mean_zero_trivial_direction():
 
 def test_conditional_mean_zero_many_assignments():
     spec = random_spec(10, 2.0, seed=19, with_field=True)
-    cover = build_cover(spec.J, 0.6, seed=20)
+    cover = build_cover(spec.J, 0.6, rng=make_rng(20))
     worst = conditional_mean_zero_check(spec, cover, random_spec(10, 1.0, 21).J,
                                         assignments=50, rng=make_rng(22))
     assert worst <= 1e-10

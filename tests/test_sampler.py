@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 import isingfit as isf
 import isingfit.sampler as sampler_mod
-from isingfit.core import IsingSpec, _field_bounds, check_spins
+from isingfit.core import IsingSpec, _field_bounds
 from isingfit.errors import DimensionTooLarge
 from isingfit.experiments import (
     ExperimentConfig,
@@ -235,8 +235,6 @@ def test_glauber_chain_probabilities_interior():
 def test_glauber_config_validation():
     with pytest.raises(ValueError):
         GlauberConfig(0)
-    with pytest.raises(ValueError):
-        GlauberConfig(10, init="bogus")
 
 
 def test_glauber_deterministic_given_seed():
@@ -254,18 +252,11 @@ def test_glauber_deterministic_given_seed():
 # fixed to 1, the update loop verbatim).
 
 
-def _vectorised_glauber(spec, count, cfg, rng=None, init_state=None):
+def _vectorised_glauber(spec, count, cfg, rng=None):
     if rng is None:
         rng = make_rng(cfg.seed)
     n = spec.n
-    if cfg.init == "all_plus":
-        X = np.ones((count, n))
-    elif cfg.init == "provided":
-        if init_state is None:
-            raise ValueError("init='provided' needs init_state")
-        X = np.tile(check_spins(init_state, n), (count, 1))
-    else:
-        X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
+    X = 1.0 - 2.0 * rng.integers(0, 2, size=(count, n)).astype(np.float64)
     steps = cfg.burn_in_sweeps * n
     rows = np.arange(count)
     for _ in range(steps):
@@ -276,18 +267,11 @@ def _vectorised_glauber(spec, count, cfg, rng=None, init_state=None):
     return X.astype(np.int64)
 
 
-def _scalar_glauber(spec, cfg, rng=None, init_state=None):
+def _scalar_glauber(spec, cfg, rng=None):
     if rng is None:
         rng = make_rng(cfg.seed)
     n = spec.n
-    if cfg.init == "all_plus":
-        X = np.ones((1, n))
-    elif cfg.init == "provided":
-        if init_state is None:
-            raise ValueError("init='provided' needs init_state")
-        X = np.tile(check_spins(init_state, n), (1, 1))
-    else:
-        X = 1.0 - 2.0 * rng.integers(0, 2, size=(1, n)).astype(np.float64)
+    X = 1.0 - 2.0 * rng.integers(0, 2, size=(1, n)).astype(np.float64)
     steps = cfg.burn_in_sweeps * n
     J, h, x = spec.J, spec.h, X[0]
     for _ in range(steps):
@@ -346,14 +330,14 @@ def _count_paths(monkeypatch):
     return lazy
 
 
-def _check_single_chain(spec, cfg, init_state=None, buffered=False, seed=56):
+def _check_single_chain(spec, cfg, buffered=False, seed=56):
     """Spins and the next draw of glauber_sample_many against the scalar oracle."""
     rng_a, rng_b = make_rng(seed), make_rng(seed)
     if buffered:
         rng_a.integers(0, spec.n)
         rng_b.integers(0, spec.n)
-    got = glauber_sample_many(spec, 1, cfg, rng_a, init_state=init_state)
-    want = _scalar_glauber(spec, cfg, rng_b, init_state=init_state)
+    got = glauber_sample_many(spec, 1, cfg, rng_a)
+    want = _scalar_glauber(spec, cfg, rng_b)
     case = (spec.n, spec.M, cfg, buffered)
     assert got.dtype == want.dtype and np.array_equal(got, want), case
     assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
@@ -361,21 +345,18 @@ def _check_single_chain(spec, cfg, init_state=None, buffered=False, seed=56):
 
 
 @pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
-@pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
-def test_single_chain_matches_vectorised_oracle(kind, init, with_field, monkeypatch):
+def test_single_chain_matches_vectorised_oracle(kind, with_field, monkeypatch):
     lazy = _count_paths(monkeypatch)
     for (n, sweeps, buffered), M in itertools.product(_CHAIN_CASES, _CHAIN_NORMS):
         spec = _with_lone_sites(_model(kind, n, with_field, M))
-        cfg = GlauberConfig(sweeps, seed=54, init=init)
-        start = 1 - 2 * make_rng(55).integers(0, 2, size=n) if init == "provided" else None
-        want = _check_single_chain(spec, cfg, start, buffered)
+        cfg = GlauberConfig(sweeps, seed=54)
+        want = _check_single_chain(spec, cfg, buffered)
         if (n, sweeps, buffered) == _CHAIN_CASES[0]:
-            assert np.array_equal(want, _vectorised_glauber(spec, 1, cfg, make_rng(56),
-                                                            init_state=start))
+            assert np.array_equal(want, _vectorised_glauber(spec, 1, cfg, make_rng(56)))
             # without an explicit generator both seed one from cfg.seed
-            assert np.array_equal(glauber_sample_many(spec, 1, cfg, init_state=start),
-                                  _scalar_glauber(spec, cfg, init_state=start))
+            assert np.array_equal(glauber_sample_many(spec, 1, cfg),
+                                  _scalar_glauber(spec, cfg))
     assert set(lazy) == {False, True}
 
 
@@ -502,15 +483,14 @@ def test_lazy_chain_follows_long_dependency_runs(coupling, monkeypatch):
 # A lazy chain of three full chunks and a last one of 448 steps, whose
 # search reads past the last chunk's start into the chunk before it; and,
 # with _LAZY_COST = 0, a chain of one sweep, where about a third of the
-# sites are never updated and read their provided initial spins.
+# sites are never updated and read their initial spins.
 def test_lazy_chain_crosses_windows(monkeypatch):
     lazy = _count_paths(monkeypatch)
     spec = _model("matchings", 64, True, 0.5, k=4)
     sweeps = 3 * _DRAW_CHUNK // 64 + 7
-    _check_single_chain(spec, GlauberConfig(sweeps, seed=71, init="all_plus"))
+    _check_single_chain(spec, GlauberConfig(sweeps, seed=71))
     monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
-    start = 1 - 2 * make_rng(55).integers(0, 2, size=64)
-    _check_single_chain(spec, GlauberConfig(1, seed=71, init="provided"), start)
+    _check_single_chain(spec, GlauberConfig(1, seed=71))
     assert lazy == [True, True]
 
 
@@ -567,10 +547,10 @@ def _count_tables(monkeypatch):
     return built
 
 
-def _check_multi_chain(spec, count, cfg, init_state=None):
+def _check_multi_chain(spec, count, cfg):
     rng_a, rng_b = make_rng(60), make_rng(60)
-    got = glauber_sample_many(spec, count, cfg, rng_a, init_state=init_state)
-    want = _vectorised_glauber(spec, count, cfg, rng_b, init_state=init_state)
+    got = glauber_sample_many(spec, count, cfg, rng_a)
+    want = _vectorised_glauber(spec, count, cfg, rng_b)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
@@ -587,18 +567,16 @@ def _table_work(n):
 # chains, exactly at its bound) and the einsum branch one sweep below; n
 # above the size cap keeps the einsum step.
 @pytest.mark.parametrize("count", [2, 7, 64])
-@pytest.mark.parametrize("init", ["uniform_random", "all_plus", "provided"])
 @pytest.mark.parametrize("with_field", [False, True])
-def test_multi_chain_matches_vectorised_oracle(count, init, with_field, monkeypatch):
+def test_multi_chain_matches_vectorised_oracle(count, with_field, monkeypatch):
     built = _count_tables(monkeypatch)
     fewest = -(-_table_work(8) // (8 * count))
     for n, sweeps, tabled in [(8, fewest, True), (8, fewest - 1, False),
                               (_TABLE_MAX_N + 1, 2, False)]:
         spec = _model("erdos_renyi", n, with_field)
-        cfg = GlauberConfig(sweeps, seed=58, init=init)
-        start = 1 - 2 * make_rng(59).integers(0, 2, size=n) if init == "provided" else None
+        cfg = GlauberConfig(sweeps, seed=58)
         built.clear()
-        _check_multi_chain(spec, count, cfg, init_state=start)
+        _check_multi_chain(spec, count, cfg)
         assert built == ([n] if tabled else []), (n, sweeps)
 
 

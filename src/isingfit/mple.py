@@ -17,11 +17,13 @@ for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
 Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for fit's
 budget cuts.  fit has one solver, Lawson and Hanson's non-negative least
-squares ``_nnls``: its certificate ``_kkt_residual`` is one projection
-onto the cone of the tight cuts, and its Newton step ``_newton_step`` is
-one least-distance program reduced to the same NNLS.  ``fit`` reports
-psi and ||A_beta||_inf at its estimate from the same fields and edge row
-sums, so it never forms an n x n matrix.
+squares ``_nnls``, started warm from the rows that its right-hand side
+breaks: its certificate ``_kkt_residual`` is one projection onto the
+cone of the tight cuts, and its Newton step ``_newton_step`` is one
+least-distance program reduced to the same NNLS, whose warm start is the
+set of cuts the Newton step breaks.  ``fit`` reports psi and
+||A_beta||_inf at its estimate from the same fields and edge row sums,
+so it never forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -179,15 +181,26 @@ def _nnls(C, g):
     (Solving Least Squares Problems, 1974, ch. 23).
 
     mu = 0 when q = Cg >= 0, and -q / ||c||^2 for a single row c with
-    q < 0.  Otherwise each outer step moves into the passive set P the
-    cut j with the largest w_j = -c_j'(g + C' mu) above its rounding scale
-    _NNLS_RTOL ||c_j|| (||g|| + sum_i mu_i ||c_i||) and takes the
-    least-squares s = argmin ||g + C_P' s|| (minimum norm, so cuts in P
-    may be dependent; -c'g / ||c||^2 when P is one cut c); while some
-    s_i < 0 it steps from mu towards s until a coordinate of P reaches 0
-    and drops it (at least the first one, so each inner step shrinks P).
-    A new point is kept only if it lowers the residual in floating point;
-    the point is a function of P, so no P repeats and the method stops:
+    q < 0.  Otherwise the method starts warm, as the fast NNLS of Bro and
+    De Jong (J. Chemometrics, 1997) and Van Benthem and Keenan (ibid.,
+    2004) do: on the rows that g breaks, P = {j : q_j < 0}, it takes the
+    least squares s = argmin ||g + C_P' s||, and while some s_i <= 0 (and
+    two or more rows remain) it drops those rows and solves again.  The
+    positive point it reaches is kept if it lowers the residual.  For
+    fit's step these rows are the cuts that the Newton step breaks, and
+    for its certificate the tight cuts that oppose the gradient; they are
+    usually the answer, which then costs one least squares instead of one
+    per cut.  From there, or from mu = 0, each outer step moves into the
+    passive set P the cut j with the largest w_j = -c_j'(g + C' mu) above
+    its rounding scale _NNLS_RTOL ||c_j|| (||g|| + sum_i mu_i ||c_i||)
+    and takes the least squares s on P (minimum norm, so cuts in P may be
+    dependent; -c'g / ||c||^2 when P is one cut c); while some s_i < 0 it
+    steps from mu towards s until a coordinate of P reaches 0 and drops it
+    (at least the first one, so each inner step shrinks P).  The loop
+    needs only a start mu >= 0, and the warm point is one.  A new point,
+    the warm one included, is kept only if it lowers the residual in
+    floating point; the point is a function of P, so no P repeats and the
+    method stops:
     with the KKT conditions of the projection holding to rounding (no w_j
     above its tolerance), or where rounding keeps a step from lowering the
     residual.  By Caratheodory's theorem for cones the projection is
@@ -206,6 +219,18 @@ def _nnls(C, g):
     passive = []
     value = gnorm * gnorm  # ||g + C' mu||^2
     w = -q
+    P = np.flatnonzero(q < 0.0).tolist()
+    while len(P) > 1:
+        s = np.linalg.lstsq(C[P].T, -g, rcond=None)[0]
+        if s.min() > 0.0:
+            trial = np.zeros(len(q))
+            trial[P] = s
+            r = g + trial @ C
+            trial_value = float(r @ r)
+            if trial_value < value:
+                mu, passive, value, w = trial, P, trial_value, -(C @ r)
+            break
+        P = [i for i, si in zip(P, s.tolist()) if si > 0.0]
     while True:
         room = w - _NNLS_RTOL * norms * (gnorm + norms @ mu)
         room[passive] = -1.0

@@ -17,6 +17,7 @@ from isingfit import experiments
 from isingfit.mple import (
     DEFAULT_MAX_PROGRAMS,
     MpleConfig,
+    _NNLS_RTOL,
     _kkt_residual,
     _newton_step,
     _nnls,
@@ -520,6 +521,91 @@ def _check_certificate(g, C, case):
     return mu, got
 
 
+# ---------------------------------------------------------------------------
+# Oracle: _nnls as it was before its warm start, kept verbatim: Lawson and
+# Hanson's method from the empty passive set, which enters the cuts one at
+# a time and solves one least squares per entering cut.
+
+
+def _cold_nnls(C, g):
+    """A minimizer mu >= 0 of ||g + C' mu||, the projection of -g onto the
+    cone of the rows of C, by Lawson and Hanson's active-set method
+    (Solving Least Squares Problems, 1974, ch. 23).
+
+    mu = 0 when q = Cg >= 0, and -q / ||c||^2 for a single row c with
+    q < 0.  Otherwise each outer step moves into the passive set P the
+    cut j with the largest w_j = -c_j'(g + C' mu) above its rounding scale
+    _NNLS_RTOL ||c_j|| (||g|| + sum_i mu_i ||c_i||) and takes the
+    least-squares s = argmin ||g + C_P' s|| (minimum norm, so cuts in P
+    may be dependent; -c'g / ||c||^2 when P is one cut c); while some
+    s_i < 0 it steps from mu towards s until a coordinate of P reaches 0
+    and drops it (at least the first one, so each inner step shrinks P).
+    A new point is kept only if it lowers the residual in floating point;
+    the point is a function of P, so no P repeats and the method stops:
+    with the KKT conditions of the projection holding to rounding (no w_j
+    above its tolerance), or where rounding keeps a step from lowering the
+    residual.  By Caratheodory's theorem for cones the projection is
+    reached on independent cuts; a cut in the span of P has w_j = 0 up to
+    rounding and stays out, so p > k cuts, duplicated or dependent, need
+    no special case."""
+    q = C @ g
+    mu = np.zeros(len(q))
+    if not len(q) or q.min() >= 0.0:
+        return mu
+    if len(q) == 1:
+        mu[0] = -q[0] / (C[0] @ C[0])
+        return mu
+    norms = np.sqrt((C * C).sum(axis=1))
+    gnorm = math.sqrt(g @ g)
+    passive = []
+    value = gnorm * gnorm  # ||g + C' mu||^2
+    w = -q
+    while True:
+        room = w - _NNLS_RTOL * norms * (gnorm + norms @ mu)
+        room[passive] = -1.0
+        j = int(np.argmax(room))
+        if not room[j] > 0.0:
+            return mu
+        P = passive + [j]
+        m = mu[P]
+        while True:
+            if len(P) == 1:
+                c = C[P[0]]
+                s = np.array([-(c @ g) / (c @ c)])
+            else:
+                s = np.linalg.lstsq(C[P].T, -g, rcond=None)[0]
+            if s.min() >= 0.0:
+                break
+            neg = np.flatnonzero(s < 0.0)
+            ratios = m[neg] / (m[neg] - s[neg])
+            first = int(np.argmin(ratios))
+            m = m + ratios[first] * (s - m)
+            keep = m > 0.0
+            keep[neg[first]] = False
+            P = [i for i, kept in zip(P, keep.tolist()) if kept]
+            m = m[keep]
+            if not P:
+                return mu
+        trial = np.zeros(len(q))
+        trial[P] = s
+        r = g + trial @ C
+        trial_value = float(r @ r)
+        if not trial_value < value:
+            return mu
+        mu, passive, value = trial, P, trial_value
+        w = -(C @ r)
+
+
+def _check_warm_against_cold(g, C, case):
+    """The warm _nnls reaches the cold start's residual ||g + C' mu|| to
+    1e-12 of the scale ||g|| + sum_i mu_i ||c_i|| of both solutions."""
+    warm, cold = _nnls(C, g), _cold_nnls(C, g)
+    got = np.linalg.norm(g + warm @ C)
+    want = np.linalg.norm(g + cold @ C)
+    scale = np.linalg.norm(g) + np.linalg.norm(C, axis=1) @ np.maximum(warm, cold)
+    assert np.all(warm >= 0.0) and abs(got - want) <= 1e-12 * scale, (case, len(C), len(g))
+
+
 # With no entering tolerance a cut in the span of the passive set can
 # enter on a w_j that is rounding alone, without lowering the residual:
 # then only _nnls's residual test stops it.
@@ -546,6 +632,7 @@ def test_kkt_residual_matches_qp_oracle(seed, rtol, monkeypatch):
 def test_nnls_meets_its_optimality_conditions(scale):
     for g, C, case in _random_cones(93, scale):
         mu, got = _check_certificate(g, C, case)
+        _check_warm_against_cold(g, C, case)
         norms = np.linalg.norm(C, axis=1)
         w = -(C @ (g + mu @ C))
         tol = 1e-11 * norms * (np.linalg.norm(g) + norms @ mu)
@@ -553,6 +640,83 @@ def test_nnls_meets_its_optimality_conditions(scale):
         assert np.all(np.abs(w[mu > 0.0]) <= tol[mu > 0.0]), (case, len(C), len(g))
         if case == "inside":
             assert got <= 1e-11 * (np.linalg.norm(g) + norms @ mu)
+
+
+def test_warm_nnls_reaches_the_cold_residual_on_trial_programs(monkeypatch):
+    # every certificate and step program that run_trial hands _nnls on
+    # matchings (k = 8), ER (k = 8) and blocks (k = 4) at n = 128
+    programs = []
+    monkeypatch.setattr(mple_mod, "_nnls",
+                        lambda C, g: programs.append((C, g)) or _nnls(C, g))
+    for generator, k, trials in (("matchings", 8, 3), ("erdos_renyi_incidence", 8, 2),
+                                 ("blocks", 4, 2)):
+        cfg = experiments.ExperimentConfig(generator=generator, n=128, k_grid=(k,),
+                                           seed=61, max_iters=30_000, grad_tol=1e-4)
+        for trial in range(trials):
+            experiments.run_trial(cfg, k, trial)
+    for C, g in programs:
+        _check_warm_against_cold(g, C, "trial")
+    # the warm start runs: some programs start with two or more broken rows
+    assert sum((C @ g < 0.0).sum() >= 2 for C, g in programs) >= 10
+
+
+def _count_lstsq(monkeypatch):
+    """Record the solution of every np.linalg.lstsq call from here on."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        out = lstsq(*args, **kwargs)
+        calls.append(out[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_warm_nnls_drops_a_negative_coordinate(monkeypatch):
+    # g breaks both rows, but the least squares on both puts -0.28 on the
+    # second; it is dropped and the first alone gives mu = (1, 0)
+    C = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [math.sqrt(2.0)]])
+    g = np.array([-1.0, 0.2])
+    calls = _count_lstsq(monkeypatch)
+    mu = _nnls(C, g)
+    assert len(calls) == 1 and calls[0][1] < 0.0
+    assert np.array_equal(mu, [1.0, 0.0])
+    assert np.array_equal(_cold_nnls(C, g), mu)
+    # g = (-1, -1, -1, 1) breaks all four rows; the least squares on them is
+    # (2, 2, 2, -2), and the second one, on the three rows kept, is the
+    # answer mu = (1, 1, 1, 0): two solves, where entering those three rows
+    # one at a time would take three
+    C = np.vstack([np.eye(4)[:3], np.full(4, 0.5)])
+    g = np.array([-1.0, -1.0, -1.0, 1.0])
+    calls.clear()
+    mu = _nnls(C, g)
+    assert len(calls) == 2 and calls[0] == pytest.approx([2.0, 2.0, 2.0, -2.0])
+    assert mu == pytest.approx([1.0, 1.0, 1.0, 0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_warm_nnls_solves_once_when_the_broken_rows_are_the_answer(p, monkeypatch):
+    # on orthogonal rows the projection's passive set is exactly the rows
+    # that g breaks: the warm start solves one least squares (none for a
+    # single broken row), where the cold start solved one per entering cut
+    # after the first
+    rng = make_rng(500 + p)
+    Q = np.linalg.qr(rng.normal(size=(8, 8)))[0][:p]
+    C = Q * rng.uniform(0.3, 3.0, size=(p, 1))
+    calls = _count_lstsq(monkeypatch)
+    for broken in range(1, p + 1):
+        sign = np.where(np.arange(p) < broken, -1.0, 1.0)
+        g = (sign * rng.uniform(0.5, 2.0, size=p)) @ Q + 0.1 * rng.normal(size=8)
+        assert np.array_equal(np.flatnonzero(C @ g < 0.0), np.arange(broken))
+        calls.clear()
+        mu = _nnls(C, g)
+        assert len(calls) == int(broken > 1)
+        assert np.array_equal(np.flatnonzero(mu), np.arange(broken))
+        calls.clear()
+        _cold_nnls(C, g)
+        assert len(calls) == broken - 1
 
 
 def _random_programs(seed, scale):

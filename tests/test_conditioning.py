@@ -6,6 +6,8 @@ import pytest
 from scipy import sparse
 
 from isingfit.conditioning import (
+    _indptr,
+    _set_sums,
     best_subset_for_weights,
     build_cover,
     cover_size,
@@ -19,6 +21,19 @@ from tests.test_core import random_spec, restrict
 
 def random_J(n, M, seed):
     return random_spec(n, M, seed).J
+
+
+def _dense(cover):
+    """The cover's (ell, n) 0/1 membership matrix."""
+    B = np.zeros((cover.ell, cover.n))
+    B[np.repeat(np.arange(cover.ell), np.diff(cover.indptr)), cover.indices] = 1.0
+    return B
+
+
+def _with_members(cover, B):
+    """``cover`` with its sets replaced by the rows of a 0/1 matrix B."""
+    rows, cols = np.nonzero(B)
+    return replace(cover, indptr=_indptr(rows, B.shape[0]), indices=cols)
 
 
 def test_cover_invariants_hold():
@@ -85,11 +100,11 @@ def test_invalid_eta():
 def test_verify_cover_detects_membership_violation():
     J = random_J(30, 1.0, seed=12)
     cover = build_cover(J, 0.5, rng=make_rng(13))
-    B = cover.members.toarray()
+    B = _dense(cover)
     j = np.flatnonzero(B.any(axis=1))[0]
     victim = int(np.flatnonzero(B[j])[0])
     B[j, victim] = 0.0
-    broken = replace(cover, members=sparse.csr_array(B))
+    broken = _with_members(cover, B)
     report = verify_cover(J, broken)
     assert not report.ok
     assert victim in report.count_violations
@@ -169,7 +184,7 @@ def test_sets_are_read_only_views_of_members():
     J = random_J(40, 1.0, seed=29)
     cover = build_cover(J, 0.5, rng=make_rng(30))
     sets = cover.sets
-    B = cover.members.toarray()
+    B = _dense(cover)
     assert len(sets) == cover.ell == B.shape[0]
     for I, row in zip(sets, B):
         assert np.array_equal(I, np.flatnonzero(row))
@@ -309,14 +324,98 @@ def test_verify_cover_reports_row_sum_violations():
     J = random_J(30, 2.0, seed=33)
     eta = 0.5
     cover = build_cover(J, eta, rng=make_rng(34))
-    B = cover.members.toarray()
+    B = _dense(cover)
     # add coordinate i to set j where its within-set |J| sum would exceed eta
     S = B @ np.abs(J)
     j, i = np.argwhere((B == 0) & (S > eta))[0]
     B[j, i] = 1.0
-    broken = replace(cover, members=sparse.csr_array(B))
+    broken = _with_members(cover, B)
     oracle = _ListCover([np.flatnonzero(row) for row in B], cover.eta, cover.M,
                         cover.target_count, cover.ell, cover.attempts)
     report = _assert_same_report(J, broken, oracle)
     assert not report.ok
     assert (j, i) in report.row_sum_violations
+
+
+def test_verify_cover_rejects_a_matrix_of_another_size():
+    J = random_J(30, 1.0, seed=35)
+    cover = build_cover(J, 0.5, rng=make_rng(36))
+    for size in (40, 20):
+        with pytest.raises(DimensionMismatch):
+            verify_cover(random_J(size, 1.0, seed=37), cover)
+
+
+# Oracle: scipy's CSR product with unit weights, as the covers computed their
+# sums when they were stored as scipy arrays.  For each set it adds the rows
+# V[l] of its members l one after another, in ascending l, from 0.0;
+# _set_sums must give the same bits.
+
+def _csr(indptr, indices, n):
+    return sparse.csr_array((np.ones(len(indices)), indices, indptr),
+                            shape=(len(indptr) - 1, n))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _assert_sums_match_scipy(indptr, indices, W, thetas):
+    n = W.shape[0]
+    members = _csr(indptr, indices, n)
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    expected = (members @ W)[rows, indices]
+    assert np.array_equal(_bits(_set_sums(indptr, indices, W)), _bits(expected))
+    for theta in thetas:
+        expected = members @ theta
+        assert np.array_equal(_bits(_set_sums(indptr, indices, theta)), _bits(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 200])
+@pytest.mark.parametrize("eta_prime", [0.125, 0.25, 0.5])
+def test_set_sums_match_scipy_bitwise(n, eta_prime):
+    J = random_J(n, 2.0, seed=40 + n)  # n = 1: no interactions, one full set
+    M = infinity_norm(J)
+    eta = eta_prime * M if M > 0 else 0.5
+    rng = make_rng(41)
+    thetas = [rng.random(n) for _ in range(3)] + [np.zeros(n)]
+    # the first draw of the build, before its prune, with |J|/M as weights
+    if M > 0:
+        ell = cover_size(n, eta_prime)
+        draw = make_rng(42).random((ell, n)) < eta_prime / 2.0
+        rows, cols = np.nonzero(draw)
+        _assert_sums_match_scipy(_indptr(rows, ell), cols, np.abs(J) / M, thetas)
+    # the trimmed cover, with empty and singleton sets, and the M = 0 full set
+    cover = build_cover(J, eta, rng=make_rng(43))
+    _assert_sums_match_scipy(cover.indptr, cover.indices, np.abs(J), thetas)
+    report = verify_cover(J, cover)
+    members = _csr(cover.indptr, cover.indices, n)
+    rows = np.repeat(np.arange(cover.ell), np.diff(cover.indptr))
+    worst = (members @ np.abs(J))[rows, cover.indices].max()
+    assert report.ok and _bits(report.worst_row_sum) == _bits(worst)
+
+
+def test_set_sums_match_scipy_bitwise_across_padding():
+    # sets of every size from 0 to 25 around the padding widths, members
+    # drawn at random, weights spanning many binades so the order shows
+    n = 60
+    rng = make_rng(44)
+    sizes = np.concatenate([np.arange(26), np.arange(26)[::-1], [0, 1, 1, 0]])
+    sets = [np.sort(rng.choice(n, size=s, replace=False)) for s in sizes]
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = np.concatenate(sets).astype(np.int64)
+    W = np.abs(random_J(n, 1.0, seed=45)) * np.exp(rng.normal(scale=8.0, size=(n, 1)))
+    thetas = [rng.random(n) * np.exp(rng.normal(scale=8.0, size=n)) for _ in range(3)]
+    _assert_sums_match_scipy(indptr, indices, W, thetas)
+
+
+def test_best_subset_matches_scipy_masses():
+    J = random_J(200, 1.0, seed=46)
+    cover = build_cover(J, 0.5, rng=make_rng(47))
+    members = _csr(cover.indptr, cover.indices, cover.n)
+    rng = make_rng(48)
+    for _ in range(100):
+        theta = rng.random(200)
+        masses = members @ theta
+        j, mass = best_subset_for_weights(cover, theta)
+        assert j == int(np.argmax(masses))
+        assert _bits(mass) == _bits(masses[j])

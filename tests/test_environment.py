@@ -33,14 +33,16 @@ def test_blas_is_pinned_to_one_thread():
     assert threads == 1
 
 
-def test_estimation_path_does_not_import_scipy():
-    # scipy.special costs ~0.2 s and ~18 MB to import; only covers need scipy
+def test_estimation_path_does_not_import_scipy(tmp_path):
+    # scipy.special and scipy.sparse each cost ~0.2 s and ~20 MB to import;
+    # the package needs numpy alone, covers included
     code = (
         "import sys, numpy as np\n"
         "import isingfit, isingfit.cli\n"
-        "from isingfit import (IsingSpec, build_cover, fit_scalar, gram_schmidt,\n"
-        "                      linear_variance_exact, log_partition, make_rng,\n"
-        "                      project, tv_chi_exact, verify_cover)\n"
+        "from isingfit import (IsingSpec, best_subset_for_weights, build_cover, fit_scalar,\n"
+        "                      gram_schmidt, linear_variance_exact, log_partition,\n"
+        "                      make_rng, project, tv_chi_exact, verify_cover)\n"
+        "from isingfit.core import save_matrix\n"
         "from isingfit.experiments import ExperimentConfig, gen_matchings, run_trial\n"
         "from isingfit.mple import grad_beta, psi\n"
         "for n, sampler in ((8, 'exact'), (24, 'glauber')):\n"
@@ -54,10 +56,14 @@ def test_estimation_path_does_not_import_scipy():
         "Q = IsingSpec.zero_field(0.2 * raw[1])\n"
         "fit_scalar(raw[0], x, 0.5), log_partition(P), tv_chi_exact(P, Q)\n"
         "linear_variance_exact(P, x)\n"
+        "cover = build_cover(raw[0], 0.5, rng=make_rng(1))\n"
+        "assert verify_cover(raw[0], cover).ok\n"
+        "best_subset_for_weights(cover, np.ones(6))\n"
+        f"save_matrix({str(tmp_path / 'J.json')!r}, raw[0])\n"
+        f"isingfit.cli.main(['cover', '--model', {str(tmp_path / 'J.json')!r},\n"
+        f"                   '--eta', '0.5', '--out', {str(tmp_path / 'cover.json')!r}])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-        "assert verify_cover(raw[0], build_cover(raw[0], 0.5, rng=make_rng(1))).ok\n"
-        "assert 'scipy.sparse' in sys.modules\n")
+        "assert not loaded, loaded\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

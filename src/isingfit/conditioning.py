@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import infinity_norm, validate_interaction
-from .errors import DimensionMismatch, InvalidEta, NegativeWeight, RetryExhausted
+from .errors import DimensionMismatch, InvalidEta, NegativeWeight, NonFinite, RetryExhausted
 from .sampler import make_rng
 
 # sets are padded to a multiple of _PAD members, so the kernel makes one
@@ -187,11 +187,14 @@ def verify_cover(J, cover):
 
 
 def best_subset_for_weights(cover, theta):
-    """Set with the largest theta-mass; guaranteed eta/(8M) of the total."""
+    """Set with the largest theta-mass; guaranteed eta/(8M) of the total
+    for a finite theta >= 0 (NonFinite and NegativeWeight otherwise)."""
     theta = np.asarray(theta, dtype=np.float64)
     n = cover.n
     if theta.shape != (n,):
         raise DimensionMismatch(f"theta has shape {theta.shape}, cover is over {n} coordinates")
+    if not np.isfinite(theta).all():
+        raise NonFinite("weights must be finite")
     if np.any(theta < 0):
         raise NegativeWeight("weights must be nonnegative")
     masses = _set_sums(cover.indptr, cover.indices, theta)

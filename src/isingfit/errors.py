@@ -63,3 +63,7 @@ class TooManyGroups(IsingfitError):
 
 class InvalidBudget(IsingfitError):
     """A norm budget M that is NaN, infinite or negative."""
+
+
+class InvalidTolerance(IsingfitError):
+    """A KKT residual target grad_tol that is NaN, infinite or negative."""

@@ -35,7 +35,8 @@ import numpy as np
 
 from .basis import combine  # noqa: F401 -- perfbench/tracing.py wraps mple.combine
 from .core import check_spins, validate_interaction
-from .errors import DimensionMismatch, InvalidBudget, IsingfitError, LengthMismatch
+from .errors import (DimensionMismatch, InvalidBudget, InvalidTolerance, IsingfitError,
+                     LengthMismatch)
 
 DEFAULT_MAX_PROGRAMS = 1_000
 
@@ -142,6 +143,8 @@ class MpleConfig:
 
     def __post_init__(self):
         check_budget(self.M)
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
+            raise InvalidTolerance(f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
 
     def resolve(self, n, k):  # kept for perfbench/tracing.py, which unpacks (_, cap, _)
         return None, self.max_programs, None

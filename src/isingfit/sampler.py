@@ -174,11 +174,13 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     after an O(n^2 2^n) build, which that many updates repay.  Otherwise
     a step gathers J's rows and an update costs O(n).  Both branches take
     the same draws and write the same spins.  With ``count == 1`` an
-    update costs O(row degree) and draws the same values: the sites and
-    uniforms are decoded in bulk from the generator's raw words
-    (``_scan_draws``), which gives the values, and the final generator
-    state, of scalar ``rng.integers(0, n)`` / ``rng.random()`` calls;
-    these are the size-1 draws of the vectorised path.  The field of a site with at most 32
+    update costs O(row degree) and draws the same values.  One decoder
+    serves both of its paths: one pass over the generator records each
+    chunk's starting state (``_draw_plan``) and leaves rng where scalar
+    ``rng.integers(0, n)`` / ``rng.random()`` calls, the size-1 draws of
+    the vectorised path, would leave it, and a chunk's sites and uniforms
+    are then regenerated from its state, in bulk from the raw words where
+    they can be (``_planned_draws``).  The field of a site with at most 32
     couplings is summed over them in column order, and a denser row
     takes one BLAS product ``J[s] @ x``.  With at most two couplings the
     sum is bit-identical to that product, since zeros add exactly and
@@ -200,13 +202,10 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     neighbours' earlier updates, across chunks of draws as far as they
     reach, and only those updates, at most n / (1 - b) in expectation
     (``_goes_lazy``), are evaluated, in time order with the forward
-    loop's arithmetic.  One forward pass records each chunk's generator
-    state (``_draw_plan``) and decodes no draw; a bulk chunk's words are
-    only given the rejection test, or, when 2^32 mod n = 0 and none can be
-    rejected, skipped with ``Philox.advance``.  Only the chunks that the
-    search visits are regenerated and decoded, usually just the last.
-    Every other chain runs forward.  Both paths take the same draws,
-    leave the generator in the same state and write the same spins.
+    loop's arithmetic.  Only the chunks that the search visits are
+    decoded, usually just the last; the forward path decodes every chunk,
+    in order.  Both paths take the same draws, leave the generator in the
+    same state and write the same spins.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -302,7 +301,7 @@ def _single_chain(spec, x, rng, steps):
     the spin every field would give it, without summing the field.  When
     ``_goes_lazy`` holds, ``_lazy_chain`` evaluates only the updates that
     the final spins read; otherwise every update runs forward, in time
-    order."""
+    order, over the chunks of ``_draw_plan`` decoded one after another."""
     n = spec.n
     J = spec.J
     # row-major flat scan: the indices of np.nonzero(J), at a fraction of its cost
@@ -327,7 +326,8 @@ def _single_chain(spec, x, rng, steps):
                   else None for a, b in zip(bounds, bounds[1:])]
     xs = x.tolist()
     p_plus = {}  # P(x_s = +1) by field; fields repeat on sparse J
-    for sites, uniforms in _scan_draws(rng, n, steps):
+    for chunk in _draw_plan(rng, n, steps):
+        sites, uniforms = _planned_draws(rng, n, chunk)
         codes = _band_codes(sites, uniforms, lo, hi)
         for s, u, c in zip(sites.tolist(), uniforms.tolist(), codes.tolist()):
             if c:
@@ -399,11 +399,11 @@ def _lazy_chain(x, neighbours, h, lo, hi, rng, steps):
     that update is undecided (code 0); then it is the heat-bath choice at
     the field that its neighbours' spins just before it give, each found
     the same way, or the initial spin before step 0.  The search starts
-    with every site requested at the last step and visits the chunks of
-    draws (``_draw_plan``) from the last one back.  Inside a chunk, a
-    stack follows each undecided update back through its neighbours'
-    earlier updates (times only decrease along it, so there is no
-    recursion); a spin read before the chunk's first update becomes a
+    with every site requested at the last step and visits the forward
+    loop's chunks of draws (``_draw_plan``) from the last one back.
+    Inside a chunk, a stack follows each undecided update back through its
+    neighbours' earlier updates (times only decrease along it, so there is
+    no recursion); a spin read before the chunk's first update becomes a
     request on the previous chunk.  The search stops when no request is
     left, so the chunks before it are never decoded.  The undecided
     updates it collected are then evaluated in time order with the
@@ -498,26 +498,6 @@ def _lazy_chain(x, neighbours, h, lo, hi, rng, steps):
 _LOW = np.uint64(0xFFFFFFFF)
 
 
-def _chunk_sizes(bitgen, n, steps):
-    """Yield (m, bulk) for each chunk of ``steps`` draws: its step count,
-    and whether its draws may be decoded from raw words.  The caller takes
-    each chunk's draws before asking for the next, as a chunk's size
-    depends on the generator's state at its start."""
-    bulk = n > 1 and isinstance(bitgen, np.random.Philox)
-    left = steps
-    while left:
-        m = min(left, _DRAW_CHUNK)
-        if not bulk:
-            yield m, False
-        elif bitgen.state["has_uint32"] or m == 1:
-            m = 1
-            yield m, False
-        else:
-            m -= m % 2
-            yield m, True
-        left -= m
-
-
 def _site_products(words, n):
     """The Lemire products of a chunk's site halves with n: the low, then
     the high 32-bit half of each aligned pair's first word."""
@@ -526,26 +506,6 @@ def _site_products(words, n):
     halves[1::2] = words[:, 0] >> np.uint64(32)
     halves *= np.uint64(n)
     return halves
-
-
-def _bulk_words(bitgen, n, m):
-    """The raw words and site products of a bulk chunk of m steps, or None,
-    with the generator put back, when a site draw is rejected."""
-    state = bitgen.state
-    words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
-    product = _site_products(words, n)
-    if np.any((product & _LOW) < np.uint64((1 << 32) % n)):
-        bitgen.state = state
-        return None
-    return words, product
-
-
-def _bulk_draws(words, product):
-    """The sites and uniforms of a chunk's raw words and site products."""
-    # both shifted words are below 2^63: int64 views, and an int64 -> float
-    # conversion, which is faster than uint64's
-    return ((product >> np.uint64(32)).view(np.int64),
-            (words[:, 1:] >> np.uint64(11)).ravel().view(np.int64) * 2.0 ** -53)
 
 
 def _scalar_draws(rng, n, m):
@@ -558,43 +518,40 @@ def _scalar_draws(rng, n, m):
     return sites, uniforms
 
 
-def _scan_draws(rng, n, steps):
-    """Yield (sites, uniforms) chunks holding exactly the values of
-    ``steps`` pairs of scalar ``rng.integers(0, n)``, ``rng.random()``
-    calls, and leave rng in the state those calls leave.
+def _draw_plan(rng, n, steps):
+    """Split ``steps`` pairs of scalar ``rng.integers(0, n)``,
+    ``rng.random()`` calls into chunks of at most ``_DRAW_CHUNK`` steps,
+    as (generator state at the chunk's start, steps, bulk), and leave rng
+    in the state those calls leave, decoding none of the draws;
+    ``_planned_draws`` decodes one chunk, in any order.
 
     On a Philox generator with n > 1, each aligned pair of steps reads
     three 64-bit words [S, U, U']: the sites are Lemire draws from the
     low and then the high 32-bit half of S (the high half is the one the
-    bit generator buffers) and the uniforms are (U >> 11) 2^-53.  A site
-    whose low product word falls below 2^32 mod n is rejected and
-    redrawn; a chunk with any rejection is redone by scalar calls from
-    its starting state.  A buffered half on entry, or a last odd step,
-    takes one scalar step.  Other bit generators, and n = 1 (where
-    integers(0, 1) reads no word), take scalar calls throughout.  Needs
-    n <= 2^32, the range integers(0, n) draws with 32-bit words.
-    """
+    bit generator buffers) and the uniforms are (U >> 11) 2^-53.  A chunk
+    of m such steps is bulk: its 3m/2 words are generated and given only
+    the rejection test.  A site whose low product word falls below
+    2^32 mod n is rejected and redrawn, so a chunk with any rejection is
+    drawn by scalar calls from its starting state instead.  When
+    2^32 mod n = 0 no site can be rejected, and the words are skipped:
+    ``Philox.advance`` passes whole blocks of four words, after the
+    generator's buffered ones, and ``random_raw`` the rest.  A buffered
+    half at a chunk's start, or a last odd step, takes one scalar step.
+    Other bit generators, and n = 1 (where integers(0, 1) reads no word),
+    take scalar calls throughout.  Needs n <= 2^32, the range
+    integers(0, n) draws with 32-bit words."""
     bitgen = rng.bit_generator
-    for m, bulk in _chunk_sizes(bitgen, n, steps):
-        raw = _bulk_words(bitgen, n, m) if bulk else None
-        yield _scalar_draws(rng, n, m) if raw is None else _bulk_draws(*raw)
-
-
-def _draw_plan(rng, n, steps):
-    """The chunks of ``_scan_draws`` as (generator state at the chunk's
-    start, steps, bulk), leaving rng in the state that the draws leave
-    but decoding none of them; ``_planned_draws`` decodes one.
-
-    A bulk chunk's words are generated and given only the rejection test.
-    When 2^32 mod n = 0 no site can be rejected, so its 3m/2 words are
-    skipped instead: ``Philox.advance`` passes whole blocks of four words,
-    after the generator's buffered ones, and ``random_raw`` the rest.  A
-    chunk that rejects, and every other chunk that ``_scan_draws`` takes
-    by scalar calls, is drawn by them."""
-    bitgen = rng.bit_generator
+    philox = n > 1 and isinstance(bitgen, np.random.Philox)
     plan = []
-    for m, bulk in _chunk_sizes(bitgen, n, steps):
+    left = steps
+    while left:
         state = bitgen.state
+        m = min(left, _DRAW_CHUNK)
+        bulk = philox and m > 1 and not state["has_uint32"]
+        if bulk:
+            m -= m % 2
+        elif philox:
+            m = 1
         if bulk and (1 << 32) % n == 0:
             words = 3 * m // 2
             buffered = 4 - state["buffer_pos"]
@@ -602,11 +559,15 @@ def _draw_plan(rng, n, steps):
                 blocks, words = divmod(words - buffered, 4)
                 bitgen.advance(blocks)
             bitgen.random_raw(words)
-        else:
-            bulk = bulk and _bulk_words(bitgen, n, m) is not None
-            if not bulk:
-                _scalar_draws(rng, n, m)
+        elif bulk:
+            words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
+            if np.any((_site_products(words, n) & _LOW) < np.uint64((1 << 32) % n)):
+                bitgen.state = state
+                bulk = False
+        if not bulk:
+            _scalar_draws(rng, n, m)
         plan.append((state, m, bulk))
+        left -= m
     return plan
 
 
@@ -619,7 +580,10 @@ def _planned_draws(rng, n, chunk):
     bitgen.state = state
     if bulk:
         words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
-        draws = _bulk_draws(words, _site_products(words, n))
+        # both shifted words are below 2^63: int64 views, and an int64 ->
+        # float conversion, which is faster than uint64's
+        draws = ((_site_products(words, n) >> np.uint64(32)).view(np.int64),
+                 (words[:, 1:] >> np.uint64(11)).ravel().view(np.int64) * 2.0 ** -53)
     else:
         draws = _scalar_draws(rng, n, m)
     bitgen.state = now

@@ -14,7 +14,8 @@ from isingfit.conditioning import (
     verify_cover,
 )
 from isingfit.core import IsingSpec, infinity_norm, validate_interaction
-from isingfit.errors import DimensionMismatch, InvalidEta, NegativeWeight, RetryExhausted
+from isingfit.errors import (DimensionMismatch, InvalidEta, NegativeWeight, NonFinite,
+                             RetryExhausted)
 from isingfit.sampler import make_rng
 from tests.test_core import random_spec, restrict
 
@@ -146,6 +147,18 @@ def test_best_subset_rejects_negative_weights():
     cover = build_cover(J, 0.5, rng=make_rng(22))
     with pytest.raises(NegativeWeight):
         best_subset_for_weights(cover, -np.ones(10))
+
+
+# a NaN or infinite weight makes every mass that holds it NaN or infinite,
+# and the eta/(8M) share of an infinite total says nothing
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_best_subset_rejects_non_finite_weights(bad):
+    J = random_J(10, 1.0, seed=21)
+    cover = build_cover(J, 0.5, rng=make_rng(22))
+    theta = np.ones(10)
+    theta[3] = bad
+    with pytest.raises(NonFinite):
+        best_subset_for_weights(cover, theta)
 
 
 def test_averaging_identity():

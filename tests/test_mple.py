@@ -10,7 +10,8 @@ import pytest
 
 from isingfit.basis import EdgeView, MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
-from isingfit.errors import DimensionMismatch, InvalidBudget, LengthMismatch, NonFinite
+from isingfit.errors import (DimensionMismatch, InvalidBudget, InvalidTolerance, LengthMismatch,
+                             NonFinite)
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 import isingfit.mple as mple_mod
 from isingfit import experiments
@@ -280,6 +281,15 @@ def test_mple_config_has_three_settings():
 def test_mple_config_rejects_a_budget_that_is_not_finite_and_non_negative(M):
     with pytest.raises(InvalidBudget):
         MpleConfig(M=M)
+
+
+# fit stops "kkt" once its residual is at most grad_tol: an infinite target
+# would accept beta = 0 at once, and a NaN or negative one is never met, so
+# an optimal fit would end "stalled" with a zero residual.
+@pytest.mark.parametrize("grad_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_mple_config_rejects_a_tolerance_that_is_not_finite_and_non_negative(grad_tol):
+    with pytest.raises(InvalidTolerance):
+        MpleConfig(M=0.5, grad_tol=grad_tol)
 
 
 def test_fit_at_a_zero_budget_returns_zero():

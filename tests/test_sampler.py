@@ -33,7 +33,6 @@ from isingfit.sampler import (
     _linear_sums,
     _log_weights,
     _planned_draws,
-    _scan_draws,
     empirical_distribution,
     enumerate_distribution,
     exact_sample,
@@ -330,9 +329,9 @@ def _count_paths(monkeypatch):
     return lazy
 
 
-def _check_single_chain(spec, cfg, buffered=False, seed=56):
+def _check_single_chain(spec, cfg, buffered=False, seed=56, bit_generator=np.random.Philox):
     """Spins and the next draw of glauber_sample_many against the scalar oracle."""
-    rng_a, rng_b = make_rng(seed), make_rng(seed)
+    rng_a, rng_b = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     if buffered:
         rng_a.integers(0, spec.n)
         rng_b.integers(0, spec.n)
@@ -393,22 +392,28 @@ def _matching(n, k, M, seed):
 # per-window rule, with windows of _DRAW_CHUNK steps, would send forward);
 # dense rows (one 65-clique), b >= 1 (ER at M = 4) and a single sweep,
 # whose chain holds too few steps to repay n / (1 - b) evaluations, are
-# forward.
+# forward.  One chain of each path runs on an MT19937 generator, whose
+# draws both paths take by scalar calls and regenerate from its saved
+# states.
 def test_single_chain_paths(monkeypatch):
     lazy = _count_paths(monkeypatch)
     for k in (1, 8):
         for spec, cfg, seed in _test_05_chains(k, 2):
             _check_single_chain(spec, cfg, seed=seed)
+    spec, cfg, seed = next(_test_05_chains(8, 1))
+    _check_single_chain(spec, cfg, seed=seed, bit_generator=np.random.MT19937)
     _check_single_chain(_model("matchings", 512, False, 0.5, k=8), GlauberConfig(40, seed=54))
     _check_single_chain(_matching(2048, 8, 0.5, seed=57), GlauberConfig(20, seed=54))
-    assert lazy == [True] * 6
+    assert lazy == [True] * 7
     lazy.clear()
     forward = [(_model("blocks", 65, False, 0.5, k=1), 20),
                (_model("erdos_renyi", 64, True, 4.0), 20),
                (next(_test_05_chains(8, 1))[0], 1)]
     for spec, sweeps in forward:
         _check_single_chain(spec, GlauberConfig(sweeps, seed=54))
-    assert lazy == [False] * 3
+    _check_single_chain(forward[1][0], GlauberConfig(20, seed=54),
+                        bit_generator=np.random.MT19937)
+    assert lazy == [False] * 4
 
 
 # A test_05-config k8 chain has 38 400 steps: two chunks of _DRAW_CHUNK
@@ -642,11 +647,14 @@ def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
         for rng in (rng_a, rng_b, rng_c):
             rng.integers(0, n)
     counted = _CountedCalls(rng_a)
+    plan = _draw_plan(counted, n, steps)
+    # the plan draws only the chunks that are not bulk by scalar calls
+    assert counted.calls == sum(m for _, m, bulk in plan if not bulk)
     chunks, redone = [], []
-    for chunk in _scan_draws(counted, n, steps):
-        chunks.append(chunk)
-        redone.append(counted.calls > 0)
+    for chunk in plan:
         counted.calls = 0
+        chunks.append(_planned_draws(counted, n, chunk))
+        redone.append(counted.calls > 0)
     assert max(len(s) for s, _ in chunks) <= _DRAW_CHUNK
     if n == _REJECTING:
         full = [r for (s, _), r in zip(chunks, redone) if len(s) == _DRAW_CHUNK]
@@ -657,11 +665,12 @@ def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
     assert sites.dtype == np.int64
     assert sites.tolist() == [int(s) for s, _ in want]
     assert uniforms.tolist() == [u for _, u in want]
-    # the plan holds the same chunks, each bulk where _scan_draws decoded
-    # it, and regenerates them from its saved states in any order
-    plan = _draw_plan(rng_c, n, steps)
+    # a chunk is bulk exactly where it is decoded without scalar calls, and
+    # a second plan regenerates the same chunks from its saved states in
+    # any order
     assert [(m, bulk) for _, m, bulk in plan] == [(len(s), not r) for (s, _), r in
                                                   zip(chunks, redone)]
+    plan = _draw_plan(rng_c, n, steps)
     for i in reversed(range(len(plan))):
         got = _planned_draws(rng_c, n, plan[i])
         assert got[0].dtype == np.int64

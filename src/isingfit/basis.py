@@ -68,6 +68,14 @@ class EdgeView:
 
 @dataclass(frozen=True)
 class MatrixBasis:
+    """An orthonormal basis A_1..A_k' of a span, stored in edge coordinates.
+
+    The basis is a function of the raw family alone, so callers may share
+    one object: ``run_trial`` reuses it across the trials of a family that
+    no draw shapes.  Its ``edges`` arrays are read-only, and writing into
+    them raises ``ValueError``.
+    """
+
     edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
 
     @property
@@ -164,6 +172,8 @@ def gram_schmidt_edges(n, rows, cols, values):
         edges = EdgeView(n, rows.copy(), cols.copy(), coef)
     else:
         edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
+    for a in (edges.rows, edges.cols, edges.coef):
+        a.flags.writeable = False
     return MatrixBasis(edges)
 
 

@@ -37,7 +37,9 @@ def cmd_sample(args):
         dist = sampler.enumerate_distribution(spec)
         X = sampler.exact_sample(dist, rng, count=args.count)
     else:
-        sweeps = args.sweeps or sampler.default_burn_in(spec)
+        sweeps = args.sweeps
+        if sweeps is None:
+            sweeps = sampler.certified_sweeps(spec)
         cfg = sampler.GlauberConfig(sweeps, args.seed)
         X = sampler.glauber_sample_many(spec, args.count, cfg, rng)
     lines = [json.dumps([int(v) for v in row]) for row in np.atleast_2d(X)]
@@ -133,6 +135,16 @@ def cmd_experiment(args):
     print(json.dumps(summary["per_k"], indent=2, sort_keys=True))
 
 
+def _count(text):
+    """An argparse type: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="isingfit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -140,9 +152,12 @@ def build_parser():
     s = sub.add_parser("sample", help="draw configurations from a model")
     s.add_argument("--model", required=True)
     s.add_argument("--method", choices=("exact", "glauber"), default="exact")
-    s.add_argument("--sweeps", type=int, default=0)
+    s.add_argument("--sweeps", type=_count,
+                   help="Glauber sweeps (default: the fewest that certify "
+                        f"TV <= {sampler.TV_TARGET:g} from any start, when "
+                        "alpha = max_i sum_j tanh|J_ij| < 1)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=1)
+    s.add_argument("--count", type=_count, default=1)
     s.add_argument("--out")
     s.set_defaults(func=cmd_sample)
 

@@ -67,3 +67,8 @@ class InvalidBudget(IsingfitError):
 
 class InvalidTolerance(IsingfitError):
     """A KKT residual target grad_tol that is NaN, infinite or negative."""
+
+
+class NotContracting(IsingfitError):
+    """A model whose Glauber chain has no path-coupling contraction:
+    alpha = max_i sum_j tanh|J_ij| >= 1."""

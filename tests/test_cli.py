@@ -6,9 +6,10 @@ import pytest
 from isingfit.cli import main
 from isingfit.core import IsingSpec, save_matrix, save_spins
 from isingfit.experiments import ExperimentConfig, gen_erdos_renyi_incidence, gen_matchings
-from isingfit.sampler import GlauberConfig, make_rng
+from isingfit.errors import NotContracting
+from isingfit.sampler import GlauberConfig, certified_sweeps, glauber_sample_many, make_rng
 from isingfit.mple import DEFAULT_MAX_PROGRAMS
-from tests.test_sampler import _count_tables, _vectorised_glauber
+from tests.test_sampler import _count_tables, _model, _vectorised_glauber
 
 
 @pytest.fixture
@@ -41,6 +42,34 @@ def test_sample_glauber(tmp_path, small_model):
     main(["sample", "--model", str(path), "--method", "glauber",
           "--sweeps", "50", "--count", "3", "--seed", "1", "--out", str(out)])
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_sample_glauber_defaults_to_certified_sweeps(tmp_path, small_model):
+    path, J = small_model
+    out = tmp_path / "draws.jsonl"
+    main(["sample", "--model", str(path), "--method", "glauber",
+          "--count", "3", "--seed", "2", "--out", str(out)])
+    spec = IsingSpec.zero_field(J)
+    want = glauber_sample_many(spec, 3, GlauberConfig(certified_sweeps(spec), 2), make_rng(2))
+    assert [json.loads(line) for line in out.read_text().splitlines()] == want.tolist()
+    # alpha >= 1 certifies nothing: the n = 65, M = 4 model raises at once
+    hot = tmp_path / "hot.json"
+    save_matrix(hot, _model("erdos_renyi", 65, False, M=4.0).J)
+    with pytest.raises(NotContracting, match="alpha"):
+        main(["sample", "--model", str(hot), "--method", "glauber"])
+
+
+@pytest.mark.parametrize("method,flag,value", [
+    ("glauber", "--sweeps", "-3"), ("glauber", "--sweeps", "0"),
+    ("glauber", "--count", "-2"), ("glauber", "--count", "0"),
+    ("exact", "--count", "0")])
+def test_sample_rejects_counts_below_one(tmp_path, small_model, capsys, method, flag, value):
+    path, _ = small_model
+    with pytest.raises(SystemExit) as exit_:
+        main(["sample", "--model", str(path), "--method", method, flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err and captured.out == ""
 
 
 def test_sample_glauber_rows_match_vectorised_oracle(tmp_path, small_model, monkeypatch):

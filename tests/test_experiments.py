@@ -362,3 +362,54 @@ def test_run_trial_forms_no_dense_stack():
         tracemalloc.stop()
     assert not rec.error and math.isfinite(rec.frob_error)
     assert peak < 4 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# The memo of families that no draw shapes
+
+
+@pytest.mark.parametrize("generator", ["blocks", "matchings"])
+def test_run_trial_gives_the_same_bits_from_a_warm_memo(generator):
+    cfg = ExperimentConfig(generator=generator, n=64, k_grid=(4,), seed=94,
+                           glauber_sweeps=30, max_iters=30_000, grad_tol=1e-4)
+    experiments._fixed_family.cache_clear()
+    cold = run_trial(cfg, 4, 3)
+    experiments._fixed_family.cache_clear()
+    for trial in range(3):
+        run_trial(cfg, 4, trial)
+    warm = run_trial(cfg, 4, 3)
+    assert experiments._fixed_family.cache_info().hits == 3
+    assert repr(warm[0]) == repr(cold[0])
+    for a, b in ((warm[2], cold[2]), (warm[3].beta_hat, cold[3].beta_hat),
+                 (warm[3].objective_trace, cold[3].objective_trace)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_run_trial_shares_only_a_family_no_draw_shapes():
+    def bases(**kw):
+        cfg = ExperimentConfig(n=32, k_grid=(2,), seed=95, glauber_sweeps=5,
+                               max_iters=5_000, **kw)
+        return run_trial(cfg, 2, 0)[1], run_trial(cfg, 2, 1)[1]
+
+    for generator in ("matchings", "blocks"):
+        a, b = bases(generator=generator)
+        assert a is b
+    for kw in ({"generator": "erdos_renyi_incidence", "er_p": 0.2},
+               {"generator": "matchings", "shuffle_support": True},
+               {"generator": "blocks", "shuffle_support": True}):
+        a, b = bases(**kw)
+        assert a is not b
+        assert not np.array_equal(a.edges.rows * 32 + a.edges.cols,
+                                  b.edges.rows * 32 + b.edges.cols), kw
+
+
+def test_basis_edges_are_read_only():
+    cfg = ExperimentConfig(n=32, k_grid=(2,), seed=96, glauber_sweeps=5, max_iters=5_000)
+    shared = run_trial(cfg, 2, 0)[1]
+    for basis in (shared, gram_schmidt(gen_erdos_renyi_incidence(20, 3, 0.3, make_rng(97)))):
+        for name in ("rows", "cols", "coef"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(basis.edges, name)[0] = 0
+    values = experiments._fixed_family("matchings", 32, 2)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 2.0

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 import isingfit as isf
 import isingfit.sampler as sampler_mod
 from isingfit.core import IsingSpec, _field_bounds
-from isingfit.errors import DimensionTooLarge
+from isingfit.errors import DimensionTooLarge, NotContracting
 from isingfit.experiments import (
     ExperimentConfig,
     _raw_edges,
@@ -242,6 +242,61 @@ def test_glauber_deterministic_given_seed():
     a = glauber_sample_many(spec, 4, cfg)
     b = glauber_sample_many(spec, 4, cfg)
     assert np.array_equal(a, b)
+
+
+def _random_scan_kernel(spec):
+    """The (2^n, 2^n) transition matrix of one random-scan heat-bath step,
+    over configuration indices: pick a uniform site and resample it from
+    its conditional."""
+    n = spec.n
+    S = spin_table(n)
+    idx = np.arange(1 << n)
+    P = np.zeros((1 << n, 1 << n))
+    for i in range(n):
+        p_plus = 0.5 * (1.0 + np.tanh(S @ spec.J[i] + spec.h[i]))
+        P[idx, idx & ~(1 << i)] += p_plus / n   # bit i clear: x_i = +1
+        P[idx, idx | (1 << i)] += (1.0 - p_plus) / n
+    return P
+
+
+def _model_at_alpha(n, alpha, seed):
+    """A model with max_i sum_j tanh|J_ij| = alpha, mixed-sign couplings
+    of unequal sizes and a nonzero field."""
+    rng = make_rng(seed)
+    T = np.triu(rng.uniform(0.2, 1.0, size=(n, n)), 1)
+    T = T + T.T
+    T *= alpha / T.sum(axis=1).max()
+    signs = np.triu(np.where(rng.random((n, n)) < 0.5, -1.0, 1.0), 1)
+    return IsingSpec(np.arctanh(T) * (signs + signs.T), rng.uniform(-0.5, 0.5, n))
+
+
+@pytest.mark.parametrize("alpha", [0.30, 0.49, 0.88])
+def test_certified_sweeps_bound_the_exact_worst_start_tv(alpha):
+    # path coupling: after t sweeps, TV <= n exp(-(1 - alpha) t) from any
+    # start, checked on the exact kernel over all 32 states at n = 5
+    n = 5
+    spec = _model_at_alpha(n, alpha, seed=int(100 * alpha))
+    assert float(np.tanh(np.abs(spec.J)).sum(axis=1).max()) == pytest.approx(alpha)
+    P = _random_scan_kernel(spec)
+    pi = enumerate_distribution(spec).probs
+
+    def worst_tv(sweeps):
+        return 0.5 * np.abs(np.linalg.matrix_power(P, sweeps * n) - pi).sum(axis=1).max()
+
+    for t in (5, 10, 20, 40):
+        assert worst_tv(t) <= n * math.exp(-(1.0 - alpha) * t)
+    t = sampler_mod.certified_sweeps(spec)
+    assert n * math.exp(-(1.0 - alpha) * t) <= sampler_mod.TV_TARGET
+    assert n * math.exp(-(1.0 - alpha) * (t - 1)) > sampler_mod.TV_TARGET
+    assert worst_tv(t) <= sampler_mod.TV_TARGET
+
+
+def test_certified_sweeps_refuse_a_model_without_contraction():
+    # nothing is certified at alpha >= 1: the n = 65, M = 4 ER model
+    # (alpha = 3.98) and a small model at alpha = 1.5
+    for spec in (_model("erdos_renyi", 65, False, M=4.0), _model_at_alpha(5, 1.5, seed=3)):
+        with pytest.raises(NotContracting, match="alpha"):
+            sampler_mod.certified_sweeps(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +695,7 @@ _REJECTING = 2 ** 32 - 2 ** 32 // _DRAW_CHUNK
     (2 ** 31 + 1, np.random.Philox), (_REJECTING, np.random.Philox),
     (128, np.random.MT19937)])
 @pytest.mark.parametrize("buffered", [False, True])
-def test_scan_draws_match_scalar_calls(n, bit_generator, buffered):
+def test_draw_plan_matches_scalar_calls(n, bit_generator, buffered):
     steps = 2 * _DRAW_CHUNK + 3
     rng_a, rng_b, rng_c = (np.random.Generator(bit_generator(57)) for _ in range(3))
     if buffered:

@@ -15,6 +15,7 @@ callers that need them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ class EdgeView:
     Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], in
     row-major order, and ``coef[e, s]`` is A_s at that pair, so the upper
     entries of sum_s beta_s A_s are ``coef @ beta``.
+
+    ``row_abs_sums`` and ``fields`` sum by ``np.bincount``, which copies an
+    index array that is not writeable.  They read a private, writeable
+    copy of the indices (``_flat``), made once per view and kept out of
+    ``==`` and ``repr``, so the public arrays can stay read-only.
     """
 
     n: int
@@ -42,18 +48,34 @@ class EdgeView:
     cols: np.ndarray     # (m,)
     coef: np.ndarray     # (m, k)
 
+    @functools.cached_property
+    def _flat(self):
+        """(s n + rows, s n + cols) for s = 0..k-1 as flat writeable intp
+        arrays, and the contiguous coef' (k, m) that they index; the first
+        m entries of each index are rows and cols themselves."""
+        offsets = np.arange(self.coef.shape[1], dtype=np.intp)[:, None] * self.n
+        return ((offsets + self.rows).ravel(), (offsets + self.cols).ravel(),
+                np.ascontiguousarray(self.coef.T))
+
     def row_abs_sums(self, u):
         """sum_j |U_ij| for every node i, given the edge values u of U."""
+        rows, cols, _ = self._flat
+        m = self.rows.size
         a = np.abs(u)
-        return (np.bincount(self.rows, a, self.n)
-                + np.bincount(self.cols, a, self.n))
+        return np.bincount(rows[:m], a, self.n) + np.bincount(cols[:m], a, self.n)
 
     def fields(self, x):
-        """Bx = (A_s x)_s, shape (k, n), in O(m k)."""
+        """Bx = (A_s x)_s, shape (k, n), in O(m k).
+
+        One ``bincount`` pair over all k members: bin s n + i receives
+        member s's terms at node i in edge order, as a per-member
+        ``bincount`` would, so each entry has the same bits.
+        """
+        rows, cols, coef_t = self._flat
+        k, n = coef_t.shape[0], self.n
         xr, xc = x[self.rows], x[self.cols]
-        return np.stack([np.bincount(self.rows, a * xc, self.n)
-                         + np.bincount(self.cols, a * xr, self.n)
-                         for a in self.coef.T])
+        return (np.bincount(rows, (coef_t * xc).ravel(), k * n)
+                + np.bincount(cols, (coef_t * xr).ravel(), k * n)).reshape(k, n)
 
     def dense(self, values=None):
         """The (j, n, n) symmetric matrices whose strictly-upper entries on

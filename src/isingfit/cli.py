@@ -2,7 +2,9 @@
 
 Subcommands: sample, basis, fit, cover, fit1, metrics, experiment.
 Matrix files use the sparse upper-triangle JSON format; spin files are
-JSON arrays of +-1 integers.
+JSON arrays of +-1 integers.  A package error ends a command with its
+message on stderr and exit status 2; a malformed matrix file's
+``ValueError`` is not a package error and propagates.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import conditioning, experiments, metrics, mple, oneparam, sampler
 from .core import IsingSpec, load_matrix, load_spins
+from .errors import IsingfitError
 
 
 def _load_spec(path):
@@ -208,8 +211,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    """Run one subcommand.  A package error (``IsingfitError``) ends the
+    command as argparse ends a bad argument: ``isingfit: error: <message>``
+    on stderr and exit status 2.  Any other exception is not caught."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except IsingfitError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Interaction matrices are dense, symmetric, zero-diagonal float64 arrays.
 Symmetry, diagonal and finiteness are enforced once at construction; all
 downstream code assumes a validated matrix.  ``interaction_edges`` applies
-the same checks on a matrix's support and returns its edges instead.
+the same checks on a matrix's support and returns its edges instead, and
+``IsingSpec.from_edges`` builds a model from such edges, checking them in
+O(m) instead of its dense J.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .errors import (
     DiagonalError,
     DimensionMismatch,
     IndexOutOfRange,
+    LengthMismatch,
     NonFinite,
+    UnsortedEdges,
 )
 
 
@@ -33,6 +37,9 @@ def _as_square(J):
 _SYM_TOL = 1e-12  # asymmetry and diagonal averaged or zeroed away
 
 
+_NON_FINITE = "interaction matrix has a NaN or infinite entry"
+
+
 def _check_interaction(asym, diag):
     """Raise on the worst |J_ij - J_ji| and |J_ii| of a square matrix.
 
@@ -40,7 +47,7 @@ def _check_interaction(asym, diag):
     non-finite ``asym`` means the matrix has a NaN or infinite entry.
     """
     if not math.isfinite(asym):
-        raise NonFinite("interaction matrix has a NaN or infinite entry")
+        raise NonFinite(_NON_FINITE)
     if asym > _SYM_TOL:
         raise AsymmetryError(f"max |J_ij - J_ji| = {asym:g} exceeds tol {_SYM_TOL:g}")
     if diag > _SYM_TOL:
@@ -130,7 +137,12 @@ def trace_inner(A, B):
 @dataclass(frozen=True)
 class IsingSpec:
     """A pairwise model over {-1,+1}^n: density proportional to
-    exp(x'Jx/2 + h'x).  ``M`` caches the infinity norm of J."""
+    exp(x'Jx/2 + h'x).  ``M`` caches the infinity norm of J.
+
+    The constructor validates the dense J (:func:`validate_interaction`);
+    :meth:`from_edges` builds a zero-field model from its strictly-upper
+    edges and checks only those.  Either way J and h are read-only.
+    """
 
     J: np.ndarray
     h: np.ndarray
@@ -159,6 +171,47 @@ class IsingSpec:
     def zero_field(cls, J):
         J = np.asarray(J, dtype=np.float64)
         return cls(J, np.zeros(J.shape[0]))
+
+    @classmethod
+    def from_edges(cls, n, rows, cols, values):
+        """The zero-field model whose J is ``values`` at the pairs
+        (rows, cols) and their mirrors, and 0 elsewhere.
+
+        The edges are checked in O(m) in place of the dense validation:
+        values finite (``NonFinite``), 0 <= rows < cols < n
+        (``IndexOutOfRange``) and pairs strictly increasing in row-major
+        order (``UnsortedEdges``), so J is symmetric with a zero diagonal
+        by construction.  J is then scattered once; J, h and M equal those
+        of ``zero_field`` on that scatter bit for bit (whenever 2 |values|
+        is finite, as ``zero_field`` averages J with its transpose).
+        """
+        n = int(n)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise LengthMismatch(f"edge arrays of shapes {rows.shape}, "
+                                 f"{cols.shape} and {values.shape}")
+        if not np.isfinite(values).all():
+            raise NonFinite(_NON_FINITE)
+        bad = (rows < 0) | (rows >= cols) | (cols >= n)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise IndexOutOfRange(f"edge ({rows[e]}, {cols[e]}) is not in "
+                                  f"0 <= row < col < {n}")
+        keys = rows * n + cols
+        if not (keys[1:] > keys[:-1]).all():
+            e = int(np.argmax(keys[1:] <= keys[:-1])) + 1
+            raise UnsortedEdges(f"edge ({rows[e]}, {cols[e]}) does not follow "
+                                f"({rows[e - 1]}, {cols[e - 1]}) in row-major order")
+        J = np.zeros((n, n))
+        J[rows, cols] = values
+        J[cols, rows] = values
+        h = np.zeros(n)
+        J.flags.writeable = h.flags.writeable = False
+        spec = object.__new__(cls)
+        for name, value in (("J", J), ("h", h), ("M", infinity_norm(J))):
+            object.__setattr__(spec, name, value)
+        return spec
 
 
 def check_spins(x, n=None):

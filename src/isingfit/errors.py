@@ -21,6 +21,11 @@ class IndexOutOfRange(IsingfitError):
     pass
 
 
+class UnsortedEdges(IsingfitError):
+    """An edge list whose pairs are not strictly increasing in row-major
+    order: out of order, or a pair listed twice."""
+
+
 class DimensionTooLarge(IsingfitError):
     pass
 

@@ -172,11 +172,17 @@ def trial_seed(seed, k, trial):
 
 
 def _raw_edges(cfg, k, rng):
-    """The raw family of a trial as edge lists."""
+    """The raw family of a trial that draws its family, as edge lists.
+
+    ``run_trial`` alone decides which families are drawn: it comes here
+    for Erdos-Renyi, and for matchings and blocks only with
+    ``shuffle_support`` (the unshuffled ones are ``_fixed_family``), so
+    rng always shuffles them.
+    """
     if cfg.generator == "matchings":
-        return _matchings_edges(cfg.n, k, rng if cfg.shuffle_support else None)
+        return _matchings_edges(cfg.n, k, rng)
     if cfg.generator == "blocks":
-        return _blocks_edges(cfg.n, k, rng if cfg.shuffle_support else None)
+        return _blocks_edges(cfg.n, k, rng)
     if cfg.generator == "erdos_renyi_incidence":
         return _erdos_renyi_edges(cfg.n, k, cfg.er_p, rng)
     raise ValueError(f"unknown generator {cfg.generator!r}")
@@ -207,10 +213,13 @@ def run_trial(cfg, k, trial):
     basis edges: on each union edge the first member that has it is 1
     there and every earlier A_i is 0, so that member is kept and its A_i
     is nonzero there.  J* is u* = sum_s beta_s v_s on these edges, summed
-    left to right as a dense sum of the raw matrices would be, and the
-    basis scatters it densely once, for its infinity norm, the model and
-    the returned ``J_star``.  beta* is <J*, A_i>, gathered on the edges,
-    and J* less its projection onto the span is the residual r there, so
+    left to right as a dense sum of the raw matrices would be.  The basis
+    scatters it densely once, for its infinity norm (which scales J* to
+    the budget) and the returned ``J_star``; the model is built from u*
+    on the edges (``IsingSpec.from_edges``), which checks them in O(m)
+    instead of validating the dense J* again.  beta* is <J*, A_i>,
+    gathered on the edges, and J* less its projection onto the span is
+    the residual r there, so
     ``frob_error`` = ||J_hat - J*||_F = sqrt(||beta_hat - beta*||^2 +
     2 ||r||^2) with no n x n work.  Returns (record, basis, J_star, fit
     result).
@@ -236,14 +245,15 @@ def run_trial(cfg, k, trial):
     if inf > cfg.M and inf > 0:
         J_star *= cfg.M / inf
         u_star = u_star * (cfg.M / inf)
-    spec = IsingSpec.zero_field(J_star)
+    ev = basis.edges
+    spec = IsingSpec.from_edges(n, ev.rows, ev.cols, u_star)
     if n <= EXACT_SAMPLE_LIMIT:
         x = exact_sample(enumerate_distribution(spec), rng)
         sampler = "exact"
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
         sampler = "glauber"
-    coef = basis.edges.coef
+    coef = ev.coef
     beta_star = coef.T @ (u_star + u_star)
     residual = u_star - coef @ beta_star
     res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,

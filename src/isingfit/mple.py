@@ -394,7 +394,7 @@ def fit(basis, x, cfg):
         peak = float(row_sums.max())
         if peak > M * (1.0 + _BALL_RTOL):
             c = infnorm_subgradient(edges, u, row_sums)
-            if not any(np.array_equal(c, old) for old in cuts):
+            if not (cuts == c).all(axis=1).any():
                 cuts = np.vstack([cuts, c])
                 continue
         if peak > M:

@@ -30,7 +30,14 @@ from isingfit.errors import (
     LengthMismatch,
     ShapeMismatch,
 )
-from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
+from isingfit.experiments import (
+    _blocks_edges,
+    _erdos_renyi_edges,
+    _matchings_edges,
+    gen_blocks,
+    gen_erdos_renyi_incidence,
+    gen_matchings,
+)
 from isingfit.mple import infnorm_subgradient
 from isingfit.sampler import make_rng
 
@@ -280,6 +287,82 @@ def _dense_infnorm_subgradient(basis, beta):
 def test_basis_stores_only_edges():
     assert [f.name for f in fields(MatrixBasis)] == ["edges"]
     assert [f.name for f in fields(EdgeView)] == ["n", "rows", "cols", "coef"]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: fields and row_abs_sums as one bincount per member over the
+# public index arrays, as EdgeView computed them before its one-pass index.
+
+
+def _fields_by_member(ev, x):
+    xr, xc = x[ev.rows], x[ev.cols]
+    return np.stack([np.bincount(ev.rows, a * xc, ev.n)
+                     + np.bincount(ev.cols, a * xr, ev.n)
+                     for a in ev.coef.T])
+
+
+def _row_abs_sums_by_edges(ev, u):
+    a = np.abs(u)
+    return np.bincount(ev.rows, a, ev.n) + np.bincount(ev.cols, a, ev.n)
+
+
+def _with_a_repeat(n, k, seed):
+    family = _erdos_renyi_edges(n, k, 0.2, make_rng(seed))
+    return family + family[:1]  # the repeated member is dropped
+
+
+_KERNEL_FAMILIES = {
+    "matchings_k1": lambda: (128, _matchings_edges(128, 1)),
+    "matchings_k8": lambda: (128, _matchings_edges(128, 8, make_rng(62))),
+    "blocks_k4": lambda: (64, _blocks_edges(64, 4, make_rng(63))),
+    "er_n1024_k8": lambda: (1024, _erdos_renyi_edges(1024, 8, 0.01, make_rng(64))),
+    "dropped_member": lambda: (32, _with_a_repeat(32, 3, 65)),
+}
+
+
+def _kernel_edges(name):
+    n, family = _KERNEL_FAMILIES[name]()
+    return gram_schmidt_edges(n, *edge_union(n, family)).edges, len(family)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_FAMILIES))
+def test_one_pass_kernels_match_per_member_oracles(name):
+    ev, members = _kernel_edges(name)
+    k = ev.coef.shape[1]
+    assert k == (members - 1 if name == "dropped_member" else members)
+    rng = make_rng(66)
+    for _ in range(3):
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=ev.n)
+        got, want = ev.fields(x), _fields_by_member(ev, x)
+        assert got.shape == want.shape == (k, ev.n)
+        assert got.tobytes() == want.tobytes()
+        u = ev.coef @ rng.normal(size=k)
+        assert ev.row_abs_sums(u).tobytes() == _row_abs_sums_by_edges(ev, u).tobytes()
+
+
+def test_kernels_index_with_writeable_intp_behind_read_only_arrays(monkeypatch):
+    # np.bincount copies an index that is read-only or not intp; the
+    # kernels hand it only their private writeable intp index
+    ev, _ = _kernel_edges("matchings_k8")
+    seen = []
+    bincount = np.bincount
+
+    def spy(index, *args, **kwargs):
+        seen.append((index.dtype, index.flags.writeable, index.flags.c_contiguous))
+        return bincount(index, *args, **kwargs)
+
+    rng = make_rng(67)
+    x = 1.0 - 2.0 * rng.integers(0, 2, size=ev.n)
+    u = ev.coef @ rng.normal(size=ev.coef.shape[1])
+    monkeypatch.setattr(np, "bincount", spy)
+    ev.fields(x)
+    ev.row_abs_sums(u)
+    monkeypatch.undo()
+    assert seen == [(np.dtype(np.intp), True, True)] * 4
+    for name in ("rows", "cols", "coef"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ev, name)[0] = 0
+    assert "_flat" not in repr(ev)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from isingfit import cli
 from isingfit.cli import main
 from isingfit.core import IsingSpec, save_matrix, save_spins
 from isingfit.experiments import ExperimentConfig, gen_erdos_renyi_incidence, gen_matchings
-from isingfit.errors import NotContracting
+from isingfit.errors import InvalidEta
 from isingfit.sampler import GlauberConfig, certified_sweeps, glauber_sample_many, make_rng
 from isingfit.mple import DEFAULT_MAX_PROGRAMS
 from tests.test_sampler import _count_tables, _model, _vectorised_glauber
@@ -44,7 +45,7 @@ def test_sample_glauber(tmp_path, small_model):
     assert len(out.read_text().splitlines()) == 3
 
 
-def test_sample_glauber_defaults_to_certified_sweeps(tmp_path, small_model):
+def test_sample_glauber_defaults_to_certified_sweeps(tmp_path, small_model, capsys):
     path, J = small_model
     out = tmp_path / "draws.jsonl"
     main(["sample", "--model", str(path), "--method", "glauber",
@@ -52,11 +53,34 @@ def test_sample_glauber_defaults_to_certified_sweeps(tmp_path, small_model):
     spec = IsingSpec.zero_field(J)
     want = glauber_sample_many(spec, 3, GlauberConfig(certified_sweeps(spec), 2), make_rng(2))
     assert [json.loads(line) for line in out.read_text().splitlines()] == want.tolist()
-    # alpha >= 1 certifies nothing: the n = 65, M = 4 model raises at once
+    # alpha >= 1 certifies nothing: the n = 65, M = 4 model stops at once
     hot = tmp_path / "hot.json"
     save_matrix(hot, _model("erdos_renyi", 65, False, M=4.0).J)
-    with pytest.raises(NotContracting, match="alpha"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
         main(["sample", "--model", str(hot), "--method", "glauber"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "alpha" in captured.err and captured.out == ""
+
+
+def test_package_errors_exit_with_their_message(tmp_path, small_model, capsys):
+    # a package error from any subcommand ends as argparse ends a bad
+    # argument: one line on stderr and exit status 2
+    path, _ = small_model
+    argv = ["cover", "--model", str(path), "--eta", "5"]
+    with pytest.raises(InvalidEta) as raised:
+        cli.cmd_cover(cli.build_parser().parse_args(argv))
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"isingfit: error: {raised.value}\n" and captured.out == ""
+    # a malformed matrix file is not a package error and is not caught
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "entries": [[1, 0, 0.5]]}))
+    with pytest.raises(ValueError, match="strictly upper"):
+        main(["sample", "--model", str(bad)])
 
 
 @pytest.mark.parametrize("method,flag,value", [

@@ -10,7 +10,9 @@ from isingfit.errors import (
     AsymmetryError,
     DiagonalError,
     IndexOutOfRange,
+    LengthMismatch,
     NonFinite,
+    UnsortedEdges,
 )
 from isingfit.sampler import enumerate_distribution, make_rng, spin_table
 
@@ -79,6 +81,48 @@ def test_non_finite_entries_raise(bad, where):
 def test_non_finite_field_raises(bad):
     with pytest.raises(NonFinite, match="external field must be finite"):
         IsingSpec(np.zeros((2, 2)), [bad, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# IsingSpec.from_edges: a zero-field model checked on its edges
+
+
+_EDGES = ([0, 0, 2], [1, 3, 3], [0.5, -0.25, 1e-300])
+
+
+def test_from_edges_is_zero_field_of_the_scatter():
+    rows, cols, values = (np.array(a) for a in _EDGES)
+    J = np.zeros((4, 4))
+    J[rows, cols] = J[cols, rows] = values
+    got, want = IsingSpec.from_edges(4, rows, cols, values), IsingSpec.zero_field(J)
+    for a, b in ((got.J, want.J), (got.h, want.h)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert repr(got.M) == repr(want.M)
+    none = np.zeros(0, dtype=np.intp)
+    empty = IsingSpec.from_edges(3, none, none, [])
+    assert empty.n == 3 and not empty.J.any() and empty.M == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_edges_rejects_non_finite_values(bad):
+    rows, cols, values = _EDGES
+    with pytest.raises(NonFinite, match="NaN or infinite"):
+        IsingSpec.from_edges(4, rows, cols, [values[0], bad, values[2]])
+
+
+@pytest.mark.parametrize("rows,cols,error", [
+    ([0, 1, 2], [1, 1, 3], IndexOutOfRange),    # a diagonal pair
+    ([0, 3, 2], [1, 0, 3], IndexOutOfRange),    # a lower pair
+    ([-1, 0, 2], [1, 3, 3], IndexOutOfRange),
+    ([0, 0, 2], [1, 3, 4], IndexOutOfRange),    # col = n
+    ([0, 2, 0], [1, 3, 3], UnsortedEdges),
+    ([0, 0, 0], [1, 3, 3], UnsortedEdges),      # a pair listed twice
+    ([0, 0], [1, 3], LengthMismatch),
+])
+def test_from_edges_rejects_bad_pairs(rows, cols, error):
+    with pytest.raises(error):
+        IsingSpec.from_edges(4, rows, cols, _EDGES[2])
 
 
 def test_infinity_norm_examples():

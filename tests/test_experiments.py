@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isingfit import experiments
+from isingfit import core, experiments
 from isingfit.basis import (
     combine,
     edge_union,
@@ -346,6 +346,30 @@ def test_run_trial_matches_dense_oracle(generator, shuffle):
                          (res.beta_hat, want_res.beta_hat),
                          (res.objective_trace, want_res.objective_trace)):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("generator", ["blocks", "erdos_renyi_incidence", "matchings"])
+def test_run_trial_builds_its_model_from_the_edges(generator, monkeypatch):
+    # the model is zero_field(J*) bit for bit, with no dense validation
+    validated, specs = [], []
+    validate, sample = core.validate_interaction, experiments.glauber_sample
+    monkeypatch.setattr(core, "validate_interaction",
+                        lambda J: validated.append(J) or validate(J))
+    monkeypatch.setattr(experiments, "glauber_sample",
+                        lambda spec, *args: specs.append(spec) or sample(spec, *args))
+    stars = []
+    for k in (1, 4, 8):
+        cfg = ExperimentConfig(generator=generator, n=64, k_grid=(k,), seed=98,
+                               er_p=0.1, glauber_sweeps=5, max_iters=5_000)
+        stars.append(run_trial(cfg, k, 0)[2])
+    monkeypatch.undo()
+    assert validated == [] and len(specs) == 3
+    for spec, J_star in zip(specs, stars):
+        want = IsingSpec.zero_field(J_star)
+        for got, expected in ((spec.J, want.J), (spec.h, want.h)):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+        assert repr(spec.M) == repr(want.M)
 
 
 def test_run_trial_forms_no_dense_stack():

@@ -12,7 +12,7 @@ from isingfit.core import IsingSpec, _field_bounds
 from isingfit.errors import DimensionTooLarge, NotContracting
 from isingfit.experiments import (
     ExperimentConfig,
-    _raw_edges,
+    _matchings_edges,
     _scatter,
     _true_beta,
     gen_blocks,
@@ -421,7 +421,7 @@ def _test_05_chains(k, trials):
     for trial in range(trials):
         seed = trial_seed(cfg.seed, k, trial)
         rng = make_rng(seed)
-        raw = [_scatter(cfg.n, e) for e in _raw_edges(cfg, k, rng)]
+        raw = [_scatter(cfg.n, e) for e in _matchings_edges(cfg.n, k)]
         J = sum(b * R for b, R in zip(_true_beta(cfg, k, rng), raw))
         if isf.infinity_norm(J) > cfg.M:
             J = J * (cfg.M / isf.infinity_norm(J))

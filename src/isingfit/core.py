@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +116,6 @@ def infinity_norm(J):
     return float(np.max(np.sum(np.abs(J), axis=1)))
 
 
-def _field_bounds(spec):
-    """R_i = sum_j |J_ij| + |h_i|, the largest |local field| site i can see."""
-    return np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
-
-
 def frobenius_norm(J):
     return float(np.sqrt(np.sum(np.asarray(J, dtype=np.float64) ** 2)))
 
@@ -137,7 +132,7 @@ def trace_inner(A, B):
 @dataclass(frozen=True)
 class IsingSpec:
     """A pairwise model over {-1,+1}^n: density proportional to
-    exp(x'Jx/2 + h'x).  ``M`` caches the infinity norm of J.
+    exp(x'Jx/2 + h'x).  It holds J and h only: no norm is cached.
 
     The constructor validates the dense J (:func:`validate_interaction`);
     :meth:`from_edges` builds a zero-field model from its strictly-upper
@@ -146,7 +141,6 @@ class IsingSpec:
 
     J: np.ndarray
     h: np.ndarray
-    M: float = field(init=False)
 
     def __post_init__(self):
         J = validate_interaction(self.J)
@@ -161,7 +155,6 @@ class IsingSpec:
         h.flags.writeable = False
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "M", infinity_norm(J))
 
     @property
     def n(self):
@@ -181,9 +174,9 @@ class IsingSpec:
         values finite (``NonFinite``), 0 <= rows < cols < n
         (``IndexOutOfRange``) and pairs strictly increasing in row-major
         order (``UnsortedEdges``), so J is symmetric with a zero diagonal
-        by construction.  J is then scattered once; J, h and M equal those
-        of ``zero_field`` on that scatter bit for bit (whenever 2 |values|
-        is finite, as ``zero_field`` averages J with its transpose).
+        by construction.  J is then scattered once; J and h equal those of
+        ``zero_field`` on that scatter bit for bit (whenever 2 |values| is
+        finite, as ``zero_field`` averages J with its transpose).
         """
         n = int(n)
         rows, cols = np.asarray(rows), np.asarray(cols)
@@ -209,8 +202,8 @@ class IsingSpec:
         h = np.zeros(n)
         J.flags.writeable = h.flags.writeable = False
         spec = object.__new__(cls)
-        for name, value in (("J", J), ("h", h), ("M", infinity_norm(J))):
-            object.__setattr__(spec, name, value)
+        object.__setattr__(spec, "J", J)
+        object.__setattr__(spec, "h", h)
         return spec
 
 
@@ -254,7 +247,8 @@ def matrix_to_json(J):
 def matrix_from_json(obj):
     """Inverse of ``matrix_to_json``: each entry [i, j, value] has integer
     indices 0 <= i < j < n and names its pair once; ValueError names the
-    first entry that does not."""
+    first entry that does not, and ``NonFinite`` a NaN or infinite value.
+    J is symmetric with a zero diagonal by construction, and read-only."""
     n = int(obj["n"])
     J = np.zeros((n, n))
     seen = set()
@@ -268,9 +262,11 @@ def matrix_from_json(obj):
         if (i, j) in seen:
             raise ValueError(f"entry {entry!r}: pair ({i},{j}) is listed twice")
         seen.add((i, j))
-        J[i, j] = v
-        J[j, i] = v
-    return validate_interaction(J)
+        J[i, j] = J[j, i] = v
+    if seen and not np.isfinite(J[tuple(zip(*seen))]).all():
+        raise NonFinite(_NON_FINITE)
+    J.flags.writeable = False
+    return J
 
 
 def load_matrix(path):
@@ -285,8 +281,11 @@ def save_matrix(path, J):
 
 def load_spins(path):
     with open(path) as f:
-        x = np.asarray(json.load(f), dtype=np.int64)
-    return check_spins(x)
+        x = json.load(f)
+    for v in x if isinstance(x, list) else [x]:  # before a cast rounds 1.5 or True
+        if type(v) not in (int, float) or abs(v) != 1:
+            raise ValueError(f"spin entry {v!r} is not exactly +1 or -1")
+    return check_spins(np.asarray(x, dtype=np.int64))
 
 
 def save_spins(path, x):

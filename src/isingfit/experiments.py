@@ -214,10 +214,11 @@ def run_trial(cfg, k, trial):
     there and every earlier A_i is 0, so that member is kept and its A_i
     is nonzero there.  J* is u* = sum_s beta_s v_s on these edges, summed
     left to right as a dense sum of the raw matrices would be.  The basis
-    scatters it densely once, for its infinity norm (which scales J* to
-    the budget) and the returned ``J_star``; the model is built from u*
-    on the edges (``IsingSpec.from_edges``), which checks them in O(m)
-    instead of validating the dense J* again.  beta* is <J*, A_i>,
+    scatters it densely once, for its infinity norm alone (which scales
+    u* to the budget); the model is built from u* on the edges
+    (``IsingSpec.from_edges``), which checks them in O(m) instead of
+    validating the dense J* again, and its read-only J is the returned
+    ``J_star``, the one n x n array the trial keeps.  beta* is <J*, A_i>,
     gathered on the edges, and J* less its projection onto the span is
     the residual r there, so
     ``frob_error`` = ||J_hat - J*||_F = sqrt(||beta_hat - beta*||^2 +
@@ -240,10 +241,8 @@ def run_trial(cfg, k, trial):
         basis = gram_schmidt_edges(n, rows, cols, values)
     beta_raw = _true_beta(cfg, k, rng)
     u_star = sum(b * v for b, v in zip(beta_raw, values))
-    J_star = basis.stacked(u_star[:, None])[0]
-    inf = infinity_norm(J_star)
+    inf = infinity_norm(basis.stacked(u_star[:, None])[0])
     if inf > cfg.M and inf > 0:
-        J_star *= cfg.M / inf
         u_star = u_star * (cfg.M / inf)
     ev = basis.edges
     spec = IsingSpec.from_edges(n, ev.rows, ev.cols, u_star)
@@ -275,7 +274,7 @@ def run_trial(cfg, k, trial):
         iterations=res.iterations,
         sampler=sampler,
     )
-    return rec, basis, J_star, res
+    return rec, basis, spec.J, res
 
 
 _CSV_FIELDS = [f.name for f in fields(TrialRecord)]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _field_bounds
 from .errors import DimensionMismatch, DimensionTooLarge
 from .sampler import _linear_sums, enumerate_distribution
 
@@ -84,6 +83,6 @@ def conditional_variance_floor(spec):
     magnitude is maximized at ||J_i||_1 + |h_i|, so the floor is the
     minimum over i of sech^2 at that extreme.
     """
-    worst = _field_bounds(spec)
+    worst = np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
     return float(np.min(1.0 / np.cosh(worst) ** 2)) if spec.n else 1.0
 

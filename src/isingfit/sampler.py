@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _field_bounds
 from .errors import DimensionTooLarge, NotContracting
 
 ENUMERATION_LIMIT = 22
@@ -152,6 +151,8 @@ def certified_sweeps(spec):
     n exp(-(1 - alpha) t), and t = ceil(ln(n / TV_TARGET) / (1 - alpha)).
     With alpha >= 1 nothing is certified, and ``NotContracting`` is raised.
     """
+    if spec.n == 0:
+        return 1  # no rows: alpha = 0 and n exp(-t) = 0 at any t
     alpha = float(np.tanh(np.abs(spec.J)).sum(axis=1).max())
     if alpha >= 1.0:
         raise NotContracting(
@@ -280,8 +281,8 @@ def _bands(R, degrees):
     whatever the other spins are: ``_single_chain`` writes +1 at site s
     when u < lo[s] and -1 when u >= hi[s].
 
-    Each conditional P(x_s = +1 | x) = 1/2 (1 + tanh f) has |f| <= R_s
-    (``_field_bounds``), so it lies in [1/2 (1 - tanh R_s),
+    Each conditional P(x_s = +1 | x) = 1/2 (1 + tanh f) has
+    |f| <= R_s = sum_j |J_sj| + |h_s|, so it lies in [1/2 (1 - tanh R_s),
     1/2 (1 + tanh R_s)]; the band is that interval widened by
     ``_BAND_SLACK`` on each side, which covers the rounding of both the
     edges and the p the chain computes.  With d = deg_s nonzero couplings
@@ -289,10 +290,10 @@ def _bands(R, degrees):
     summation order (the Python loop's or BLAS's; adding an exact zero is
     exact) each passes through at most d rounded additions, so
     |f^ - f| <= g R_s with g = d e / (1 - d e) <= (d + 1) e; the computed
-    R^_s is a sum of the same magnitudes and is off by as much.  tanh is
-    1-Lipschitz and np.tanh is within a few ulps (each at most e on
-    [-1, 1]); each later sum or difference in [-1, 2] (1 + t, 1/2 +- t/2,
-    the widening) rounds by at most e, and halving is exact.  So
+    R^_s is a sum of the same magnitudes, in any order, and is off by as
+    much.  tanh is 1-Lipschitz and np.tanh is within a few ulps (each at
+    most e on [-1, 1]); each later sum or difference in [-1, 2] (1 + t,
+    1/2 +- t/2, the widening) rounds by at most e, and halving is exact.  So
     p^ >= 1/2 (1 - tanh R_s) - g R_s / 2 - c e, and the computed lower edge
     before widening is at most 1/2 (1 - tanh R_s) + g R_s / 2 + c e, with
     c below 32 for any tanh within 20 ulps.  Hence lo <= p^ whenever
@@ -312,21 +313,22 @@ def _single_chain(spec, x, rng, steps):
     the spin every field would give it, without summing the field.  When
     ``_goes_lazy`` holds, ``_lazy_chain`` evaluates only the updates that
     the final spins read; otherwise every update runs forward, in time
-    order, over the chunks of ``_draw_plan`` decoded one after another."""
+    order, over the chunks of ``_draw_plan`` decoded one after another.
+    R_s sums the row's gathered nonzeros in column order (``_bands``)."""
     n = spec.n
     J = spec.J
     # row-major flat scan: the indices of np.nonzero(J), at a fraction of its cost
     rows, cols = np.divmod(np.flatnonzero(J != 0.0), n)
-    weights = J[rows, cols].tolist()
+    weights = J[rows, cols]
     bounds = np.searchsorted(rows, np.arange(n + 1))
     degrees = np.diff(bounds)
-    lo, hi = _bands(_field_bounds(spec), degrees)
+    lo, hi = _bands(np.bincount(rows, np.abs(weights), minlength=n) + np.abs(spec.h), degrees)
     # b of _goes_lazy: the largest sum of a row's neighbours' band widths
     reach = float(np.bincount(rows, (hi - lo).take(cols), minlength=n).max(initial=0.0))
     # a row dense enough that one BLAS product on the array x beats
     # summing in Python
     dense = bool(degrees.max(initial=0) > _DENSE_ROW)
-    cols = cols.tolist()
+    cols, weights = cols.tolist(), weights.tolist()
     bounds = bounds.tolist()
     h = spec.h.tolist()
     if _goes_lazy(dense, n, reach, steps):

@@ -64,6 +64,17 @@ def test_sample_glauber_defaults_to_certified_sweeps(tmp_path, small_model, caps
     assert "alpha" in captured.err and captured.out == ""
 
 
+def test_sample_glauber_of_an_empty_model(tmp_path, capsys):
+    # n = 0 certifies one sweep, and every method prints an empty row
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps({"n": 0, "entries": []}))
+    outs = []
+    for extra in ([], ["--method", "glauber"], ["--method", "glauber", "--sweeps", "2"]):
+        main(["sample", "--model", str(path), *extra])
+        outs.append(capsys.readouterr().out)
+    assert outs == ["[]\n"] * 3
+
+
 def test_package_errors_exit_with_their_message(tmp_path, small_model, capsys):
     # a package error from any subcommand ends as argparse ends a bad
     # argument: one line on stderr and exit status 2

@@ -76,7 +76,7 @@ def test_restricted_models_satisfy_dobrushin():
     assert len(sets) == 20
     for I in sets:
         x = 1.0 - 2.0 * rng.integers(0, 2, size=30)
-        assert restrict(spec, I, x).M <= eta + 1e-12 < 1.0
+        assert infinity_norm(restrict(spec, I, x).J) <= eta + 1e-12 < 1.0
 
 
 def test_zero_matrix_single_trivial_cover():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import isingfit as isf
-from isingfit.core import IsingSpec, local_field
+from isingfit.core import IsingSpec, infinity_norm, local_field
 from isingfit.errors import (
     AsymmetryError,
     DiagonalError,
@@ -98,10 +98,10 @@ def test_from_edges_is_zero_field_of_the_scatter():
     for a, b in ((got.J, want.J), (got.h, want.h)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert not a.flags.writeable
-    assert repr(got.M) == repr(want.M)
+    assert repr(infinity_norm(got.J)) == repr(infinity_norm(want.J))
     none = np.zeros(0, dtype=np.intp)
     empty = IsingSpec.from_edges(3, none, none, [])
-    assert empty.n == 3 and not empty.J.any() and empty.M == 0.0
+    assert empty.n == 3 and not empty.J.any() and infinity_norm(empty.J) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -304,7 +304,7 @@ def test_restrict_norm_contraction():
         m = int(rng.integers(1, 9))
         I = rng.choice(9, size=m, replace=False)
         x = 1.0 - 2.0 * rng.integers(0, 2, size=9)
-        assert restrict(spec, I, x).M <= spec.M + 1e-12
+        assert infinity_norm(restrict(spec, I, x).J) <= infinity_norm(spec.J) + 1e-12
 
 
 def test_matrix_json_round_trip(tmp_path):
@@ -331,6 +331,16 @@ def test_matrix_json_rejects_bad_entries(entries, needle):
     assert needle in str(info.value)
 
 
+# the file's J is symmetric with a zero diagonal by construction, so its
+# values are checked for finiteness alone, in O(m)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_json_rejects_non_finite_values(bad):
+    with pytest.raises(NonFinite, match="NaN or infinite"):
+        isf.core.matrix_from_json({"n": 3, "entries": [[0, 1, 0.2], [1, 2, bad]]})
+    J = isf.core.matrix_from_json({"n": 3, "entries": [[0, 1, 0.2]]})
+    assert not J.flags.writeable
+
+
 def test_matrix_json_reads_json_text():
     obj = json.loads('{"n": 3, "entries": [[0, 2, 0.25], [1, 2, -0.5]]}')
     J = isf.core.matrix_from_json(obj)
@@ -343,3 +353,14 @@ def test_spin_json_round_trip(tmp_path):
     path = tmp_path / "x.json"
     isf.core.save_spins(path, x)
     assert np.array_equal(isf.core.load_spins(path), x)
+
+
+# an int64 cast would read 1.5 as 1 and True as 1; each is refused with
+# the entry named, before any cast
+@pytest.mark.parametrize("bad", [1.5, True, "1", 0])
+def test_spin_json_rejects_entries_that_are_not_exactly_one(tmp_path, bad):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps([1, -1, bad, -1.9]))
+    with pytest.raises(ValueError) as info:
+        isf.core.load_spins(path)
+    assert f"entry {bad!r} is not" in str(info.value)

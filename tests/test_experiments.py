@@ -369,7 +369,29 @@ def test_run_trial_builds_its_model_from_the_edges(generator, monkeypatch):
         for got, expected in ((spec.J, want.J), (spec.h, want.h)):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             assert not got.flags.writeable
-        assert repr(spec.M) == repr(want.M)
+        assert repr(infinity_norm(spec.J)) == repr(infinity_norm(want.J))
+
+
+# M = 0.5 scales J* down to the budget; M = 100 leaves it as drawn
+@pytest.mark.parametrize("M", [0.5, 100.0])
+@pytest.mark.parametrize("generator", ["blocks", "erdos_renyi_incidence", "matchings"])
+def test_run_trial_takes_one_norm_and_returns_the_models_J(generator, M, monkeypatch):
+    # the rescale's dense norm is the trial's one pass over J*, and J_star
+    # is the model's own read-only J, with the dense oracle's bits
+    calls, specs = [], []
+    norm, sample = core.infinity_norm, experiments.glauber_sample
+    for module in (core, experiments):
+        monkeypatch.setattr(module, "infinity_norm", lambda J: calls.append(J) or norm(J))
+    monkeypatch.setattr(experiments, "glauber_sample",
+                        lambda spec, *args: specs.append(spec) or sample(spec, *args))
+    cfg = ExperimentConfig(generator=generator, n=64, k_grid=(4,), seed=99, M=M,
+                           er_p=0.1, glauber_sweeps=5, max_iters=5_000)
+    J_star = run_trial(cfg, 4, 0)[2]
+    assert len(calls) == 1 and len(specs) == 1
+    monkeypatch.undo()
+    assert J_star is specs[0].J and not J_star.flags.writeable
+    want = _dense_run_trial(cfg, 4, 0)[2]
+    assert J_star.shape == want.shape and J_star.tobytes() == want.tobytes()
 
 
 def test_run_trial_forms_no_dense_stack():
@@ -386,6 +408,23 @@ def test_run_trial_forms_no_dense_stack():
         tracemalloc.stop()
     assert not rec.error and math.isfinite(rec.frob_error)
     assert peak < 4 * n * n * 8
+
+
+def test_run_trial_keeps_one_dense_J():
+    # the model's J and the rescale's scatter, which is dropped once its
+    # norm is read, are the trial's only n x n arrays (2 n^2 8 bytes): no
+    # scaled copy of J* and no dense row-sum pass of it is kept alive
+    n = 1024
+    cfg = ExperimentConfig(n=n, k_grid=(8,), seed=61, glauber_sweeps=5,
+                           max_iters=30_000, grad_tol=1e-4)
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg, 8, 0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.error and math.isfinite(rec.frob_error)
+    assert peak < 2.5 * n * n * 8
 
 
 # ---------------------------------------------------------------------------

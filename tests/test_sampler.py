@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 import isingfit as isf
 import isingfit.sampler as sampler_mod
-from isingfit.core import IsingSpec, _field_bounds
+from isingfit.core import IsingSpec
 from isingfit.errors import DimensionTooLarge, NotContracting
 from isingfit.experiments import (
     ExperimentConfig,
@@ -291,6 +291,15 @@ def test_certified_sweeps_bound_the_exact_worst_start_tv(alpha):
     assert worst_tv(t) <= sampler_mod.TV_TARGET
 
 
+def test_certified_sweeps_of_an_empty_model_is_one():
+    # no rows: alpha = 0 and n exp(-t) = 0 at every t, so the fewest sweeps
+    # GlauberConfig takes
+    spec = IsingSpec.zero_field(np.zeros((0, 0)))
+    assert sampler_mod.certified_sweeps(spec) == 1
+    draws = glauber_sample_many(spec, 2, GlauberConfig(1, seed=3))
+    assert draws.shape == (2, 0)
+
+
 def test_certified_sweeps_refuse_a_model_without_contraction():
     # nothing is certified at alpha >= 1: the n = 65, M = 4 ER model
     # (alpha = 3.98) and a small model at alpha = 1.5
@@ -392,7 +401,7 @@ def _check_single_chain(spec, cfg, buffered=False, seed=56, bit_generator=np.ran
         rng_b.integers(0, spec.n)
     got = glauber_sample_many(spec, 1, cfg, rng_a)
     want = _scalar_glauber(spec, cfg, rng_b)
-    case = (spec.n, spec.M, cfg, buffered)
+    case = (spec.n, isf.infinity_norm(spec.J), cfg, buffered)
     assert got.dtype == want.dtype and np.array_equal(got, want), case
     assert rng_a.random() == rng_b.random(), case  # both consumed the same draws
     return want
@@ -554,6 +563,13 @@ def test_lazy_chain_crosses_windows(monkeypatch):
     assert lazy == [True, True]
 
 
+def _chain_bounds(spec):
+    """R_s = sum_j |J_sj| + |h_s| as _single_chain sums it: over the row's
+    nonzeros in column order."""
+    rows, cols = np.nonzero(spec.J)
+    return np.bincount(rows, np.abs(spec.J[rows, cols]), minlength=spec.n) + np.abs(spec.h)
+
+
 def _chain_p(spec, s, x):
     """P(x_s = +1 | x) computed as _single_chain computes it for row s."""
     row = np.flatnonzero(spec.J[s])
@@ -576,16 +592,32 @@ def test_band_holds_the_chains_extreme_conditionals(kind, k, n, M):
     degrees = np.count_nonzero(spec.J, axis=1)
     if k == 1:
         assert degrees[2:].min() > _DENSE_ROW
-    lo, hi = _bands(_field_bounds(spec), degrees)
+    lo, hi = _bands(_chain_bounds(spec), degrees)
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
     for s in range(n):
         sign = np.where(spec.J[s] < 0.0, -1.0, 1.0)
         for x in (sign, -sign):  # the fields +-sum_j |J_sj| + h_s
             assert lo[s] < _chain_p(spec, s, x) < hi[s], (s, x)
     # the edges sit within _BAND_SLACK + 1 ulp of the field band
-    R = _field_bounds(spec)
+    R = _chain_bounds(spec)
     assert np.all(np.abs(lo - (0.5 * (1.0 - np.tanh(R)) - _BAND_SLACK)) <= 2.0 ** -52)
     assert np.all(np.abs(hi - (0.5 * (1.0 + np.tanh(R)) + _BAND_SLACK)) <= 2.0 ** -52)
+
+
+# Blocks of 16 at M = 0.02: each row sums 15 equal magnitudes, which
+# numpy's pairwise sum and the chain's column-order sum round apart on
+# many rows.  The bands may move by that last bit; the spins and the draws
+# stay the oracle's on the lazy path and, with _LAZY_COST raised, forward.
+def test_chain_bounds_summed_in_edge_order_keep_the_spins(monkeypatch):
+    lazy = _count_paths(monkeypatch)
+    spec = _model("blocks", 64, True, 0.02, k=4)
+    dense = np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
+    assert np.count_nonzero(_chain_bounds(spec) != dense) > 0
+    cfg = GlauberConfig(40, seed=72)
+    _check_single_chain(spec, cfg)
+    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 10 ** 9)
+    _check_single_chain(spec, cfg)
+    assert lazy == [True, False]
 
 
 def test_band_is_empty_where_rounding_could_reach_it():

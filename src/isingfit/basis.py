@@ -2,15 +2,15 @@
 
 The span of raw matrices J_1..J_k is equipped with the inner product
 <A, B> = sum_ij A_ij B_ij, and parameter vectors live in coordinates of
-the orthonormalized basis A_1..A_k'.  The basis is stored once, in edge
-coordinates: the values of A_1..A_k' on the union of the raw matrices'
-strictly-upper supports (``MatrixBasis.edges``), where
-<A, B> = 2 a.b for the edge values a, b.  ``gram_schmidt_edges`` takes
-the raw family as edge lists; ``gram_schmidt`` reads each dense raw
-matrix once, through its support, keeps none of them and hands the edges
-to it.  ``project`` gathers from J on the edges.  ``ortho`` and
-``stacked()`` are dense n x n views scattered from the edges, for
-callers that need them.
+the orthonormalized basis A_1..A_k'.  A ``MatrixBasis`` is that basis in
+edge coordinates and nothing else: the values ``coef`` of A_1..A_k' on
+the union of the raw matrices' strictly-upper supports (``rows``,
+``cols``), where <A, B> = 2 a.b for the edge values a, b.
+``gram_schmidt_edges`` takes the raw family as edge lists;
+``gram_schmidt`` reads each dense raw matrix once, through its support,
+keeps none of them and hands the edges to it.  ``project`` gathers from
+J on the edges.  ``ortho`` and ``stacked()`` are dense n x n views
+scattered from the edges, for callers that need them.
 """
 
 from __future__ import annotations
@@ -30,17 +30,20 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class EdgeView:
-    """A basis over the union of its strictly-upper supports.
+class MatrixBasis:
+    """An orthonormal basis A_1..A_k' of a span, stored in edge coordinates.
 
     Edge e is the pair (rows[e], cols[e]) with rows[e] < cols[e], in
     row-major order, and ``coef[e, s]`` is A_s at that pair, so the upper
     entries of sum_s beta_s A_s are ``coef @ beta``.
 
-    ``row_abs_sums`` and ``fields`` sum by ``np.bincount``, which copies an
-    index array that is not writeable.  They read a private, writeable
-    copy of the indices (``_flat``), made once per view and kept out of
-    ``==`` and ``repr``, so the public arrays can stay read-only.
+    The basis is a function of the raw family alone, so callers may share
+    one object: ``run_trial`` reuses it across the trials of a family that
+    no draw shapes.  Its arrays are read-only, and writing into them
+    raises ``ValueError``.  ``row_abs_sums`` and ``fields`` sum by
+    ``np.bincount``, which copies an index array that is not writeable.
+    They read a private, writeable copy of the indices (``_flat``), made
+    once per basis and kept out of ``==`` and ``repr``.
     """
 
     n: int
@@ -48,12 +51,16 @@ class EdgeView:
     cols: np.ndarray     # (m,)
     coef: np.ndarray     # (m, k)
 
+    @property
+    def k(self):
+        return self.coef.shape[1]
+
     @functools.cached_property
     def _flat(self):
         """(s n + rows, s n + cols) for s = 0..k-1 as flat writeable intp
         arrays, and the contiguous coef' (k, m) that they index; the first
         m entries of each index are rows and cols themselves."""
-        offsets = np.arange(self.coef.shape[1], dtype=np.intp)[:, None] * self.n
+        offsets = np.arange(self.k, dtype=np.intp)[:, None] * self.n
         return ((offsets + self.rows).ravel(), (offsets + self.cols).ravel(),
                 np.ascontiguousarray(self.coef.T))
 
@@ -77,7 +84,7 @@ class EdgeView:
         return (np.bincount(rows, (coef_t * xc).ravel(), k * n)
                 + np.bincount(cols, (coef_t * xr).ravel(), k * n)).reshape(k, n)
 
-    def dense(self, values=None):
+    def stacked(self, values=None):
         """The (j, n, n) symmetric matrices whose strictly-upper entries on
         the edges are the columns of ``values`` (m, j), 0 elsewhere; by
         default ``coef``, the stack of A_1..A_k'."""
@@ -87,36 +94,10 @@ class EdgeView:
         out[:, self.cols, self.rows] = values.T
         return out
 
-
-@dataclass(frozen=True)
-class MatrixBasis:
-    """An orthonormal basis A_1..A_k' of a span, stored in edge coordinates.
-
-    The basis is a function of the raw family alone, so callers may share
-    one object: ``run_trial`` reuses it across the trials of a family that
-    no draw shapes.  Its ``edges`` arrays are read-only, and writing into
-    them raises ``ValueError``.
-    """
-
-    edges: EdgeView      # orthonormal A_1..A_k' in edge coordinates
-
-    @property
-    def n(self):
-        return self.edges.n
-
-    @property
-    def k(self):
-        return self.edges.coef.shape[1]
-
     @property
     def ortho(self):
         """A_1..A_k' as dense n x n matrices."""
-        return list(self.edges.dense())
-
-    def stacked(self, values=None):
-        """The (k, n, n) stack of A_1..A_k', or of the matrices with edge
-        values ``values`` (m, j) (see :meth:`EdgeView.dense`)."""
-        return self.edges.dense(values)
+        return list(self.stacked())
 
 
 _RANK_TOL = 1e-9  # relative residual below which a raw matrix is dependent
@@ -191,12 +172,12 @@ def gram_schmidt_edges(n, rows, cols, values):
         keep |= v != 0.0
     coef = np.stack(ortho, axis=1)
     if keep.all():
-        edges = EdgeView(n, rows.copy(), cols.copy(), coef)
+        basis = MatrixBasis(n, rows.copy(), cols.copy(), coef)
     else:
-        edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
-    for a in (edges.rows, edges.cols, edges.coef):
+        basis = MatrixBasis(n, rows[keep], cols[keep], coef[keep])
+    for a in (basis.rows, basis.cols, basis.coef):
         a.flags.writeable = False
-    return MatrixBasis(edges)
+    return basis
 
 
 def combine(basis, beta):
@@ -219,12 +200,12 @@ def project(basis, J):
     J = np.asarray(J, dtype=np.float64)
     if J.shape != (basis.n, basis.n):
         raise ShapeMismatch(f"matrix shape {J.shape} vs basis dimension {basis.n}")
-    ev = basis.edges
-    beta = ev.coef.T @ (J[ev.rows, ev.cols] + J[ev.cols, ev.rows])
-    u = ev.coef @ beta
+    rows, cols, coef = basis.rows, basis.cols, basis.coef
+    beta = coef.T @ (J[rows, cols] + J[cols, rows])
+    u = coef @ beta
     R = J.copy()
-    R[ev.rows, ev.cols] -= u
-    R[ev.cols, ev.rows] -= u
+    R[rows, cols] -= u
+    R[cols, rows] -= u
     np.square(R, out=R)  # the Frobenius norm without a second n x n array
     return beta, float(np.sqrt(np.sum(R)))
 

@@ -63,8 +63,7 @@ def _load_family(path):
 def cmd_basis(args):
     raw = _load_family(args.basis)
     b = basis_mod.gram_schmidt(raw)
-    coef = b.edges.coef
-    G = 2.0 * coef.T @ coef  # <A_i, A_j> = 2 a_i . a_j on the edges
+    G = 2.0 * b.coef.T @ b.coef  # <A_i, A_j> = 2 a_i . a_j on the edges
     report = {
         "k_input": len(raw),
         "k_prime": b.k,

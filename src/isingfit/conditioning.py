@@ -68,45 +68,40 @@ def _set_sums(indptr, indices, V):
     after another to 0.0: the terms and order of scipy's CSR product with
     unit weights, so the bits are its bits.
 
-    For V of shape (n,), returns each set's mass sum_{l in I_j} V[l].  For
-    V of shape (n, n), returns sum_{l in I_j} V[l, c] at every member c of
-    I_j, in the order of ``indices``.  Every entry of V must be >= 0.
+    For V of shape (n,), returns each set's mass sum_{l in I_j} V[l], by
+    one ``np.bincount`` over the memberships, which adds each bin's terms
+    in input order from 0.0.  For V of shape (n, n), returns
+    sum_{l in I_j} V[l, c] at every member c of I_j, in the order of
+    ``indices``.  Every entry of V must be >= 0.
 
-    Sets are grouped by size rounded up to a multiple of ``_PAD``, and
-    padded with the sentinel coordinate n, whose row and column of V are
-    +0.0; as every term is >= 0, adding +0.0 leaves each sum's bits alone.
-    Each group makes one sequential pass per position, gathering only the
-    entries inside its sets: sum_j |I_j|^2 additions, not the product's
-    sum_j |I_j| * n.  The passes are explicit because ``np.sum`` along a
-    contiguous axis sums pairwise, and ``reduceat`` and BLAS also change
-    the order.
+    The (n, n) sums group the sets by size rounded up to a multiple of
+    ``_PAD``, padded with the sentinel coordinate n, whose row and column
+    of V are +0.0; as every term is >= 0, adding +0.0 leaves each sum's
+    bits alone.  Each group makes one sequential pass per position,
+    gathering only the entries inside its sets: sum_j |I_j|^2 additions,
+    not the product's sum_j |I_j| * n.  The passes are explicit because
+    ``np.sum`` along a contiguous axis sums pairwise, and ``reduceat`` and
+    BLAS also change the order.
     """
-    n = V.shape[0]
-    per_member = V.ndim == 2
-    # a zero row for the sentinel, and for an (n, n) V a zero column
-    Vf = np.pad(V if per_member else V[:, None], ((0, 1), (0, int(per_member))))
-    stride = Vf.shape[1]
-    Vf = Vf.ravel()
     sizes = np.diff(indptr)
-    out = np.empty(len(indices)) if per_member else np.zeros(len(sizes))
+    if V.ndim == 1:
+        return np.bincount(np.repeat(np.arange(len(sizes)), sizes), V[indices], len(sizes))
+    n = V.shape[0]
+    Vf = np.pad(V, ((0, 1), (0, 1))).ravel()  # a zero row and column for the sentinel
+    out = np.empty(len(indices))
     padded = -(-sizes // _PAD) * _PAD
     for width in np.unique(padded[padded > 0]).tolist():
         group = np.flatnonzero(padded == width)
-        entries = len(group) * (width if per_member else 1)  # per pass
-        for js in np.array_split(group, -(-entries // _BLOCK)):
+        for js in np.array_split(group, -(-len(group) * width // _BLOCK)):
             valid = np.arange(width) < sizes[js, None]
             pos = (indptr[js, None] + np.arange(width))[valid]
             idx = np.full((len(js), width), n)
             idx[valid] = indices[pos]
-            rows = idx * stride
-            cols = idx if per_member else np.zeros((1, 1), dtype=np.intp)
-            acc = np.zeros((len(js), cols.shape[1]))
+            rows = idx * (n + 1)
+            acc = np.zeros((len(js), width))
             for p in range(width):
-                acc += Vf.take(rows[:, p:p + 1] + cols)
-            if per_member:
-                out[pos] = acc[valid]
-            else:
-                out[js] = acc[:, 0]
+                acc += Vf.take(rows[:, p:p + 1] + idx)
+            out[pos] = acc[valid]
     return out
 
 

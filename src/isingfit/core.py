@@ -246,9 +246,10 @@ def matrix_to_json(J):
 
 def matrix_from_json(obj):
     """Inverse of ``matrix_to_json``: each entry [i, j, value] has integer
-    indices 0 <= i < j < n and names its pair once; ValueError names the
-    first entry that does not, and ``NonFinite`` a NaN or infinite value.
-    J is symmetric with a zero diagonal by construction, and read-only."""
+    indices 0 <= i < j < n, a number as its value, and names its pair once;
+    ValueError names the first entry that does not, and ``NonFinite`` a NaN
+    or infinite value.  J is symmetric with a zero diagonal by construction,
+    and read-only."""
     n = int(obj["n"])
     J = np.zeros((n, n))
     seen = set()
@@ -257,6 +258,8 @@ def matrix_from_json(obj):
         if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
                    for t in (i, j)):
             raise ValueError(f"entry {entry!r}: indices must be integers")
+        if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+            raise ValueError(f"entry {entry!r}: value must be a number")
         if not (0 <= i < j < n):
             raise ValueError(f"entry ({i},{j}) is not strictly upper triangular")
         if (i, j) in seen:

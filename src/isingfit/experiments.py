@@ -19,7 +19,7 @@ import numpy as np
 from .basis import combine, edge_union, gram_schmidt_edges
 # perfbench/tracing.py wraps experiments.gram_schmidt and experiments.project
 from .basis import gram_schmidt, project  # noqa: F401
-from .core import IsingSpec, infinity_norm, matrix_to_json
+from .core import IsingSpec, infinity_norm, save_matrix
 from .errors import IsingfitError, NormBudgetExceeded, TooManyGroups
 from .mple import MpleConfig, fit, psi
 from .sampler import (
@@ -244,17 +244,15 @@ def run_trial(cfg, k, trial):
     inf = infinity_norm(basis.stacked(u_star[:, None])[0])
     if inf > cfg.M and inf > 0:
         u_star = u_star * (cfg.M / inf)
-    ev = basis.edges
-    spec = IsingSpec.from_edges(n, ev.rows, ev.cols, u_star)
+    spec = IsingSpec.from_edges(n, basis.rows, basis.cols, u_star)
     if n <= EXACT_SAMPLE_LIMIT:
         x = exact_sample(enumerate_distribution(spec), rng)
         sampler = "exact"
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
         sampler = "glauber"
-    coef = ev.coef
-    beta_star = coef.T @ (u_star + u_star)
-    residual = u_star - coef @ beta_star
+    beta_star = basis.coef.T @ (u_star + u_star)
+    residual = u_star - basis.coef @ beta_star
     res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
                                    grad_tol=cfg.grad_tol))
     psi_star = psi(basis, beta_star, x)
@@ -285,25 +283,33 @@ def run_sweep(cfg, out_dir=None, save_instances=False):
 
     A package error (``IsingfitError``) in a cell is recorded in its row
     and the sweep continues; any other exception is a bug and propagates.
+    With ``save_instances`` and an ``out_dir``, each finished cell's J* is
+    written to ``instances/k{k}_trial{trial}.json`` at once, so the sweep
+    holds one J* at a time; a sweep with no finished cell writes none.
     """
+    inst_dir = None
+    if save_instances and out_dir is not None:
+        inst_dir = os.path.join(out_dir, "instances")
     records = []
-    instances = {}
     for k in cfg.k_grid:
         for trial in range(cfg.trials):
             try:
-                rec, basis_obj, J_star, _ = run_trial(cfg, k, trial)
-                if save_instances:
-                    instances[(k, trial)] = J_star
+                rec, _, J_star, _ = run_trial(cfg, k, trial)
             except IsingfitError as exc:  # recorded per-trial, sweep continues
                 rec = TrialRecord(cfg.generator, cfg.n, k, trial,
                                   trial_seed(cfg.seed, k, trial),
                                   math.nan, math.nan, math.nan, math.nan,
                                   math.nan, math.nan, 0, "none",
                                   error=f"{type(exc).__name__}: {exc}")
+            else:
+                if inst_dir is not None:
+                    os.makedirs(inst_dir, exist_ok=True)
+                    save_matrix(os.path.join(inst_dir, f"k{k}_trial{trial}.json"), J_star)
+                del J_star
             records.append(rec)
     summary = summarize(cfg, records)
     if out_dir is not None:
-        write_outputs(cfg, records, summary, out_dir, instances)
+        write_outputs(cfg, records, summary, out_dir)
     return records, summary
 
 
@@ -326,7 +332,7 @@ def summarize(cfg, records):
     return {"config": cfg.to_dict(), "per_k": per_k, "c_hat": c_hat}
 
 
-def write_outputs(cfg, records, summary, out_dir, instances=None):
+def write_outputs(cfg, records, summary, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=_CSV_FIELDS)
@@ -339,10 +345,3 @@ def write_outputs(cfg, records, summary, out_dir, instances=None):
             w.writerow(row)
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
-    if instances:
-        inst_dir = os.path.join(out_dir, "instances")
-        os.makedirs(inst_dir, exist_ok=True)
-        for (k, trial), J in sorted(instances.items()):
-            path = os.path.join(inst_dir, f"k{k}_trial{trial}.json")
-            with open(path, "w") as f:
-                json.dump(matrix_to_json(J), f)

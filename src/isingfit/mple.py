@@ -10,12 +10,12 @@ which is convex.  ``fit`` minimizes it subject to the budget
 respect linear cuts of the budget.
 
 Each quantity has one implementation, in terms of the fields f = J x
-(beta @ Bx in basis coordinates, Bx = (A_i x)_i = ``basis.edges.fields(x)``
+(beta @ Bx in basis coordinates, Bx = (A_i x)_i = ``basis.fields(x)``
 read off the edge-coordinate basis in O(m k), as each A_i is symmetric):
 ``value_at_fields`` for neg_log_pl, psi and fit; ``gradient_at_fields``
 for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
-Hessian; and ``infnorm_subgradient`` over ``basis.edges`` for fit's
+Hessian; and ``infnorm_subgradient`` over the basis edges for fit's
 budget cuts.  fit has one solver, Lawson and Hanson's non-negative least
 squares ``_nnls``, started warm from the rows that its right-hand side
 breaks: its certificate ``_kkt_residual`` is one projection onto the
@@ -102,7 +102,7 @@ def _basis_fields(basis, beta, x):
     if beta.shape != (basis.k,):
         raise LengthMismatch(f"beta length {beta.shape} vs basis rank {basis.k}")
     x = check_spins(x, basis.n)
-    return beta, x, basis.edges.fields(x)
+    return beta, x, basis.fields(x)
 
 
 def psi(basis, beta, x):
@@ -117,22 +117,28 @@ def grad_beta(basis, beta, x):
     return gradient_at_fields(Bx, beta @ Bx, x)
 
 
-def infnorm_subgradient(edges, u, row_sums=None):
+def infnorm_subgradient(basis, u, row_sums=None):
     """Subgradient of ||A_beta||_inf in beta coordinates from the edge
-    values u = edges.coef @ beta: differentiates through the row with the
+    values u = basis.coef @ beta: differentiates through the row with the
     largest absolute sum (lowest index on ties); sgn(0) = 0.  ``row_sums``
-    is ``edges.row_abs_sums(u)`` when the caller already has it."""
+    is ``basis.row_abs_sums(u)`` when the caller already has it."""
     if row_sums is None:
-        row_sums = edges.row_abs_sums(u)
+        row_sums = basis.row_abs_sums(u)
     i = int(np.argmax(row_sums))
-    e = np.flatnonzero((edges.rows == i) | (edges.cols == i))
-    return edges.coef[e].T @ np.sign(u[e])
+    e = np.flatnonzero((basis.rows == i) | (basis.cols == i))
+    return basis.coef[e].T @ np.sign(u[e])
 
 
 def check_budget(M):
     """Raise InvalidBudget unless the budget M is finite and >= 0."""
     if not (math.isfinite(M) and M >= 0.0):
         raise InvalidBudget(f"budget M must be finite and >= 0, got {M!r}")
+
+
+def check_tolerance(name, tol):
+    """Raise InvalidTolerance unless the tolerance ``name`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidTolerance(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 @dataclass
@@ -143,8 +149,7 @@ class MpleConfig:
 
     def __post_init__(self):
         check_budget(self.M)
-        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
-            raise InvalidTolerance(f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
+        check_tolerance("grad_tol", self.grad_tol)
 
     def resolve(self, n, k):  # kept for perfbench/tracing.py, which unpacks (_, cap, _)
         return None, self.max_programs, None
@@ -360,8 +365,7 @@ def fit(basis, x, cfg):
     """
     x = check_spins(x, basis.n)
     M = float(cfg.M)
-    edges = basis.edges
-    Bx = edges.fields(x)
+    Bx = basis.fields(x)
 
     beta = np.zeros(basis.k)
     f = beta @ Bx
@@ -389,11 +393,11 @@ def fit(basis, x, cfg):
         it += 1
         d = _newton_step(W, g, cuts, slack)
         trial = beta + d
-        u = edges.coef @ trial
-        row_sums = edges.row_abs_sums(u)
+        u = basis.coef @ trial
+        row_sums = basis.row_abs_sums(u)
         peak = float(row_sums.max())
         if peak > M * (1.0 + _BALL_RTOL):
-            c = infnorm_subgradient(edges, u, row_sums)
+            c = infnorm_subgradient(basis, u, row_sums)
             if not (cuts == c).all(axis=1).any():
                 cuts = np.vstack([cuts, c])
                 continue
@@ -408,7 +412,7 @@ def fit(basis, x, cfg):
         certified = None
         trace.append(value)
 
-    inf_hat = float(edges.row_abs_sums(edges.coef @ beta).max())
+    inf_hat = float(basis.row_abs_sums(basis.coef @ beta).max())
     if inf_hat > M * (1.0 + _BALL_RTOL):
         raise IsingfitError(f"estimate escaped the budget: {inf_hat!r} > {M!r}")
     return EstimationResult(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from isingfit.basis import (
-    EdgeView,
     MatrixBasis,
     combine,
     edge_union,
@@ -78,8 +77,8 @@ def test_edge_held_only_by_a_dropped_member_is_left_out():
     E = edge_matrix(4, [(0, 2)])
     b = gram_schmidt([J1, J1 + 1e-12 * E])
     assert b.k == 1
-    assert b.edges.rows.tolist() == [0, 2] and b.edges.cols.tolist() == [1, 3]
-    assert b.edges.coef.flags.c_contiguous
+    assert b.rows.tolist() == [0, 2] and b.cols.tolist() == [1, 3]
+    assert b.coef.flags.c_contiguous
     assert np.array_equal(b.ortho[0], J1 / 2.0)
 
 
@@ -87,9 +86,9 @@ def test_edges_do_not_alias_the_callers_arrays():
     n = 12
     raw = gen_erdos_renyi_incidence(n, 3, 0.3, make_rng(5))
     rows, cols, values = edge_union(n, [interaction_edges(J) for J in raw])
-    ev = gram_schmidt_edges(n, rows, cols, values).edges
-    assert ev.rows.size == rows.size and ev.coef.flags.c_contiguous
-    assert not np.shares_memory(ev.rows, rows) and not np.shares_memory(ev.cols, cols)
+    b = gram_schmidt_edges(n, rows, cols, values)
+    assert b.rows.size == rows.size and b.coef.flags.c_contiguous
+    assert not np.shares_memory(b.rows, rows) and not np.shares_memory(b.cols, cols)
 
 
 def test_gram_matrix_is_identity():
@@ -248,27 +247,25 @@ def test_edge_view_reproduces_dense_rows():
     for raw in (random_family(9, 3, seed=61), matchings,
                 gen_blocks(12, 3), [edge_matrix(7, [(0, 3), (3, 5)])]):
         b = gram_schmidt(raw)
-        ev = b.edges
-        assert ev is b.edges  # the stored form, not rebuilt per access
-        assert np.all(ev.rows < ev.cols)
+        assert np.all(b.rows < b.cols)
         beta = rng.normal(size=b.k)
         x = 1.0 - 2.0 * rng.integers(0, 2, size=b.n)
         if raw[0] is matchings[0]:
-            assert np.array_equal(ev.fields(x), b.stacked() @ x)
+            assert np.array_equal(b.fields(x), b.stacked() @ x)
         else:
-            assert np.allclose(ev.fields(x), b.stacked() @ x, rtol=0, atol=1e-14)
+            assert np.allclose(b.fields(x), b.stacked() @ x, rtol=0, atol=1e-14)
         U = combine(b, beta)
-        u = ev.coef @ beta
-        assert np.allclose(U[ev.rows, ev.cols], u, rtol=0, atol=1e-14)
+        u = b.coef @ beta
+        assert np.allclose(U[b.rows, b.cols], u, rtol=0, atol=1e-14)
         upper = np.zeros_like(U)
-        upper[ev.rows, ev.cols] = u
+        upper[b.rows, b.cols] = u
         assert np.allclose(upper + upper.T, U, rtol=0, atol=1e-14)
-        assert np.allclose(ev.row_abs_sums(u), np.abs(U).sum(axis=1),
+        assert np.allclose(b.row_abs_sums(u), np.abs(U).sum(axis=1),
                            rtol=0, atol=1e-13)
         for beta in rng.normal(size=(4, b.k)):
-            u = ev.coef @ beta
-            got = infnorm_subgradient(ev, u)
-            assert np.array_equal(infnorm_subgradient(ev, u, ev.row_abs_sums(u)), got)
+            u = b.coef @ beta
+            got = infnorm_subgradient(b, u)
+            assert np.array_equal(infnorm_subgradient(b, u, b.row_abs_sums(u)), got)
             want = _dense_infnorm_subgradient(b, beta)
             if raw[0] is matchings[0]:
                 assert np.array_equal(got, want)
@@ -285,25 +282,24 @@ def _dense_infnorm_subgradient(basis, beta):
 
 
 def test_basis_stores_only_edges():
-    assert [f.name for f in fields(MatrixBasis)] == ["edges"]
-    assert [f.name for f in fields(EdgeView)] == ["n", "rows", "cols", "coef"]
+    assert [f.name for f in fields(MatrixBasis)] == ["n", "rows", "cols", "coef"]
 
 
 # ---------------------------------------------------------------------------
 # Oracles: fields and row_abs_sums as one bincount per member over the
-# public index arrays, as EdgeView computed them before its one-pass index.
+# public index arrays, as the basis computed them before its one-pass index.
 
 
-def _fields_by_member(ev, x):
-    xr, xc = x[ev.rows], x[ev.cols]
-    return np.stack([np.bincount(ev.rows, a * xc, ev.n)
-                     + np.bincount(ev.cols, a * xr, ev.n)
-                     for a in ev.coef.T])
+def _fields_by_member(b, x):
+    xr, xc = x[b.rows], x[b.cols]
+    return np.stack([np.bincount(b.rows, a * xc, b.n)
+                     + np.bincount(b.cols, a * xr, b.n)
+                     for a in b.coef.T])
 
 
-def _row_abs_sums_by_edges(ev, u):
+def _row_abs_sums_by_edges(b, u):
     a = np.abs(u)
-    return np.bincount(ev.rows, a, ev.n) + np.bincount(ev.cols, a, ev.n)
+    return np.bincount(b.rows, a, b.n) + np.bincount(b.cols, a, b.n)
 
 
 def _with_a_repeat(n, k, seed):
@@ -320,30 +316,30 @@ _KERNEL_FAMILIES = {
 }
 
 
-def _kernel_edges(name):
+def _kernel_basis(name):
     n, family = _KERNEL_FAMILIES[name]()
-    return gram_schmidt_edges(n, *edge_union(n, family)).edges, len(family)
+    return gram_schmidt_edges(n, *edge_union(n, family)), len(family)
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_FAMILIES))
 def test_one_pass_kernels_match_per_member_oracles(name):
-    ev, members = _kernel_edges(name)
-    k = ev.coef.shape[1]
+    b, members = _kernel_basis(name)
+    k = b.coef.shape[1]
     assert k == (members - 1 if name == "dropped_member" else members)
     rng = make_rng(66)
     for _ in range(3):
-        x = 1.0 - 2.0 * rng.integers(0, 2, size=ev.n)
-        got, want = ev.fields(x), _fields_by_member(ev, x)
-        assert got.shape == want.shape == (k, ev.n)
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=b.n)
+        got, want = b.fields(x), _fields_by_member(b, x)
+        assert got.shape == want.shape == (k, b.n)
         assert got.tobytes() == want.tobytes()
-        u = ev.coef @ rng.normal(size=k)
-        assert ev.row_abs_sums(u).tobytes() == _row_abs_sums_by_edges(ev, u).tobytes()
+        u = b.coef @ rng.normal(size=k)
+        assert b.row_abs_sums(u).tobytes() == _row_abs_sums_by_edges(b, u).tobytes()
 
 
 def test_kernels_index_with_writeable_intp_behind_read_only_arrays(monkeypatch):
     # np.bincount copies an index that is read-only or not intp; the
     # kernels hand it only their private writeable intp index
-    ev, _ = _kernel_edges("matchings_k8")
+    b, _ = _kernel_basis("matchings_k8")
     seen = []
     bincount = np.bincount
 
@@ -352,17 +348,17 @@ def test_kernels_index_with_writeable_intp_behind_read_only_arrays(monkeypatch):
         return bincount(index, *args, **kwargs)
 
     rng = make_rng(67)
-    x = 1.0 - 2.0 * rng.integers(0, 2, size=ev.n)
-    u = ev.coef @ rng.normal(size=ev.coef.shape[1])
+    x = 1.0 - 2.0 * rng.integers(0, 2, size=b.n)
+    u = b.coef @ rng.normal(size=b.coef.shape[1])
     monkeypatch.setattr(np, "bincount", spy)
-    ev.fields(x)
-    ev.row_abs_sums(u)
+    b.fields(x)
+    b.row_abs_sums(u)
     monkeypatch.undo()
     assert seen == [(np.dtype(np.intp), True, True)] * 4
     for name in ("rows", "cols", "coef"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(ev, name)[0] = 0
-    assert "_flat" not in repr(ev)
+            getattr(b, name)[0] = 0
+    assert "_flat" not in repr(b)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +446,8 @@ def test_gram_schmidt_matches_dense_oracle(kind):
     # the edge support is the dense basis' nonzero strictly-upper pattern
     support = np.triu(np.any(np.stack(ortho) != 0.0, axis=0), 1)
     rows, cols = np.nonzero(support)
-    assert np.array_equal(b.edges.rows, rows)
-    assert np.array_equal(b.edges.cols, cols)
+    assert np.array_equal(b.rows, rows)
+    assert np.array_equal(b.cols, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +520,7 @@ def test_edges_are_the_canonical_upper_entries_bit_for_bit():
     assert np.allclose(b.stacked(), np.stack(ortho), rtol=0, atol=1e-12)
     support = np.triu(np.any(np.stack(ortho) != 0.0, axis=0), 1)
     r, c = np.nonzero(support)
-    assert np.array_equal(b.edges.rows, r) and np.array_equal(b.edges.cols, c)
+    assert np.array_equal(b.rows, r) and np.array_equal(b.cols, c)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +611,7 @@ def _unique_gram_schmidt(raw, rank_tol=1e-9):
         raise AllDegenerate("every input matrix is numerically zero")
     coef = np.stack(ortho, axis=1)
     keep = np.any(coef != 0.0, axis=1)
-    edges = EdgeView(n, rows[keep], cols[keep], coef[keep])
-    return MatrixBasis(edges)
+    return MatrixBasis(n, rows[keep], cols[keep], coef[keep])
 
 
 def _assert_same_arrays(got, want):
@@ -688,8 +683,8 @@ def test_gram_schmidt_matches_unique_oracle(kind):
     for J in raw:
         _assert_same_arrays(interaction_edges(J), _unique_interaction_edges(J))
     b, want = gram_schmidt(raw), _unique_gram_schmidt(raw)
-    _assert_same_arrays((b.edges.rows, b.edges.cols, b.edges.coef),
-                        (want.edges.rows, want.edges.cols, want.edges.coef))
+    _assert_same_arrays((b.rows, b.cols, b.coef),
+                        (want.rows, want.cols, want.coef))
 
 
 @pytest.mark.parametrize("kind", ["nan", "asymmetric", "diagonal"])

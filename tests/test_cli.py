@@ -200,6 +200,23 @@ def test_fit1(tmp_path, small_model):
     assert abs(res["phi_prime_at_hat"]) < 1e-8 or res["boundary"]
 
 
+def test_fit1_rejects_a_tolerance_that_is_not_finite(tmp_path, small_model, capsys):
+    # one aligned and one opposed pair: phi' changes sign inside [-M, M] and
+    # is not 0 at the first midpoint, which an infinite --tol would accept
+    path, _ = small_model
+    spath = tmp_path / "x.json"
+    save_spins(spath, np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]))
+    argv = ["fit1", "--model", str(path), "--sample", str(spath), "--M", "2.0"]
+    main(argv)
+    res = json.loads(capsys.readouterr().out)
+    assert not res["boundary"] and res["beta_hat"] != 0.0
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--tol", "inf"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "tol must be finite" in captured.err and captured.out == ""
+
+
 def test_metrics(tmp_path, small_model):
     path, J = small_model
     qpath = tmp_path / "q.json"

@@ -331,6 +331,21 @@ def test_matrix_json_rejects_bad_entries(entries, needle):
     assert needle in str(info.value)
 
 
+# numpy's scalar assignment would read "0.25" as 0.25 and true as 1.0, and
+# null as a NaN reported as a non-finite value: a value that is not a JSON
+# number is refused with its entry named.
+@pytest.mark.parametrize("text,needle", [
+    ('"0.25"', "[1, 2, '0.25']"),
+    ("true", "[1, 2, True]"),
+    ("null", "[1, 2, None]"),
+])
+def test_matrix_json_rejects_values_that_are_not_numbers(text, needle):
+    obj = json.loads('{"n": 3, "entries": [[0, 1, 0.5], [1, 2, %s]]}' % text)
+    with pytest.raises(ValueError, match="value must be a number") as info:
+        isf.core.matrix_from_json(obj)
+    assert needle in str(info.value) and not isinstance(info.value, NonFinite)
+
+
 # the file's J is symmetric with a zero diagonal by construction, so its
 # values are checked for finiteness alone, in O(m)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

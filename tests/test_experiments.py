@@ -171,6 +171,46 @@ def test_sweep_records_errors_without_aborting():
     assert all(r.error for r in records)
 
 
+def test_sweep_writes_each_instance_as_its_cell_finishes(tmp_path):
+    # the files are J* from run_trial as save_matrix writes it, and a sweep
+    # holds one J* at a time: its peak does not grow with the trials
+    def sweep(trials, out_dir):
+        cfg = ExperimentConfig(n=256, k_grid=(2,), trials=trials, M=0.5, seed=3,
+                               glauber_sweeps=2, max_iters=50)
+        run_sweep(cfg, out_dir=out_dir, save_instances=True)  # warm the family cache
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, out_dir=out_dir, save_instances=True)
+            return cfg, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, few = sweep(2, tmp_path / "few")
+    cfg, many = sweep(6, tmp_path / "many")
+    J_bytes = cfg.n * cfg.n * 8
+    assert many <= few + J_bytes // 2, (few, many)
+    files = sorted(p.name for p in (tmp_path / "many" / "instances").iterdir())
+    assert files == [f"k2_trial{t}.json" for t in range(6)]
+    for t in range(6):
+        J_star = run_trial(cfg, 2, t)[2]
+        assert (tmp_path / "many" / "instances" / f"k2_trial{t}.json").read_text() == \
+            json.dumps(core.matrix_to_json(J_star))
+    # without an out_dir nothing is written or kept
+    tracemalloc.start()
+    try:
+        run_sweep(cfg, save_instances=True)
+        assert tracemalloc.get_traced_memory()[1] <= few + J_bytes // 2
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_with_no_finished_cell_writes_no_instances(tmp_path):
+    cfg = ExperimentConfig(n=4, k_grid=(3,), trials=2, M=0.5)  # k too large
+    records, _ = run_sweep(cfg, out_dir=tmp_path, save_instances=True)
+    assert all(r.error for r in records)
+    assert (tmp_path / "results.csv").exists() and not (tmp_path / "instances").exists()
+
+
 def test_sweep_propagates_non_package_errors(monkeypatch):
     def broken_fit(*args, **kwargs):
         raise TypeError("bug in fit")
@@ -279,8 +319,8 @@ def test_gram_schmidt_is_the_edge_entry_on_dense_input(kind):
     for k in (1, 4, 7):
         want = gram_schmidt(dense_gen(n, k, make_rng(k)))
         got = gram_schmidt_edges(n, *edge_union(n, edge_gen(n, k, make_rng(k))))
-        for a, b in ((got.edges.rows, want.edges.rows), (got.edges.cols, want.edges.cols),
-                     (got.edges.coef, want.edges.coef)):
+        for a, b in ((got.rows, want.rows), (got.cols, want.cols),
+                     (got.coef, want.coef)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -341,8 +381,8 @@ def test_run_trial_matches_dense_oracle(generator, shuffle):
                 1e-12 * want_rec.frob_error, 1e-14)
             assert rec.frob_error >= rec.beta_error
             assert np.array_equal(J_star, want_J)
-            for a, b in ((basis.edges.rows, want_basis.edges.rows),
-                         (basis.edges.coef, want_basis.edges.coef),
+            for a, b in ((basis.rows, want_basis.rows),
+                         (basis.coef, want_basis.coef),
                          (res.beta_hat, want_res.beta_hat),
                          (res.objective_trace, want_res.objective_trace)):
                 assert np.array_equal(a, b)
@@ -462,8 +502,8 @@ def test_run_trial_shares_only_a_family_no_draw_shapes():
                {"generator": "blocks", "shuffle_support": True}):
         a, b = bases(**kw)
         assert a is not b
-        assert not np.array_equal(a.edges.rows * 32 + a.edges.cols,
-                                  b.edges.rows * 32 + b.edges.cols), kw
+        assert not np.array_equal(a.rows * 32 + a.cols,
+                                  b.rows * 32 + b.cols), kw
 
 
 def test_basis_edges_are_read_only():
@@ -472,7 +512,7 @@ def test_basis_edges_are_read_only():
     for basis in (shared, gram_schmidt(gen_erdos_renyi_incidence(20, 3, 0.3, make_rng(97)))):
         for name in ("rows", "cols", "coef"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(basis.edges, name)[0] = 0
+                getattr(basis, name)[0] = 0
     values = experiments._fixed_family("matchings", 32, 2)[0]
     with pytest.raises(ValueError, match="read-only"):
         values[0, 0] = 2.0

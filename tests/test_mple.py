@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isingfit.basis import EdgeView, MatrixBasis, combine, gram_schmidt, project
+from isingfit.basis import MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
 from isingfit.errors import (DimensionMismatch, InvalidBudget, InvalidTolerance, LengthMismatch,
                              NonFinite)
@@ -308,9 +308,8 @@ def test_fit_reports_from_its_own_loop(kind, M):
     b = gram_schmidt(_support(kind, 24, 3))
     x = np.tile([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0], 3)
     res = fit(b, x, MpleConfig(M=M))
-    ev = b.edges
     assert res.psi_hat == res.objective_trace[-1]
-    assert res.inf_norm_hat == ev.row_abs_sums(ev.coef @ res.beta_hat).max()
+    assert res.inf_norm_hat == b.row_abs_sums(b.coef @ res.beta_hat).max()
     J_hat = combine(b, res.beta_hat)
     assert res.psi_hat == pytest.approx(neg_log_pl(J_hat, x), rel=1e-12, abs=0)
     assert res.inf_norm_hat == pytest.approx(infinity_norm(J_hat), rel=1e-12, abs=0)
@@ -322,8 +321,8 @@ def test_fit_sums_rows_once_per_trial_point(monkeypatch):
     rng = make_rng(41)
     x = 1.0 - 2.0 * rng.integers(0, 2, size=10)
     calls = []
-    row_abs_sums = EdgeView.row_abs_sums
-    monkeypatch.setattr(EdgeView, "row_abs_sums",
+    row_abs_sums = MatrixBasis.row_abs_sums
+    monkeypatch.setattr(MatrixBasis, "row_abs_sums",
                         lambda self, u: calls.append(1) or row_abs_sums(self, u))
     b = gram_schmidt(random_family(10, 3, seed=40))
     res = fit(b, x, _fit_cfg(M=0.05, max_programs=2_000, grad_tol=0.0))
@@ -353,8 +352,7 @@ def _fit_every_certificate(basis, x, cfg):
     x = check_spins(x, basis.n)
     M = float(cfg.M)
     tol = mple_mod._BALL_RTOL
-    edges = basis.edges
-    Bx = edges.fields(x)
+    Bx = basis.fields(x)
     beta = np.zeros(basis.k)
     f = beta @ Bx
     value = mple_mod.value_at_fields(f, x)
@@ -375,11 +373,11 @@ def _fit_every_certificate(basis, x, cfg):
         W = _whitening(mple_mod.curvature_at_fields(Bx, f))
         d = _newton_step(W, g, cuts, slack)
         trial = beta + d
-        u = edges.coef @ trial
-        row_sums = edges.row_abs_sums(u)
+        u = basis.coef @ trial
+        row_sums = basis.row_abs_sums(u)
         peak = float(row_sums.max())
         if peak > M * (1.0 + tol):
-            c = mple_mod.infnorm_subgradient(edges, u, row_sums)
+            c = mple_mod.infnorm_subgradient(basis, u, row_sums)
             if not any(np.array_equal(c, old) for old in cuts):
                 cuts = np.vstack([cuts, c])
                 continue
@@ -391,7 +389,7 @@ def _fit_every_certificate(basis, x, cfg):
             break
         beta, f, value = step
         trace.append(value)
-    inf_hat = float(edges.row_abs_sums(edges.coef @ beta).max())
+    inf_hat = float(basis.row_abs_sums(basis.coef @ beta).max())
     return mple_mod.EstimationResult(
         beta_hat=beta, objective_trace=np.array(trace), psi_hat=value,
         inf_norm_hat=inf_hat, iterations=it, stop_reason=stop_reason,

@@ -6,7 +6,7 @@ import pytest
 import isingfit.oneparam as oneparam
 from isingfit.basis import gram_schmidt
 from isingfit.core import IsingSpec, infinity_norm, validate_interaction
-from isingfit.errors import DimensionMismatch, InvalidBudget
+from isingfit.errors import DimensionMismatch, InvalidBudget, InvalidTolerance
 from isingfit.mple import MpleConfig, directional_second_derivative, fit, neg_log_pl
 from isingfit.oneparam import ScalarFitResult, fit_scalar, phi_prime
 from isingfit.sampler import (
@@ -331,6 +331,17 @@ def test_fit_scalar_rejects_a_budget_that_is_not_finite_and_non_negative(M):
     x = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
     with pytest.raises(InvalidBudget):
         fit_scalar(J, x, M)
+
+
+# An infinite tol would accept the first bisection midpoint, 0, whatever
+# phi' is there.
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_fit_scalar_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    J = np.kron(np.eye(3), [[0.0, 0.4], [0.4, 0.0]])  # three coupled pairs
+    x = np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+    assert not fit_scalar(J, x, 1.0).boundary and abs(phi_prime(0.0, J, x)) > 0.1
+    with pytest.raises(InvalidTolerance, match="tol must be finite and >= 0"):
+        fit_scalar(J, x, 1.0, tol=tol)
 
 
 def test_fit_scalar_at_a_zero_budget_returns_zero():

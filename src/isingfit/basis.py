@@ -29,7 +29,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixBasis:
     """An orthonormal basis A_1..A_k' of a span, stored in edge coordinates.
 
@@ -43,7 +43,9 @@ class MatrixBasis:
     raises ``ValueError``.  ``row_abs_sums`` and ``fields`` sum by
     ``np.bincount``, which copies an index array that is not writeable.
     They read a private, writeable copy of the indices (``_flat``), made
-    once per basis and kept out of ``==`` and ``repr``.
+    once per basis and kept out of ``repr``.  Two bases are ``==`` only
+    when they are the same object, and a basis hashes by identity, so
+    neither compares or hashes its arrays.
     """
 
     n: int

@@ -8,6 +8,8 @@ when it is 1 (bit 0 is the least significant bit).
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ _TABLE_BASE = 2048   # entries' worth of fixed cost in building a table
 _BAND_SLACK = 1e-9   # widening of each single-chain site's band (see _bands)
 _LAZY_COST = 10      # forward updates that one lazily evaluated update costs
 _SPIN = (None, 1.0, -1.0)  # the spin of a band code 1 or -1
+_TWO53 = 2.0 ** 53       # uniforms are k 2^-53 for 53-bit integers k
 
 
 def make_rng(seed):
@@ -163,12 +166,18 @@ def certified_sweeps(spec):
 
 @dataclass(frozen=True)
 class GlauberConfig:
+    """``burn_in_sweeps`` is a Python or numpy integer >= 1 (not a bool,
+    and not a float, even an integral one such as 300.0)."""
+
     burn_in_sweeps: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in_sweeps < 1:
-            raise ValueError("burn_in_sweeps must be >= 1")
+        sweeps = self.burn_in_sweeps
+        if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral):
+            raise ValueError(f"burn_in_sweeps must be an integer, got {sweeps!r}")
+        if sweeps < 1:
+            raise ValueError(f"burn_in_sweeps must be >= 1, got {sweeps!r}")
 
 
 def glauber_sample_many(spec, count, cfg, rng=None):
@@ -179,15 +188,23 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     it from its conditional.  Returns a (count, n) int matrix of final
     states.
 
-    With ``count > 1``, n <= 14 and at least 4 * (n * 2^n + 2048)
-    updates (steps * count), each chain is held as its configuration
-    index and an update is one lookup of P(x_s = +1 | x) in an n * 2^n
-    table built once per call (``_conditional_table``): O(1) per update
-    after an O(n^2 2^n) build, which that many updates repay.  Otherwise
-    a step gathers J's rows and an update costs O(n).  Both branches take
-    the same draws and write the same spins.  With ``count == 1`` an
-    update costs O(row degree) and draws the same values.  One decoder
-    serves both of its paths: one pass over the generator records each
+    With ``count > 1`` every step updates one uniform site of each chain,
+    with the draws of ``rng.integers(0, n, size=count)`` and
+    ``rng.random(count)``, read from one decoder (``_step_draws``): on
+    Philox, one ``random_raw`` call a step, with the sites decoded from
+    32-bit halves and each uniform u kept as the 53-bit integer
+    k = u 2^53, the generator left in the state the two calls leave.
+    With n <= 14 and at least 4 * (n * 2^n + 2048) updates
+    (steps * count), each chain is held as its configuration index and an
+    update is one lookup in an n * 2^n integer table of ceil(2^53 P(x_s =
+    +1 | x)), built once per call (``_conditional_table``), against which
+    k is compared (``_table_chains`` proves this is u >= p): O(1) per
+    update after an O(n^2 2^n) build, which that many updates repay.
+    Otherwise a step gathers J's rows and an update costs O(n), comparing
+    u = k 2^-53 with p.  Both branches take the same draws and write the
+    same spins.  With ``count == 1`` an
+    update costs O(row degree) and draws the same values.  A decoder of
+    its own serves both of the single chain's paths: one pass over the generator records each
     chunk's starting state (``_draw_plan``) and leaves rng where scalar
     ``rng.integers(0, n)`` / ``rng.random()`` calls, the size-1 draws of
     the vectorised path, would leave it, and a chunk's sites and uniforms
@@ -233,10 +250,9 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     # fancy indexing (J[sites], X[rows, sites] = ...) at a fraction of its cost
     flat = X.reshape(-1)
     offsets = np.arange(count) * n
-    for _ in range(steps):
-        sites = rng.integers(0, n, size=count)
+    for sites, k in _step_draws(rng, n, count, steps):
         p_plus = _p_plus(spec.J.take(sites, axis=0), X, spec.h.take(sites))
-        flat[offsets + sites] = np.where(rng.random(count) < p_plus, 1.0, -1.0)
+        flat[offsets + sites] = np.where(k * 2.0 ** -53 < p_plus, 1.0, -1.0)
     return X.astype(np.int64)
 
 
@@ -262,17 +278,24 @@ def _conditional_table(spec):
 
 def _table_chains(spec, idx, rng, steps):
     """Run ``steps`` heat-bath updates on every chain of the configuration
-    indices idx, in place, with the draws of the einsum step."""
+    indices idx, in place, with the draws of the einsum step.
+
+    Each step reads its sites and 53-bit uniforms k from ``_step_draws``
+    and compares k against the integer table T = ceil(P 2^53), built once
+    per call from ``_conditional_table``'s P.  This decides every update
+    as the einsum step's u >= p does, with u = k 2^-53: scaling by 2^53 is
+    exact for p in [0, 1] (a power of two neither rounds nor overflows),
+    so u >= p holds iff k >= p 2^53, and since k is an integer, iff
+    k >= ceil(p 2^53); np.ceil is exact, and its value, at most 2^53, is
+    an integer that int64 holds exactly."""
     n = spec.n
-    flat = _conditional_table(spec).reshape(-1)
-    count = len(idx)
-    for _ in range(steps):
-        sites = rng.integers(0, n, size=count)
+    flat = np.ceil(_conditional_table(spec).reshape(-1) * _TWO53).astype(np.int64)
+    for sites, k in _step_draws(rng, n, len(idx), steps):
         bits = np.left_shift(1, sites)
-        p_plus = flat.take((sites << n) + idx)
+        thresholds = flat.take((sites << n) + idx)
         # bit s set means x_s = -1, the spin the einsum step writes when u >= p
         idx &= ~bits
-        idx |= bits * (rng.random(count) >= p_plus)
+        idx |= bits * (k >= thresholds)
     return idx
 
 
@@ -566,12 +589,7 @@ def _draw_plan(rng, n, steps):
         elif philox:
             m = 1
         if bulk and (1 << 32) % n == 0:
-            words = 3 * m // 2
-            buffered = 4 - state["buffer_pos"]
-            if words > buffered:
-                blocks, words = divmod(words - buffered, 4)
-                bitgen.advance(blocks)
-            bitgen.random_raw(words)
+            _advance_words(bitgen, state["buffer_pos"], 3 * m // 2)
         elif bulk:
             words = bitgen.random_raw(3 * m // 2).reshape(-1, 3)
             if np.any((_site_products(words, n) & _LOW) < np.uint64((1 << 32) % n)):
@@ -601,6 +619,106 @@ def _planned_draws(rng, n, chunk):
         draws = _scalar_draws(rng, n, m)
     bitgen.state = now
     return draws
+
+
+def _step_draws(rng, n, count, steps):
+    """Yield, for each of ``steps`` steps, the (sites, k) of one pair of
+    ``rng.integers(0, n, size=count)``, ``rng.random(count)`` calls: the
+    int64 sites, and each uniform u as the int64 k = u 2^53, an integer
+    below 2^53.  rng is left in the state those calls leave, buffered
+    32-bit half included.  ``sites`` may be a buffer that the next step
+    overwrites.
+
+    On a Philox generator each step makes one ``random_raw`` call, for the
+    site words and then count uniform words.  The sites are Lemire draws
+    (h n) >> 32 from the 32-bit halves h of the site words, low half
+    first, as numpy's vector ``integers`` takes them; a half left over at
+    a step's end, or buffered in the generator at entry, is the next
+    step's first half, and the one buffered at the end is written back to
+    ``has_uint32`` and ``uinteger``.  A uniform word w gives k = w >> 11,
+    the bits of ``random``.  n = 1 draws no site words.  When
+    2^32 mod n > 0, a site whose low product word falls below it would be
+    rejected and redrawn: a step with such a site puts the generator back
+    in the state at its start (the state last read, moved on by the words
+    drawn since, ``_advance_words``) and is drawn by the two calls.  Other
+    bit generators, big-endian machines (where the halves lie the other
+    way round) and calls with no chains or no steps take the calls
+    throughout; k = u 2^53 is exact there, as every numpy bit generator's
+    uniforms are multiples of 2^-53.  Needs n <= 2^32, the range
+    integers(0, n) draws with 32-bit words."""
+    bitgen = rng.bit_generator
+    if not (count and steps and isinstance(bitgen, np.random.Philox)
+            and sys.byteorder == "little"):
+        for _ in range(steps):
+            sites = rng.integers(0, n, size=count)
+            yield sites, (rng.random(count) * _TWO53).astype(np.int64)
+        return
+    state = bitgen.state
+    has, half = state["has_uint32"], state["uinteger"]
+    drawn = 0  # words drawn since state
+    reject = (1 << 32) % n
+    # for n a power of two, (h n) >> 32 is h >> shift
+    shift = 33 - n.bit_length()
+    sites = np.zeros(count, dtype=np.int64)
+    # buffers and their views, made once; index 1 leaves room for a
+    # buffered half
+    products = np.empty(count if reject else 0, dtype=np.uint64)
+    low = products.view(np.uint32)[0::2]  # low words, on a little-endian machine
+    site_out = (sites, sites[1:])
+    site_words = sites.view(np.uint64)  # takes uint64 results without a cast
+    product_out = (products, products[1:])
+    eleven = np.uint64(11)
+    for _ in range(steps):
+        lead = has
+        words = (count - lead + 1) // 2 if n > 1 else 0
+        raw = bitgen.random_raw(words + count)
+        if n > 1:
+            # raw's uint32 view starts with the site words' halves
+            halves = raw.view(np.uint32)[:count - lead]
+            if not reject:
+                if lead:
+                    sites[0] = half >> shift
+                np.right_shift(halves, shift, out=site_out[lead])
+            else:
+                products[0] = half * n
+                np.multiply(halves, n, out=product_out[lead], dtype=np.uint64)
+                if np.minimum.reduce(low) < reject:
+                    bitgen.state = state
+                    _advance_words(bitgen, state["buffer_pos"], drawn)
+                    state = bitgen.state
+                    state["has_uint32"], state["uinteger"] = lead, half
+                    bitgen.state = state
+                    redrawn = rng.integers(0, n, size=count)
+                    uniforms = rng.random(count)
+                    state, drawn = bitgen.state, 0
+                    has, half = state["has_uint32"], state["uinteger"]
+                    yield redrawn, (uniforms * _TWO53).astype(np.int64)
+                    continue
+                np.right_shift(products, 32, out=site_words)
+            # the last site word's high half is buffered, and is left over
+            # when count - lead is odd
+            has = (count - lead) & 1
+            if words:
+                half = int(raw[words - 1]) >> 32
+        drawn += words + count
+        k = raw[words:]
+        k >>= eleven
+        yield sites, k.view(np.int64)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bitgen.state = state
+
+
+def _advance_words(bitgen, buffer_pos, words):
+    """Move a Philox generator, whose buffer position is buffer_pos, on by
+    ``words`` 64-bit draws, as ``random_raw(words)`` would:
+    ``Philox.advance`` passes whole blocks of four words, after the
+    generator's buffered ones, and ``random_raw`` draws the rest."""
+    buffered = 4 - buffer_pos
+    if words > buffered:
+        blocks, words = divmod(words - buffered, 4)
+        bitgen.advance(blocks)
+    bitgen.random_raw(words)
 
 
 def glauber_sample(spec, cfg, rng=None):

@@ -285,6 +285,15 @@ def test_basis_stores_only_edges():
     assert [f.name for f in fields(MatrixBasis)] == ["n", "rows", "cols", "coef"]
 
 
+# Two bases of one family hold equal arrays, so a generated __eq__ would
+# compare them elementwise and raise; bases compare and hash by identity.
+def test_bases_compare_and_hash_by_identity():
+    a, b = gram_schmidt(gen_blocks(12, 3)), gram_schmidt(gen_blocks(12, 3))
+    assert np.array_equal(a.coef, b.coef)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 # ---------------------------------------------------------------------------
 # Oracles: fields and row_abs_sums as one bincount per member over the
 # public index arrays, as the basis computed them before its one-pass index.

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import isingfit.sampler as sampler_mod
 from isingfit.core import IsingSpec
 from isingfit.errors import DimensionTooLarge, NotContracting
 from isingfit.experiments import (
+    EXACT_SAMPLE_LIMIT,
     ExperimentConfig,
     _matchings_edges,
     _scatter,
@@ -18,6 +21,7 @@ from isingfit.experiments import (
     gen_blocks,
     gen_erdos_renyi_incidence,
     gen_matchings,
+    run_trial,
     trial_seed,
 )
 from isingfit.sampler import (
@@ -33,6 +37,7 @@ from isingfit.sampler import (
     _linear_sums,
     _log_weights,
     _planned_draws,
+    _step_draws,
     empirical_distribution,
     enumerate_distribution,
     exact_sample,
@@ -41,6 +46,7 @@ from isingfit.sampler import (
     make_rng,
     spin_table,
 )
+from tests.test_acceptance import _scaled_to_inf
 from tests.test_core import random_spec
 
 
@@ -234,6 +240,25 @@ def test_glauber_chain_probabilities_interior():
 def test_glauber_config_validation():
     with pytest.raises(ValueError):
         GlauberConfig(0)
+
+
+# A JSON config can give 300.0 for an integer field; it is refused where
+# the config is made, naming the value, not deep in the sampler's draws.
+@pytest.mark.parametrize("sweeps", [300.0, 2.5, np.float64(3.0), True, np.True_, "3"])
+def test_glauber_config_refuses_a_non_integer_sweep_count(sweeps):
+    with pytest.raises(ValueError, match=re.escape(repr(sweeps))):
+        GlauberConfig(sweeps)
+
+
+@pytest.mark.parametrize("sweeps", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_glauber_config_takes_python_and_numpy_integers(sweeps):
+    assert GlauberConfig(sweeps).burn_in_sweeps == 3
+
+
+def test_run_trial_refuses_a_float_sweep_count():
+    cfg = ExperimentConfig(n=EXACT_SAMPLE_LIMIT + 1, glauber_sweeps=300.0)
+    with pytest.raises(ValueError, match=r"burn_in_sweeps must be an integer, got 300\.0"):
+        run_trial(cfg, 1, 0)
 
 
 def test_glauber_deterministic_given_seed():
@@ -672,6 +697,37 @@ def test_multi_chain_matches_vectorised_oracle(count, with_field, monkeypatch):
         assert built == ([n] if tabled else []), (n, sweeps)
 
 
+class _SetUniforms:
+    """A Generator that draws site 0 and the given uniforms; its bit
+    generator is not Philox, so the decoder takes these calls."""
+
+    def __init__(self, uniforms):
+        self.bit_generator = np.random.MT19937(0)
+        self._uniforms = uniforms
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        return self._uniforms
+
+
+# The integer threshold ceil(p 2^53) decides as u >= p does at the
+# uniforms next to p: one site with p below 1/2 (where p 2^53 need not be
+# an integer), above it, at exactly 1/2, and saturated at 0 and 1.
+@pytest.mark.parametrize("h", [-0.3, 0.3, 0.0, -40.0, 40.0])
+def test_table_threshold_decides_as_the_uniform_does(h):
+    spec = IsingSpec(np.zeros((1, 1)), np.array([h]))
+    p = float(sampler_mod._conditional_table(spec)[0, 0])
+    k = math.ceil(p * 2.0 ** 53)
+    uniforms = np.array([j * 2.0 ** -53 for j in range(max(k - 2, 0), min(k + 3, 2 ** 53))])
+    assert (uniforms < p).any() or p == 0.0
+    assert (uniforms >= p).any() or p == 1.0
+    idx = np.zeros(len(uniforms), dtype=np.int64)
+    got = sampler_mod._table_chains(spec, idx, _SetUniforms(uniforms), 1)
+    assert got.tolist() == (uniforms >= p).astype(int).tolist()  # bit 0 set: x = -1
+
+
 # Every entry of the table has the bits of the einsum step's p_plus, with
 # the configurations shuffled across chains and the sites mixed in a step.
 @pytest.mark.parametrize("with_field", [False, True])
@@ -698,19 +754,19 @@ def test_multi_chain_size_cap(n, monkeypatch):
 
 
 class _CountedCalls:
-    """A Generator whose scalar ``integers`` calls are counted."""
+    """A Generator whose ``integers`` calls are counted."""
 
     def __init__(self, rng):
         self._rng = rng
         self.bit_generator = rng.bit_generator
         self.calls = 0
 
-    def integers(self, *args):
+    def integers(self, *args, **kwargs):
         self.calls += 1
-        return self._rng.integers(*args)
+        return self._rng.integers(*args, **kwargs)
 
-    def random(self):
-        return self._rng.random()
+    def random(self, *args):
+        return self._rng.random(*args)
 
 
 # One site draw in 2**32 / (2**32 mod n) is rejected.  n = 2**31 + 1
@@ -767,3 +823,90 @@ def test_draw_plan_matches_scalar_calls(n, bit_generator, buffered):
     after = [rng_b.integers(0, 3), rng_b.random()]
     assert [rng_a.integers(0, 3), rng_a.random()] == after
     assert [rng_c.integers(0, 3), rng_c.random()] == after
+
+
+def _same_state(a, b):
+    """Whether two bit generator states are equal, arrays included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+# One site in 1 443 is rejected at _SOMETIMES, so about half the steps of
+# 1 000 sites hold a rejection: they are redrawn by the vector calls after
+# clean steps, from a state rebuilt by advancing.
+_SOMETIMES = 2 ** 32 - 2 ** 32 // 1443
+
+
+# The decoder against consecutive vector calls: odd counts leave a half
+# buffered between steps, and a scalar draw leaves one at entry; n = 1
+# draws no site words; 2**31 + 1 rejects about half the sites, so every
+# step of 1 000 is redrawn; MT19937 is drawn by the calls throughout.
+# "redrawn" is how many of the 12 steps of 1 000 chains take the calls.
+@pytest.mark.parametrize("n,bit_generator,redrawn", [
+    (1, np.random.Philox, "none"), (2, np.random.Philox, "none"),
+    (3, np.random.Philox, "none"), (8, np.random.Philox, "none"),
+    (14, np.random.Philox, "none"), (2 ** 31 + 1, np.random.Philox, "all"),
+    (_SOMETIMES, np.random.Philox, "some"), (14, np.random.MT19937, "all")])
+@pytest.mark.parametrize("count", [1, 2, 7, 1000])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_step_draws_match_vector_calls(n, bit_generator, redrawn, count, buffered):
+    steps = 12
+    rng_a, rng_b = (np.random.Generator(bit_generator(57)) for _ in range(2))
+    if buffered:
+        for rng in (rng_a, rng_b):
+            rng.integers(0, 5)
+    counted = _CountedCalls(rng_a)
+    seen = 0
+    for sites, k in _step_draws(counted, n, count, steps):
+        want_sites, want_uniforms = rng_b.integers(0, n, size=count), rng_b.random(count)
+        assert sites.dtype == k.dtype == np.int64
+        assert sites.tolist() == want_sites.tolist()
+        assert (k * 2.0 ** -53).tolist() == want_uniforms.tolist()
+        seen += 1
+    assert seen == steps
+    if count == 1000 or redrawn == "none":
+        want = {"none": [0], "some": range(1, steps), "all": [steps]}[redrawn]
+        assert counted.calls in want, counted.calls
+    # the same state after, buffered 32-bit half and next raw word included
+    assert _same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+    assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
+
+
+def _oracles_chain():
+    """The J of the multi-chain case of benchmark cell 0 at seed 61: dense
+    symmetric matrices with infinity norm M, drawn in the cell's order
+    from one generator, of which the chain's is the fourth."""
+    g = np.random.default_rng([61, 0, 0])
+    for n, M in [(16, 0.5), (18, 0.5), (16, 1.0), (8, 0.5)]:
+        J = g.normal(size=(n, n))
+        J = 0.5 * (J + J.T)
+        np.fill_diagonal(J, 0.0)
+        J = J * (M / np.abs(J).sum(axis=1).max())
+    return IsingSpec.zero_field(J), make_rng([61, 0, 1])
+
+
+def _acceptance_chain():
+    """The model and generator of acceptance test 3."""
+    rng = make_rng(13)
+    return IsingSpec.zero_field(_scaled_to_inf(8, rng, 0.5)), rng
+
+
+# The spins (and the next uniform) of the two multi-chain runs that the
+# validation rests on, recorded when each step still drew its sites and
+# uniforms by rng.integers and rng.random: decoding the draws from raw
+# words must not change a bit of them.
+@pytest.mark.parametrize("chain,count,cfg,digest,after", [
+    (_oracles_chain, 6_000, GlauberConfig(200, 0),
+     "ec980362018f18ae45ea8b6ede34b4f04b58aaa9079bc9a0a6524f601c314f04", 0.533845977031506),
+    (_acceptance_chain, 200_000, GlauberConfig(200, 13),
+     "1a3ba2647f945956ac7000e6c10837959cf6a6961fb2ab08aba312350bc346dd", 0.9851483619613073)],
+    ids=["oracles-exact", "test_03"])
+def test_multi_chain_spins_are_pinned(chain, count, cfg, digest, after):
+    spec, rng = chain()
+    X = glauber_sample_many(spec, count, cfg, rng)
+    assert X.dtype == np.int64 and X.shape == (count, 8)
+    assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+    assert rng.random() == after

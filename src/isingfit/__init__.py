@@ -20,6 +20,7 @@ from .basis import (
 from .sampler import (
     ExactDistribution,
     GlauberConfig,
+    component_sample,
     enumerate_distribution,
     exact_sample,
     glauber_sample,

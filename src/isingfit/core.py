@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,39 @@ def trace_inner(A, B):
     return float(np.sum(A * B))
 
 
+def is_integer(v):
+    """Whether v is a Python or numpy integer; a bool is not, and neither is
+    a float, even an integral one such as 300.0."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_edges(n, rows, cols, values):
+    """(n, rows, cols, values) as int and arrays, values float64, after
+    checking in O(m) that they list a symmetric zero-diagonal J's upper
+    triangle: equal 1-D lengths (``LengthMismatch``), values finite
+    (``NonFinite``), 0 <= rows < cols < n (``IndexOutOfRange``) and pairs
+    strictly increasing in row-major order (``UnsortedEdges``)."""
+    n = int(n)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or not rows.shape == cols.shape == values.shape:
+        raise LengthMismatch(f"edge arrays of shapes {rows.shape}, "
+                             f"{cols.shape} and {values.shape}")
+    if not np.isfinite(values).all():
+        raise NonFinite(_NON_FINITE)
+    bad = (rows < 0) | (rows >= cols) | (cols >= n)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise IndexOutOfRange(f"edge ({rows[e]}, {cols[e]}) is not in "
+                              f"0 <= row < col < {n}")
+    keys = rows * n + cols
+    if not (keys[1:] > keys[:-1]).all():
+        e = int(np.argmax(keys[1:] <= keys[:-1])) + 1
+        raise UnsortedEdges(f"edge ({rows[e]}, {cols[e]}) does not follow "
+                            f"({rows[e - 1]}, {cols[e - 1]}) in row-major order")
+    return n, rows, cols, values
+
+
 @dataclass(frozen=True)
 class IsingSpec:
     """A pairwise model over {-1,+1}^n: density proportional to
@@ -170,32 +204,13 @@ class IsingSpec:
         """The zero-field model whose J is ``values`` at the pairs
         (rows, cols) and their mirrors, and 0 elsewhere.
 
-        The edges are checked in O(m) in place of the dense validation:
-        values finite (``NonFinite``), 0 <= rows < cols < n
-        (``IndexOutOfRange``) and pairs strictly increasing in row-major
-        order (``UnsortedEdges``), so J is symmetric with a zero diagonal
-        by construction.  J is then scattered once; J and h equal those of
+        The edges are checked in O(m) in place of the dense validation
+        (``check_edges``), so J is symmetric with a zero diagonal by
+        construction.  J is then scattered once; J and h equal those of
         ``zero_field`` on that scatter bit for bit (whenever 2 |values| is
         finite, as ``zero_field`` averages J with its transpose).
         """
-        n = int(n)
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or not rows.shape == cols.shape == values.shape:
-            raise LengthMismatch(f"edge arrays of shapes {rows.shape}, "
-                                 f"{cols.shape} and {values.shape}")
-        if not np.isfinite(values).all():
-            raise NonFinite(_NON_FINITE)
-        bad = (rows < 0) | (rows >= cols) | (cols >= n)
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise IndexOutOfRange(f"edge ({rows[e]}, {cols[e]}) is not in "
-                                  f"0 <= row < col < {n}")
-        keys = rows * n + cols
-        if not (keys[1:] > keys[:-1]).all():
-            e = int(np.argmax(keys[1:] <= keys[:-1])) + 1
-            raise UnsortedEdges(f"edge ({rows[e]}, {cols[e]}) does not follow "
-                                f"({rows[e - 1]}, {cols[e - 1]}) in row-major order")
+        n, rows, cols, values = check_edges(n, rows, cols, values)
         J = np.zeros((n, n))
         J[rows, cols] = values
         J[cols, rows] = values

@@ -77,3 +77,8 @@ class InvalidTolerance(IsingfitError):
 class NotContracting(IsingfitError):
     """A model whose Glauber chain has no path-coupling contraction:
     alpha = max_i sum_j tanh|J_ij| >= 1."""
+
+
+class NotCliqueUnion(IsingfitError):
+    """An edge support that is not a disjoint union of cliques with one
+    coupling each, the models that ``component_sample`` draws from."""

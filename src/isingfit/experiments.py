@@ -19,11 +19,12 @@ import numpy as np
 from .basis import combine, edge_union, gram_schmidt_edges
 # perfbench/tracing.py wraps experiments.gram_schmidt and experiments.project
 from .basis import gram_schmidt, project  # noqa: F401
-from .core import IsingSpec, infinity_norm, save_matrix
+from .core import IsingSpec, infinity_norm, is_integer, save_matrix
 from .errors import IsingfitError, NormBudgetExceeded, TooManyGroups
-from .mple import MpleConfig, fit, psi
+from .mple import MpleConfig, check_budget, fit, psi
 from .sampler import (
     GlauberConfig,
+    component_sample,
     enumerate_distribution,
     exact_sample,
     glauber_sample,
@@ -118,6 +119,9 @@ def gen_assouad(basis, c, theta):
 # ---------------------------------------------------------------------------
 # Sweep harness
 
+_GENERATORS = ("matchings", "blocks", "erdos_renyi_incidence")
+
+
 @dataclass
 class ExperimentConfig:
     generator: str = "matchings"
@@ -135,6 +139,23 @@ class ExperimentConfig:
     eta: float = None             # unused since fit solves exactly; callers still pass it
     grad_tol: float = 1e-4
     shuffle_support: bool = False
+
+    def __post_init__(self):
+        """Refuse a config that no trial could run, naming the field, before
+        any trial starts: ``n``, ``trials`` and ``max_iters`` Python or
+        numpy integers (not bools), ``glauber_sweeps`` one that
+        ``GlauberConfig`` takes, ``k_grid`` positive integers, a known
+        ``generator`` (ValueError for these) and a finite M >= 0
+        (``InvalidBudget``)."""
+        for name in ("n", "trials", "max_iters"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        GlauberConfig(self.glauber_sweeps)
+        if not all(is_integer(k) and k >= 1 for k in self.k_grid):
+            raise ValueError(f"k_grid must hold positive integers, got {self.k_grid!r}")
+        if self.generator not in _GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}")
+        check_budget(self.M)
 
     @classmethod
     def from_dict(cls, d):
@@ -225,6 +246,14 @@ def run_trial(cfg, k, trial):
     2 ||r||^2) with no n x n work.  Returns (record, basis, J_star, fit
     result).
 
+    The sample x is one exact draw wherever the family allows it, and
+    ``sampler`` then reads "exact": from the enumerated table at
+    n <= ``EXACT_SAMPLE_LIMIT``, and above it, for matchings and blocks
+    (shuffled or not), from ``component_sample`` on the basis edges and
+    u*, as both unions are disjoint cliques with one coupling each (pairs
+    for matchings), so no dense J is read.  Erdos-Renyi trials above
+    that n run a Glauber chain of ``glauber_sweeps`` sweeps ("glauber").
+
     An unshuffled matchings or blocks family is the same for every trial
     of a given (generator, n, k), since no draw shapes it: its union edge
     values and basis are computed once and shared, read-only, by the
@@ -247,6 +276,9 @@ def run_trial(cfg, k, trial):
     spec = IsingSpec.from_edges(n, basis.rows, basis.cols, u_star)
     if n <= EXACT_SAMPLE_LIMIT:
         x = exact_sample(enumerate_distribution(spec), rng)
+        sampler = "exact"
+    elif cfg.generator in ("matchings", "blocks"):
+        x = component_sample(n, basis.rows, basis.cols, u_star, rng)
         sampler = "exact"
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)

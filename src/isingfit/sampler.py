@@ -1,4 +1,5 @@
-"""Exact enumeration and Glauber-dynamics sampling.
+"""Exact enumeration, exact draws from products of cliques, and
+Glauber-dynamics sampling.
 
 Enumeration uses a fixed bit order: configuration ``idx`` assigns to
 coordinate ``b`` the spin ``+1`` when bit ``b`` of ``idx`` is 0 and ``-1``
@@ -7,15 +8,15 @@ when it is 1 (bit 0 is the least significant bit).
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotContracting
+from .core import check_edges, is_integer
+from .errors import DimensionTooLarge, NotCliqueUnion, NotContracting
 
 ENUMERATION_LIMIT = 22
 TV_TARGET = 1e-6     # total variation that certified_sweeps guarantees
@@ -26,7 +27,6 @@ _TABLE_MAX_N = 14    # sites above which multi-chain steps skip the lookup table
 _TABLE_COST = 4      # updates that repay building one table entry
 _TABLE_BASE = 2048   # entries' worth of fixed cost in building a table
 _BAND_SLACK = 1e-9   # widening of each single-chain site's band (see _bands)
-_LAZY_COST = 10      # forward updates that one lazily evaluated update costs
 _SPIN = (None, 1.0, -1.0)  # the spin of a band code 1 or -1
 _TWO53 = 2.0 ** 53       # uniforms are k 2^-53 for 53-bit integers k
 
@@ -145,6 +145,82 @@ def exact_sample(dist, rng, count=None):
     return X[0] if single else X
 
 
+def component_sample(n, rows, cols, values, rng):
+    """One exact draw, as a length-n int64 spin vector, from the zero-field
+    model whose J is ``values`` on the edges (rows, cols), checked as
+    ``check_edges`` checks them.  The support must be a disjoint union
+    of cliques with one coupling each (a single edge is a clique of 2
+    nodes, an isolated node one of 1); any other raises
+    ``NotCliqueUnion``.
+
+    The model is then a product of Curie-Weiss models.  On a clique of s
+    nodes with coupling c, m spins +1 give x'Jx/2 = c ((2m - s)^2 - s) / 2,
+    so m has the law P(m) ~ C(s, m) exp(c ((2m - s)^2 - s) / 2) over
+    m = 0..s, and given m the +1 spins are a uniform m-subset.  The
+    components are numbered by their smallest node.  One
+    ``rng.random(#components)`` call draws each component's m by
+    inverting the CDF of its law; one ``rng.random(n)`` call then orders
+    each component's nodes by their uniforms, and its first m take +1.
+    The work is O(n + #edges) besides that sort, with no n x n array.
+    """
+    n, rows, cols, values = check_edges(n, rows, cols, values)
+    # rows < cols, so min(i, i's smallest row-neighbour) is the smallest
+    # node of i's clique, when the support is a union of cliques
+    nodes = np.arange(n)
+    label = nodes.copy()
+    np.minimum.at(label, cols, rows)
+    edge_label = label.take(rows)
+    if not (edge_label == label.take(cols)).all():
+        raise NotCliqueUnion("an edge joins two nodes whose smallest neighbours "
+                             "differ, so the support is not a union of cliques")
+    # with every edge inside one label, each label is a clique's smallest
+    # node; size holds the clique's size there and 0 at every other node
+    size = np.bincount(label, minlength=n)
+    if not (np.bincount(edge_label, minlength=n) == size * (size - 1) // 2).all():
+        raise NotCliqueUnion("a component of the support misses an edge of its clique")
+    coupling = np.zeros(n)
+    coupling[edge_label] = values
+    if not (coupling.take(edge_label) == values).all():
+        raise NotCliqueUnion("a clique of the support holds two couplings")
+    roots = np.flatnonzero(size)
+    u = rng.random(roots.size)
+    plus = np.zeros(n, dtype=np.int64)  # each clique's +1 count, at its smallest node
+    sizes = size.take(roots)
+    # the distinct sizes, without np.unique, whose import of numpy.ma
+    # costs a fresh process time and memory
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == s)
+        at = roots.take(which)
+        log_binom, q = _clique_terms(s)
+        w = np.multiply.outer(coupling.take(at), q)
+        w += log_binom
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        cdf = np.cumsum(w, axis=1)
+        # the smallest m with u cdf[s] < cdf[m]; rounding can give s + 1
+        drawn = np.count_nonzero(cdf <= (u.take(which) * cdf[:, -1])[:, None], axis=1)
+        plus[at] = np.minimum(drawn, s)
+    order = np.lexsort((rng.random(n), label))
+    # a clique's nodes sit at positions [start, start + size) of order, and
+    # the first plus of them take +1
+    plus_end = np.cumsum(size) - size + plus
+    x = np.empty(n, dtype=np.int64)
+    x[order] = np.where(nodes < plus_end.take(label.take(order)), 1, -1)
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _clique_terms(s):
+    """(log C(s, m), ((2m - s)^2 - s) / 2) over m = 0..s, read-only: the
+    log weight of m +1 spins on a clique of s nodes with coupling c is
+    log C(s, m) + c ((2m - s)^2 - s) / 2."""
+    m = np.arange(s + 1)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((s - m[:-1]) / m[1:]))))
+    q = 0.5 * ((2 * m - s) ** 2 - s)
+    log_binom.flags.writeable = q.flags.writeable = False
+    return log_binom, q
+
+
 def certified_sweeps(spec):
     """The fewest sweeps t that certify TV <= TV_TARGET from any start.
 
@@ -174,7 +250,7 @@ class GlauberConfig:
 
     def __post_init__(self):
         sweeps = self.burn_in_sweeps
-        if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral):
+        if not is_integer(sweeps):
             raise ValueError(f"burn_in_sweeps must be an integer, got {sweeps!r}")
         if sweeps < 1:
             raise ValueError(f"burn_in_sweeps must be >= 1, got {sweeps!r}")
@@ -203,15 +279,16 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     Otherwise a step gathers J's rows and an update costs O(n), comparing
     u = k 2^-53 with p.  Both branches take the same draws and write the
     same spins.  With ``count == 1`` an
-    update costs O(row degree) and draws the same values.  A decoder of
-    its own serves both of the single chain's paths: one pass over the generator records each
-    chunk's starting state (``_draw_plan``) and leaves rng where scalar
-    ``rng.integers(0, n)`` / ``rng.random()`` calls, the size-1 draws of
-    the vectorised path, would leave it, and a chunk's sites and uniforms
-    are then regenerated from its state, in bulk from the raw words where
-    they can be (``_planned_draws``).  The field of a site with at most 32
-    couplings is summed over them in column order, and a denser row
-    takes one BLAS product ``J[s] @ x``.  With at most two couplings the
+    update costs O(row degree) and draws the same values.  The single
+    chain's draws have a decoder of their own: one pass over the generator
+    records each chunk's starting state (``_draw_plan``) and leaves rng
+    where scalar ``rng.integers(0, n)`` / ``rng.random()`` calls, the
+    size-1 draws of the vectorised path, would leave it, and a chunk's
+    sites and uniforms are then regenerated from its state, in bulk from
+    the raw words where they can be (``_planned_draws``).  The field of a
+    site with at most 32 couplings is summed over them in column order,
+    and a denser row takes one BLAS product ``J[s] @ x``.  With at most
+    two couplings the
     sum is bit-identical to that product, since zeros add exactly and
     a + b = b + a; with 3 to 32 its last bit can differ, and a spin then
     differs only when its uniform falls between two adjacent doubles.
@@ -221,20 +298,6 @@ def glauber_sample_many(spec, count, cfg, rng=None):
     at ``_bands``), it decides every update whose uniform falls outside
     it (+1 below, -1 above) without summing the field.  The draws and
     the spins are the ones the field would give.
-
-    A chain whose rows all hold at most 32 couplings, with
-    b = max_s sum_{j in N(s)} (hi_j - lo_j) < 1 over the band widths, and
-    with 10 n / (1 - b) below its steps, takes the lazy path instead
-    (``_lazy_chain``): only the final state is kept, and it is resolved
-    backward from the last draw.  Each site's last update gives its spin
-    when it is decided; an undecided one is followed back through its
-    neighbours' earlier updates, across chunks of draws as far as they
-    reach, and only those updates, at most n / (1 - b) in expectation
-    (``_goes_lazy``), are evaluated, in time order with the forward
-    loop's arithmetic.  Only the chunks that the search visits are
-    decoded, usually just the last; the forward path decodes every chunk,
-    in order.  Both paths take the same draws, leave the generator in the
-    same state and write the same spins.
     """
     if rng is None:
         rng = make_rng(cfg.seed)
@@ -333,11 +396,10 @@ def _bands(R, degrees):
 def _single_chain(spec, x, rng, steps):
     """Run ``steps`` heat-bath updates on the spin array x, in place.  An
     update whose uniform falls outside its site's band (``_bands``) writes
-    the spin every field would give it, without summing the field.  When
-    ``_goes_lazy`` holds, ``_lazy_chain`` evaluates only the updates that
-    the final spins read; otherwise every update runs forward, in time
-    order, over the chunks of ``_draw_plan`` decoded one after another.
-    R_s sums the row's gathered nonzeros in column order (``_bands``)."""
+    the spin every field would give it, without summing the field.  Every
+    update runs in time order, over the chunks of ``_draw_plan`` decoded
+    one after another.  R_s sums the row's gathered nonzeros in column
+    order (``_bands``)."""
     n = spec.n
     J = spec.J
     # row-major flat scan: the indices of np.nonzero(J), at a fraction of its cost
@@ -346,17 +408,12 @@ def _single_chain(spec, x, rng, steps):
     bounds = np.searchsorted(rows, np.arange(n + 1))
     degrees = np.diff(bounds)
     lo, hi = _bands(np.bincount(rows, np.abs(weights), minlength=n) + np.abs(spec.h), degrees)
-    # b of _goes_lazy: the largest sum of a row's neighbours' band widths
-    reach = float(np.bincount(rows, (hi - lo).take(cols), minlength=n).max(initial=0.0))
     # a row dense enough that one BLAS product on the array x beats
     # summing in Python
     dense = bool(degrees.max(initial=0) > _DENSE_ROW)
     cols, weights = cols.tolist(), weights.tolist()
     bounds = bounds.tolist()
     h = spec.h.tolist()
-    if _goes_lazy(dense, n, reach, steps):
-        _lazy_chain(x, _Rows(cols, weights, bounds), h, lo, hi, rng, steps)
-        return
     # (column, weight) pairs, or None for a dense row
     neighbours = [tuple(zip(cols[a:b], weights[a:b])) if b - a <= _DENSE_ROW
                   else None for a, b in zip(bounds, bounds[1:])]
@@ -390,145 +447,12 @@ def _single_chain(spec, x, rng, steps):
     x[:] = xs
 
 
-class _Rows(dict):
-    """Row s's (column, weight) pairs, as ``_single_chain``'s forward loop
-    lists them, built when ``_lazy_chain`` first reads the row."""
-
-    def __init__(self, cols, weights, bounds):
-        super().__init__()
-        self._cols, self._weights, self._bounds = cols, weights, bounds
-
-    def __missing__(self, s):
-        a, b = self._bounds[s], self._bounds[s + 1]
-        row = self[s] = tuple(zip(self._cols[a:b], self._weights[a:b]))
-        return row
-
-
 def _band_codes(sites, uniforms, lo, hi):
     """Per update: 1 below its site's band, -1 above it, 0 where the field
     decides; small ints, as Python caches them and tolist() then allocates
     no floats."""
     return ((uniforms < lo.take(sites)).view(np.int8)
             - (uniforms >= hi.take(sites)).view(np.int8))
-
-
-def _goes_lazy(dense, n, b, steps):
-    """Whether a chain runs ``_lazy_chain``: it has no dense row, and
-    b = max_s sum_{j in N(s)} (hi_j - lo_j), over its band widths, is
-    below 1.
-
-    An update at site j is undecided with probability at most
-    hi_j - lo_j, whatever the other updates are (its uniform is its own),
-    so following each site's last update back through undecided
-    neighbours reaches at most n / (1 - b) updates in expectation.  Lazy
-    wins when that many evaluations, each costing _LAZY_COST forward
-    updates, cost less than the chain's steps."""
-    return not dense and b < 1.0 and _LAZY_COST * n < (1.0 - b) * steps
-
-
-def _lazy_chain(x, neighbours, h, lo, hi, rng, steps):
-    """Give the spin array x, in place, the spins that ``steps`` forward
-    updates leave, from the same draws, by resolving them backward from
-    the last draw.
-
-    A site's spin at a time is its last earlier update's band code, unless
-    that update is undecided (code 0); then it is the heat-bath choice at
-    the field that its neighbours' spins just before it give, each found
-    the same way, or the initial spin before step 0.  The search starts
-    with every site requested at the last step and visits the forward
-    loop's chunks of draws (``_draw_plan``) from the last one back.
-    Inside a chunk, a stack follows each undecided update back through its
-    neighbours' earlier updates (times only decrease along it, so there is
-    no recursion); a spin read before the chunk's first update becomes a
-    request on the previous chunk.  The search stops when no request is
-    left, so the chunks before it are never decoded.  The undecided
-    updates it collected are then evaluated in time order with the
-    forward loop's arithmetic (the same column order, ``h[s]`` and
-    memoised p), so every spin keeps its bits.
-    """
-    n = len(x)
-    plan = _draw_plan(rng, n, steps)
-    # site -> the slots (a list of keys, an index) that its spin fills; a
-    # key is an update's time, or -1 - j for site j's initial spin
-    final = [None] * n
-    requests = {j: [(final, j)] for j in range(n)}
-    inputs = {}  # undecided time -> (site, the keys of its neighbours' spins, uniform)
-    value = {}   # key -> spin
-    # the smallest type that holds every site: numpy's stable sort of a
-    # type of at most 16 bits is a radix sort
-    sort_type = np.min_scalar_type(n - 1)
-    base = steps
-    chunk = len(plan)
-    while requests and chunk:
-        chunk -= 1
-        sites, uniforms = _planned_draws(rng, n, plan[chunk])
-        base -= len(sites)
-        codes = _band_codes(sites, uniforms, lo, hi)
-        order = np.argsort(sites.astype(sort_type), kind="stable")  # update times, by site
-        counts = np.bincount(sites, minlength=n)
-        ends = np.cumsum(counts)
-        asked = list(requests)
-        last = order.take(ends.take(asked) - 1)  # valid where counts > 0
-        starts, ends = (ends - counts).tolist(), ends.tolist()
-        earlier = {}  # requests on the previous chunk
-        stack = []
-        for j, t, c, k in zip(asked, last.tolist(), codes.take(last).tolist(),
-                              counts.take(asked).tolist()):
-            slots = requests[j]
-            if not k:
-                earlier[j] = slots
-                continue
-            key = base + t
-            if c:
-                value[key] = _SPIN[c]
-            else:
-                stack.append((t, j))
-            for keys, i in slots:
-                keys[i] = key
-        times = {}  # site -> its update times in the chunk, ascending
-        while stack:
-            t, s = stack.pop()
-            if base + t in inputs:
-                continue
-            keys = []
-            for j, _ in neighbours[s]:
-                ts = times.get(j)
-                if ts is None:
-                    ts = times[j] = order[starts[j]:ends[j]].tolist()
-                i = bisect_left(ts, t)
-                if i:
-                    tj = ts[i - 1]
-                    key = base + tj
-                    c = codes[tj]
-                    if c:
-                        value[key] = _SPIN[c]
-                    elif key not in inputs:
-                        stack.append((tj, j))
-                    keys.append(key)
-                else:
-                    earlier.setdefault(j, []).append((keys, len(keys)))
-                    keys.append(None)
-            inputs[base + t] = s, keys, uniforms[t]
-        requests = earlier
-    xs = x.tolist()
-    for j, slots in requests.items():  # read before step 0
-        value[-1 - j] = xs[j]
-        for keys, i in slots:
-            keys[i] = -1 - j
-    p_plus = {}  # as in the forward loop
-    for t in sorted(inputs):
-        s, keys, u = inputs[t]
-        f = 0.0
-        for (_, w), key in zip(neighbours[s], keys):
-            f += w * value[key]
-        f += h[s]
-        p = p_plus.get(f)
-        if p is None:
-            if len(p_plus) == _P_MEMO:
-                p_plus.clear()
-            p = p_plus[f] = float(0.5 * (1.0 + np.tanh(f)))
-        value[t] = 1.0 if u < p else -1.0
-    x[:] = [value[key] for key in final]
 
 
 _LOW = np.uint64(0xFFFFFFFF)

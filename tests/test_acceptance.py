@@ -33,12 +33,10 @@ from isingfit.mple import (
 )
 from isingfit.oneparam import fit_scalar
 from isingfit.sampler import (
-    GlauberConfig,
     config_index,
     enumerate_distribution,
     exact_sample,
     empirical_distribution,
-    glauber_sample_many,
     log_partition,
     make_rng,
     spin_table,
@@ -108,17 +106,17 @@ def test_02_pseudo_likelihood_identity(report):
             worst <= 1e-10 and zero_val == pytest.approx(n * math.log(2), abs=0))
 
 
-def test_03_sampler_fidelity(report):
-    n, sweeps, draws = 8, 200, 200_000
-    rng = make_rng(13)
-    J = _scaled_to_inf(n, rng, 0.5)
-    spec = IsingSpec.zero_field(J)
+# The 2x10^5 chains of 200 sweeps (seed 13) run once in the session
+# fixture ``test_03_chains``, which times them; elapsed adds that time.
+def test_03_sampler_fidelity(report, test_03_chains):
+    n = 8
+    J, spec, X = test_03_chains.J, test_03_chains.spec, test_03_chains.X
+    assert X.shape == (200_000, n)
     start = time.perf_counter()
     dist = enumerate_distribution(spec)
-    X = glauber_sample_many(spec, draws, GlauberConfig(sweeps, 13), rng)
     emp = empirical_distribution(X, n)
     tv = 0.5 * float(np.abs(emp - dist.probs).sum())
-    elapsed = time.perf_counter() - start
+    elapsed = test_03_chains.seconds + time.perf_counter() - start
 
     # detailed balance over every (state, site) pair
     probs = dist.probs

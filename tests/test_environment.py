@@ -35,7 +35,8 @@ def test_blas_is_pinned_to_one_thread():
 
 def test_estimation_path_does_not_import_scipy(tmp_path):
     # scipy.special and scipy.sparse each cost ~0.2 s and ~20 MB to import;
-    # the package needs numpy alone, covers included
+    # the package needs numpy alone, covers included: enumeration at n = 8,
+    # the component sampler (matchings) and Glauber (ER) at n = 24
     code = (
         "import sys, numpy as np\n"
         "import isingfit, isingfit.cli\n"
@@ -45,8 +46,11 @@ def test_estimation_path_does_not_import_scipy(tmp_path):
         "from isingfit.core import save_matrix\n"
         "from isingfit.experiments import ExperimentConfig, gen_matchings, run_trial\n"
         "from isingfit.mple import grad_beta, psi\n"
-        "for n, sampler in ((8, 'exact'), (24, 'glauber')):\n"
-        "    rec = run_trial(ExperimentConfig(n=n, k_grid=(2,), glauber_sweeps=5), 2, 0)[0]\n"
+        "for generator, n, sampler in (('matchings', 8, 'exact'), ('matchings', 24, 'exact'),\n"
+        "                              ('erdos_renyi_incidence', 24, 'glauber')):\n"
+        "    cfg = ExperimentConfig(generator=generator, n=n, k_grid=(2,), er_p=0.2,\n"
+        "                           glauber_sweeps=5)\n"
+        "    rec = run_trial(cfg, 2, 0)[0]\n"
         "    assert rec.sampler == sampler and not rec.error, rec\n"
         "raw = gen_matchings(6, 2)\n"
         "b = gram_schmidt(raw)\n"

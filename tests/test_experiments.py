@@ -15,7 +15,7 @@ from isingfit.basis import (
     project,
     trace_inner,
 )
-from isingfit.errors import NormBudgetExceeded, TooManyGroups
+from isingfit.errors import InvalidBudget, NormBudgetExceeded, TooManyGroups
 from isingfit.experiments import (
     EXACT_SAMPLE_LIMIT,
     ExperimentConfig,
@@ -38,6 +38,7 @@ from isingfit.metrics import tv_chi_exact
 from isingfit.mple import MpleConfig, fit, psi
 from isingfit.sampler import (
     GlauberConfig,
+    component_sample,
     enumerate_distribution,
     exact_sample,
     glauber_sample,
@@ -162,6 +163,29 @@ def test_sweep_deterministic(tmp_path):
     run_sweep(cfg, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "results.csv").read_bytes() == \
         (tmp_path / "b" / "results.csv").read_bytes()
+
+
+# A config no trial could run is refused where it is made, naming the
+# field, not deep inside the first trial.
+@pytest.mark.parametrize("field,value,error", [
+    ("n", 64.0, ValueError), ("n", True, ValueError), ("trials", 2.5, ValueError),
+    ("max_iters", "30000", ValueError), ("glauber_sweeps", 300.0, ValueError),
+    ("glauber_sweeps", 0, ValueError), ("k_grid", (1, 0), ValueError),
+    ("k_grid", (1, 2.0), ValueError), ("generator", "grid", ValueError),
+    ("M", math.nan, InvalidBudget), ("M", math.inf, InvalidBudget),
+    ("M", -0.5, InvalidBudget)])
+def test_experiment_config_refuses_fields_no_trial_could_run(field, value, error):
+    name = "burn_in_sweeps" if field == "glauber_sweeps" else field
+    with pytest.raises(error, match=name):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_takes_numpy_integers_and_keeps_its_fields():
+    cfg = ExperimentConfig(n=np.int64(12), trials=np.int32(1), k_grid=[np.uint8(2)],
+                           max_iters=np.int64(200), glauber_sweeps=np.int16(3), M=0)
+    assert [f.name for f in dataclasses.fields(cfg)] == list(cfg.to_dict())
+    cfg = ExperimentConfig(n=12, k_grid=(2,), trials=1, max_iters=200)
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_sweep_records_errors_without_aborting():
@@ -326,7 +350,9 @@ def test_gram_schmidt_is_the_edge_entry_on_dense_input(kind):
 
 def _dense_run_trial(cfg, k, trial):
     """run_trial as it was on dense matrices: k dense raw matrices, J* as
-    their dense sum, beta* from project and frob_error from combine."""
+    their dense sum, beta* from project and frob_error from combine.  The
+    sampler is picked as run_trial picks it, with J* gathered on the
+    basis edges for the component sampler."""
     seed = trial_seed(cfg.seed, k, trial)
     rng = make_rng(seed)
     shuffle = rng if cfg.shuffle_support else None
@@ -345,6 +371,10 @@ def _dense_run_trial(cfg, k, trial):
     spec = IsingSpec.zero_field(J_star)
     if cfg.n <= EXACT_SAMPLE_LIMIT:
         x = exact_sample(enumerate_distribution(spec), rng)
+        sampler = "exact"
+    elif cfg.generator in ("matchings", "blocks"):
+        x = component_sample(cfg.n, basis.rows, basis.cols,
+                             J_star[basis.rows, basis.cols], rng)
         sampler = "exact"
     else:
         x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
@@ -388,28 +418,58 @@ def test_run_trial_matches_dense_oracle(generator, shuffle):
                 assert np.array_equal(a, b)
 
 
+def _watch_samplers(monkeypatch):
+    """The models that run_trial hands glauber_sample, and the
+    (n, rows, cols, values) it hands component_sample, as two lists."""
+    specs, edges = [], []
+    glauber, component = experiments.glauber_sample, experiments.component_sample
+    monkeypatch.setattr(experiments, "glauber_sample",
+                        lambda spec, *args: specs.append(spec) or glauber(spec, *args))
+
+    def watched(n, rows, cols, values, rng):
+        edges.append((n, rows, cols, values))
+        return component(n, rows, cols, values, rng)
+
+    monkeypatch.setattr(experiments, "component_sample", watched)
+    return specs, edges
+
+
+def _check_sampled_model(generator, specs, edges, stars):
+    """Each trial sampled the model zero_field(J*), bit for bit: ER trials
+    through Glauber on the read-only model, matchings and blocks trials
+    through component_sample on edges that scatter to J*."""
+    if generator == "erdos_renyi_incidence":
+        assert len(specs) == len(stars) and edges == []
+        Js = [spec.J for spec in specs]
+        for spec in specs:
+            assert spec.h.tobytes() == np.zeros(spec.n).tobytes()
+            assert not spec.J.flags.writeable and not spec.h.flags.writeable
+    else:
+        assert specs == [] and len(edges) == len(stars)
+        Js = [_scatter(n, (rows, cols, values)) for n, rows, cols, values in edges]
+    for J, J_star in zip(Js, stars):
+        want = IsingSpec.zero_field(J_star).J
+        assert J.shape == want.shape and J.tobytes() == want.tobytes()
+        assert not J_star.flags.writeable
+        assert repr(infinity_norm(J)) == repr(infinity_norm(want))
+
+
 @pytest.mark.parametrize("generator", ["blocks", "erdos_renyi_incidence", "matchings"])
 def test_run_trial_builds_its_model_from_the_edges(generator, monkeypatch):
     # the model is zero_field(J*) bit for bit, with no dense validation
-    validated, specs = [], []
-    validate, sample = core.validate_interaction, experiments.glauber_sample
+    validated = []
+    validate = core.validate_interaction
     monkeypatch.setattr(core, "validate_interaction",
                         lambda J: validated.append(J) or validate(J))
-    monkeypatch.setattr(experiments, "glauber_sample",
-                        lambda spec, *args: specs.append(spec) or sample(spec, *args))
+    specs, edges = _watch_samplers(monkeypatch)
     stars = []
     for k in (1, 4, 8):
         cfg = ExperimentConfig(generator=generator, n=64, k_grid=(k,), seed=98,
                                er_p=0.1, glauber_sweeps=5, max_iters=5_000)
         stars.append(run_trial(cfg, k, 0)[2])
     monkeypatch.undo()
-    assert validated == [] and len(specs) == 3
-    for spec, J_star in zip(specs, stars):
-        want = IsingSpec.zero_field(J_star)
-        for got, expected in ((spec.J, want.J), (spec.h, want.h)):
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-            assert not got.flags.writeable
-        assert repr(infinity_norm(spec.J)) == repr(infinity_norm(want.J))
+    assert validated == []
+    _check_sampled_model(generator, specs, edges, stars)
 
 
 # M = 0.5 scales J* down to the budget; M = 100 leaves it as drawn
@@ -418,18 +478,19 @@ def test_run_trial_builds_its_model_from_the_edges(generator, monkeypatch):
 def test_run_trial_takes_one_norm_and_returns_the_models_J(generator, M, monkeypatch):
     # the rescale's dense norm is the trial's one pass over J*, and J_star
     # is the model's own read-only J, with the dense oracle's bits
-    calls, specs = [], []
-    norm, sample = core.infinity_norm, experiments.glauber_sample
+    calls = []
+    norm = core.infinity_norm
     for module in (core, experiments):
         monkeypatch.setattr(module, "infinity_norm", lambda J: calls.append(J) or norm(J))
-    monkeypatch.setattr(experiments, "glauber_sample",
-                        lambda spec, *args: specs.append(spec) or sample(spec, *args))
+    specs, edges = _watch_samplers(monkeypatch)
     cfg = ExperimentConfig(generator=generator, n=64, k_grid=(4,), seed=99, M=M,
                            er_p=0.1, glauber_sweeps=5, max_iters=5_000)
     J_star = run_trial(cfg, 4, 0)[2]
-    assert len(calls) == 1 and len(specs) == 1
+    assert len(calls) == 1
     monkeypatch.undo()
-    assert J_star is specs[0].J and not J_star.flags.writeable
+    _check_sampled_model(generator, specs, edges, [J_star])
+    if specs:
+        assert J_star is specs[0].J
     want = _dense_run_trial(cfg, 4, 0)[2]
     assert J_star.shape == want.shape and J_star.tobytes() == want.tobytes()
 

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import itertools
 import math
@@ -7,11 +6,12 @@ import re
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import chi2
 
 import isingfit as isf
 import isingfit.sampler as sampler_mod
 from isingfit.core import IsingSpec
-from isingfit.errors import DimensionTooLarge, NotContracting
+from isingfit.errors import DimensionTooLarge, NotCliqueUnion, NotContracting
 from isingfit.experiments import (
     EXACT_SAMPLE_LIMIT,
     ExperimentConfig,
@@ -38,6 +38,7 @@ from isingfit.sampler import (
     _log_weights,
     _planned_draws,
     _step_draws,
+    component_sample,
     empirical_distribution,
     enumerate_distribution,
     exact_sample,
@@ -46,7 +47,6 @@ from isingfit.sampler import (
     make_rng,
     spin_table,
 )
-from tests.test_acceptance import _scaled_to_inf
 from tests.test_core import random_spec
 
 
@@ -200,6 +200,136 @@ def test_exact_sample_uniform_frequencies():
     assert np.all(np.abs(emp - p) <= 4 * sigma)
 
 
+# ---------------------------------------------------------------------------
+# Exact draws from products of cliques (component_sample)
+
+
+def _clique_edges(n, cliques, couplings):
+    """The sorted edges (rows, cols, values) of cliques on the given nodes,
+    each clique with its one coupling."""
+    keys, values = [], []
+    for nodes, c in zip(cliques, couplings):
+        a, b = np.triu_indices(len(nodes), k=1)
+        nodes = np.asarray(nodes)
+        keys += (np.minimum(nodes[a], nodes[b]) * n + np.maximum(nodes[a], nodes[b])).tolist()
+        values += [c] * len(a)
+    order = np.argsort(keys)
+    rows, cols = np.divmod(np.asarray(keys, dtype=np.int64)[order], n)
+    return rows, cols, np.asarray(values, dtype=np.float64)[order]
+
+
+# Cliques on shuffled nodes: four pairs; cliques of 4, 3 and 3; and
+# cliques of 5, 2 and 3 with nodes 5 and 7 left isolated.
+_PRODUCTS = {
+    "pairs": (8, [[5, 1], [0, 6], [7, 2], [3, 4]], [0.4, -0.9, 1.3, -0.2]),
+    "cliques": (10, [[9, 2, 4, 0], [1, 8, 5], [3, 6, 7]], [0.35, -0.5, 0.8]),
+    "mix": (12, [[11, 3, 6, 0, 8], [2, 9], [10, 4, 1]], [0.25, -1.1, 0.6]),
+}
+
+
+def _chi2_pvalue(counts, probs):
+    """Pearson's chi^2 p-value of counts against probs, with the cells
+    expected fewer than 5 times pooled into one."""
+    expected = counts.sum() * probs
+    small = expected < 5.0
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] == 0.0:
+        obs, exp = obs[:-1], exp[:-1]
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), len(obs) - 1))
+
+
+@pytest.mark.parametrize("case", sorted(_PRODUCTS))
+def test_component_sample_matches_enumeration(case):
+    n, cliques, couplings = _PRODUCTS[case]
+    rows, cols, values = _clique_edges(n, cliques, couplings)
+    probs = enumerate_distribution(IsingSpec.from_edges(n, rows, cols, values)).probs
+    rng = make_rng(81)
+    X = np.array([component_sample(n, rows, cols, values, rng) for _ in range(12_000)])
+    assert X.dtype == np.int64 and X.shape == (12_000, n)
+    counts = np.bincount(sampler_mod._indices(X), minlength=1 << n)
+    assert _chi2_pvalue(counts, probs) > 1e-3
+
+
+# Disordered (c s < 1), ordered and antiferromagnetic couplings on one
+# 14-node clique: the law of the +1 count m, C(s, m) exp(c ((2m - s)^2 - s)
+# / 2) normalised, has the enumerated partition function, puts the
+# enumerated mass on each m, and the draws follow it.
+@pytest.mark.parametrize("c", [0.05, 0.2, -0.3])
+def test_component_sample_draws_the_curie_weiss_law_of_one_clique(c):
+    s = 14
+    rows, cols = np.triu_indices(s, k=1)
+    values = np.full(rows.size, c)
+    spec = IsingSpec.from_edges(s, rows, cols, values)
+    log_w = np.array([math.lgamma(s + 1) - math.lgamma(m + 1) - math.lgamma(s - m + 1)
+                      + c * ((2 * m - s) ** 2 - s) / 2 for m in range(s + 1)])
+    lse = float(logsumexp(log_w))
+    assert lse - s * math.log(2.0) == pytest.approx(log_partition(spec), abs=1e-12)
+    law = np.exp(log_w - lse)
+    plus = (spin_table(s) > 0).sum(axis=1)
+    enumerated = np.bincount(plus, enumerate_distribution(spec).probs, minlength=s + 1)
+    assert np.abs(enumerated - law).max() <= 1e-12
+    rng = make_rng(82)
+    draws = [int((component_sample(s, rows, cols, values, rng) > 0).sum()) for _ in range(4_000)]
+    assert _chi2_pvalue(np.bincount(draws, minlength=s + 1), law) > 1e-3
+
+
+# A 3-node path, a triangle with two couplings and a 4-clique missing the
+# edge (2, 3) are no union of cliques with one coupling each; the call
+# refuses them before it draws.
+@pytest.mark.parametrize("rows,cols,values", [
+    ([0, 1], [1, 2], [0.5, 0.5]),
+    ([0, 0, 1], [1, 2, 2], [0.5, 0.5, -0.5]),
+    ([0, 0, 0, 1, 1], [1, 2, 3, 2, 3], [0.5] * 5)],
+    ids=["path", "two-couplings", "missing-edge"])
+def test_component_sample_refuses_other_supports(rows, cols, values):
+    rng = make_rng(83)
+    with pytest.raises(NotCliqueUnion):
+        component_sample(5, rows, cols, values, rng)
+    assert rng.random() == make_rng(83).random()
+
+
+class _RecordedUniforms:
+    """A Generator whose ``random`` draws are kept, one array a call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(self._rng.random(size))
+        return self.calls[-1]
+
+
+# The draw order, against a plain-Python oracle: one uniform per
+# component, the components numbered by their smallest node, inverts the
+# CDF of the component's +1 count m; then one uniform per node orders each
+# component's nodes, and its first m take +1.
+@pytest.mark.parametrize("seed", range(20))
+def test_component_sample_takes_one_uniform_per_component_then_one_per_node(seed):
+    n, cliques, couplings = _PRODUCTS["mix"]
+    rows, cols, values = _clique_edges(n, cliques, couplings)
+    rng = _RecordedUniforms(make_rng(seed))
+    x = component_sample(n, rows, cols, values, rng)
+    u, v = (a.tolist() for a in rng.calls)
+    assert len(rng.calls) == 2 and len(u) == 5 and len(v) == n
+    components = sorted(zip(cliques + [[5], [7]], couplings + [0.0, 0.0]), key=lambda t: min(t[0]))
+    want = [0] * n
+    for (nodes, c), ui in zip(components, u):
+        size = len(nodes)
+        weights = [math.comb(size, m) * math.exp(c * ((2 * m - size) ** 2 - size) / 2)
+                   for m in range(size + 1)]
+        acc, total = 0.0, sum(weights)
+        plus = next(m for m, w in enumerate(weights) if ui * total < (acc := acc + w))
+        for rank, j in enumerate(sorted(nodes, key=v.__getitem__)):
+            want[j] = 1 if rank < plus else -1
+    assert x.tolist() == want
+    ref = make_rng(seed)
+    ref.random(5)
+    ref.random(n)
+    assert rng._rng.random() == ref.random()
+
+
 def test_glauber_independent_spins_match_field():
     n = 5
     h = np.array([0.0, 0.4, -0.8, 1.2, -0.2])
@@ -255,10 +385,11 @@ def test_glauber_config_takes_python_and_numpy_integers(sweeps):
     assert GlauberConfig(sweeps).burn_in_sweeps == 3
 
 
+# The config refuses the count when it is made, before any trial builds
+# its family and basis, at every n and for every generator.
 def test_run_trial_refuses_a_float_sweep_count():
-    cfg = ExperimentConfig(n=EXACT_SAMPLE_LIMIT + 1, glauber_sweeps=300.0)
     with pytest.raises(ValueError, match=r"burn_in_sweeps must be an integer, got 300\.0"):
-        run_trial(cfg, 1, 0)
+        run_trial(ExperimentConfig(n=EXACT_SAMPLE_LIMIT + 1, glauber_sweeps=300.0), 1, 0)
 
 
 def test_glauber_deterministic_given_seed():
@@ -397,25 +528,9 @@ def _with_lone_sites(spec):
 # ``buffered`` enters with the high half of a 64-bit word pending.  The
 # first case is also run by the vectorised oracle.  At M = 0.5 most
 # updates are decided by their uniform alone (``_bands``), at M = 4 almost
-# none; sites 0 and 1 have R_s = |h_s| and R_s = 0.  M = 4 runs every
-# chain forward, and M = 0.02 (with fields of the same size) sends some
-# chains of every kind down the lazy path, blocks and ER with rows of
-# several couplings.
+# none; sites 0 and 1 have R_s = |h_s| and R_s = 0.
 _CHAIN_CASES = [(30, 40, False), (33, 41, False), (64, 33, True), (65, 65, True)]
 _CHAIN_NORMS = [0.02, 0.5, 0.9, 4.0]
-
-
-def _count_paths(monkeypatch):
-    """Whether each single chain glauber_sample_many runs took the lazy path."""
-    lazy = []
-    real = sampler_mod._goes_lazy
-
-    def counted(*args):
-        lazy.append(real(*args))
-        return lazy[-1]
-
-    monkeypatch.setattr(sampler_mod, "_goes_lazy", counted)
-    return lazy
 
 
 def _check_single_chain(spec, cfg, buffered=False, seed=56, bit_generator=np.random.Philox):
@@ -434,8 +549,7 @@ def _check_single_chain(spec, cfg, buffered=False, seed=56, bit_generator=np.ran
 
 @pytest.mark.parametrize("kind", ["matchings", "blocks", "erdos_renyi"])
 @pytest.mark.parametrize("with_field", [False, True])
-def test_single_chain_matches_vectorised_oracle(kind, with_field, monkeypatch):
-    lazy = _count_paths(monkeypatch)
+def test_single_chain_matches_vectorised_oracle(kind, with_field):
     for (n, sweeps, buffered), M in itertools.product(_CHAIN_CASES, _CHAIN_NORMS):
         spec = _with_lone_sites(_model(kind, n, with_field, M))
         cfg = GlauberConfig(sweeps, seed=54)
@@ -445,12 +559,12 @@ def test_single_chain_matches_vectorised_oracle(kind, with_field, monkeypatch):
             # without an explicit generator both seed one from cfg.seed
             assert np.array_equal(glauber_sample_many(spec, 1, cfg),
                                   _scalar_glauber(spec, cfg))
-    assert set(lazy) == {False, True}
 
 
 def _test_05_chains(k, trials):
-    """The Glauber chains of run_trial at the test_05 config (matchings,
-    n = 128, M = 0.5, 300 sweeps), as (spec, cfg, seed)."""
+    """The models of run_trial's trials at the test_05 config (matchings,
+    n = 128, M = 0.5), with the 300-sweep chain each ran before matchings
+    were drawn exactly, as (spec, cfg, seed)."""
     cfg = ExperimentConfig(n=128, k_grid=(k,), seed=15)
     for trial in range(trials):
         seed = trial_seed(cfg.seed, k, trial)
@@ -462,39 +576,11 @@ def _test_05_chains(k, trials):
         yield IsingSpec.zero_field(J), GlauberConfig(cfg.glauber_sweeps, seed), seed
 
 
-def _matching(n, k, M, seed):
-    """J of _model("matchings", n, False, M, k) in structure, built without
-    its k dense n x n incidence matrices: n / 2k pairs per matching, each
-    matching with one weight from uniform(-1, 1), scaled to ||J||_inf = M."""
-    per = n // (2 * k)
-    order = make_rng(seed).permutation(n)[:2 * k * per]
-    w = np.repeat(make_rng(seed + 1).uniform(-1.0, 1.0, k), per)
-    J = np.zeros((n, n))
-    J[order[0::2], order[1::2]] = J[order[1::2], order[0::2]] = w * (M / np.abs(w).max())
-    return IsingSpec.zero_field(J)
-
-
-# Which side of the cut chains fall on: the test_05 config is lazy, and so
-# are matchings at n = 512, k = 8, M = 0.5, where b = max tanh|w| + 2e-9 =
-# 0.462 puts 10 n / (1 - b) at 9 519 steps, below the chain's 20 480, and
-# at n = 2048 with 20 sweeps, 38 075 against 40 960 (a chain that a
-# per-window rule, with windows of _DRAW_CHUNK steps, would send forward);
-# dense rows (one 65-clique), b >= 1 (ER at M = 4) and a single sweep,
-# whose chain holds too few steps to repay n / (1 - b) evaluations, are
-# forward.  One chain of each path runs on an MT19937 generator, whose
-# draws both paths take by scalar calls and regenerate from its saved
-# states.
-def test_single_chain_paths(monkeypatch):
-    lazy = _count_paths(monkeypatch)
-    for k in (1, 8):
-        for spec, cfg, seed in _test_05_chains(k, 2):
-            _check_single_chain(spec, cfg, seed=seed)
-    spec, cfg, seed = next(_test_05_chains(8, 1))
-    _check_single_chain(spec, cfg, seed=seed, bit_generator=np.random.MT19937)
-    _check_single_chain(_model("matchings", 512, False, 0.5, k=8), GlauberConfig(40, seed=54))
-    _check_single_chain(_matching(2048, 8, 0.5, seed=57), GlauberConfig(20, seed=54))
-    assert lazy == [True] * 7
-    lazy.clear()
+# Chains on both sides of the dense-row cut: dense rows (one 65-clique),
+# ER at M = 4 and a single sweep of a test_05-config chain; one chain runs
+# on an MT19937 generator, whose draws are taken by scalar calls and
+# regenerated from its saved states.
+def test_single_chain_paths():
     forward = [(_model("blocks", 65, False, 0.5, k=1), 20),
                (_model("erdos_renyi", 64, True, 4.0), 20),
                (next(_test_05_chains(8, 1))[0], 1)]
@@ -502,90 +588,6 @@ def test_single_chain_paths(monkeypatch):
         _check_single_chain(spec, GlauberConfig(sweeps, seed=54))
     _check_single_chain(forward[1][0], GlauberConfig(20, seed=54),
                         bit_generator=np.random.MT19937)
-    assert lazy == [False] * 4
-
-
-# A test_05-config k8 chain has 38 400 steps: two chunks of _DRAW_CHUNK
-# and a last one of 5 632, which holds every draw that its final spins read.
-def test_lazy_chain_decodes_only_the_chunks_it_reads(monkeypatch):
-    lazy = _count_paths(monkeypatch)
-    decoded = []
-    real = sampler_mod._planned_draws
-
-    def counted(rng, n, chunk):
-        decoded.append(chunk[1])
-        return real(rng, n, chunk)
-
-    monkeypatch.setattr(sampler_mod, "_planned_draws", counted)
-    spec, cfg, seed = next(_test_05_chains(8, 1))
-    _check_single_chain(spec, cfg, seed=seed)
-    assert lazy == [True] and cfg.burn_in_sweeps * spec.n == 2 * _DRAW_CHUNK + 5632
-    assert decoded == [5632]
-
-
-def test_lazy_chain_builds_only_the_rows_it_reads(monkeypatch):
-    # a test_05 k8 chain reads a fraction of its 128 rows; each row it
-    # built is the forward loop's (column, weight) tuple
-    rows = []
-    real = sampler_mod._lazy_chain
-
-    def kept(x, neighbours, *args):
-        rows.append(neighbours)
-        return real(x, neighbours, *args)
-
-    monkeypatch.setattr(sampler_mod, "_lazy_chain", kept)
-    spec, cfg, seed = next(_test_05_chains(8, 1))
-    _check_single_chain(spec, cfg, seed=seed)
-    (built,) = rows
-    assert 0 < len(built) < spec.n // 2
-    for s, row in built.items():
-        cols = np.flatnonzero(spec.J[s])
-        assert row == tuple(zip(cols.tolist(), spec.J[s, cols].tolist()))
-
-
-# The search keeps its state in plain lists and dicts: a chain that left
-# reference cycles behind would hand them to the cyclic collector, which
-# then holds their memory until its next pass.
-def test_lazy_chain_leaves_no_garbage(monkeypatch):
-    lazy = _count_paths(monkeypatch)
-    spec, cfg, _ = next(_test_05_chains(8, 1))
-    gc.collect()
-    gc.disable()
-    try:
-        glauber_sample_many(spec, 1, cfg)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert lazy == [True]
-
-
-# Two sites coupled by J_01: an update is undecided with probability
-# tanh|J_01|, so its value hangs on a run of earlier updates about
-# 1 / (1 - tanh|J_01|) long: 200 at J_01 = 3, and at J_01 = 6 about 81 000,
-# several chunks of _DRAW_CHUNK steps and many times Python's recursion
-# limit, so the search crosses chunks.  The cost rule would send J_01 = 6
-# forward; _LAZY_COST = 0 makes every chain with b < 1 lazy.
-@pytest.mark.parametrize("coupling", [3.0, -6.0])
-def test_lazy_chain_follows_long_dependency_runs(coupling, monkeypatch):
-    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
-    lazy = _count_paths(monkeypatch)
-    J = np.array([[0.0, coupling], [coupling, 0.0]])
-    _check_single_chain(IsingSpec.zero_field(J), GlauberConfig(50_000, seed=70))
-    assert lazy == [True]
-
-
-# A lazy chain of three full chunks and a last one of 448 steps, whose
-# search reads past the last chunk's start into the chunk before it; and,
-# with _LAZY_COST = 0, a chain of one sweep, where about a third of the
-# sites are never updated and read their initial spins.
-def test_lazy_chain_crosses_windows(monkeypatch):
-    lazy = _count_paths(monkeypatch)
-    spec = _model("matchings", 64, True, 0.5, k=4)
-    sweeps = 3 * _DRAW_CHUNK // 64 + 7
-    _check_single_chain(spec, GlauberConfig(sweeps, seed=71))
-    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 0)
-    _check_single_chain(spec, GlauberConfig(1, seed=71))
-    assert lazy == [True, True]
 
 
 def _chain_bounds(spec):
@@ -632,17 +634,12 @@ def test_band_holds_the_chains_extreme_conditionals(kind, k, n, M):
 # Blocks of 16 at M = 0.02: each row sums 15 equal magnitudes, which
 # numpy's pairwise sum and the chain's column-order sum round apart on
 # many rows.  The bands may move by that last bit; the spins and the draws
-# stay the oracle's on the lazy path and, with _LAZY_COST raised, forward.
-def test_chain_bounds_summed_in_edge_order_keep_the_spins(monkeypatch):
-    lazy = _count_paths(monkeypatch)
+# stay the oracle's.
+def test_chain_bounds_summed_in_edge_order_keep_the_spins():
     spec = _model("blocks", 64, True, 0.02, k=4)
     dense = np.sum(np.abs(spec.J), axis=1) + np.abs(spec.h)
     assert np.count_nonzero(_chain_bounds(spec) != dense) > 0
-    cfg = GlauberConfig(40, seed=72)
-    _check_single_chain(spec, cfg)
-    monkeypatch.setattr(sampler_mod, "_LAZY_COST", 10 ** 9)
-    _check_single_chain(spec, cfg)
-    assert lazy == [True, False]
+    _check_single_chain(spec, GlauberConfig(40, seed=72))
 
 
 def test_band_is_empty_where_rounding_could_reach_it():
@@ -875,38 +872,41 @@ def test_step_draws_match_vector_calls(n, bit_generator, redrawn, count, buffere
     assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
 
 
-def _oracles_chain():
-    """The J of the multi-chain case of benchmark cell 0 at seed 61: dense
-    symmetric matrices with infinity norm M, drawn in the cell's order
-    from one generator, of which the chain's is the fourth."""
+def _oracles_chain(request):
+    """The spins and next uniform of the multi-chain case of benchmark
+    cell 0 at seed 61: 6 000 chains of 200 sweeps on dense symmetric
+    matrices with infinity norm M, drawn in the cell's order from one
+    generator, of which the chain's is the fourth."""
     g = np.random.default_rng([61, 0, 0])
     for n, M in [(16, 0.5), (18, 0.5), (16, 1.0), (8, 0.5)]:
         J = g.normal(size=(n, n))
         J = 0.5 * (J + J.T)
         np.fill_diagonal(J, 0.0)
         J = J * (M / np.abs(J).sum(axis=1).max())
-    return IsingSpec.zero_field(J), make_rng([61, 0, 1])
+    rng = make_rng([61, 0, 1])
+    X = glauber_sample_many(IsingSpec.zero_field(J), 6_000, GlauberConfig(200, 0), rng)
+    return X, rng.random()
 
 
-def _acceptance_chain():
-    """The model and generator of acceptance test 3."""
-    rng = make_rng(13)
-    return IsingSpec.zero_field(_scaled_to_inf(8, rng, 0.5)), rng
+def _acceptance_chain(request):
+    """The spins and next uniform of acceptance test 3's 2x10^5 chains of
+    200 sweeps (seed 13), which the session fixture runs once."""
+    run = request.getfixturevalue("test_03_chains")
+    return run.X, run.next_uniform
 
 
 # The spins (and the next uniform) of the two multi-chain runs that the
 # validation rests on, recorded when each step still drew its sites and
 # uniforms by rng.integers and rng.random: decoding the draws from raw
 # words must not change a bit of them.
-@pytest.mark.parametrize("chain,count,cfg,digest,after", [
-    (_oracles_chain, 6_000, GlauberConfig(200, 0),
+@pytest.mark.parametrize("chain,count,digest,after", [
+    (_oracles_chain, 6_000,
      "ec980362018f18ae45ea8b6ede34b4f04b58aaa9079bc9a0a6524f601c314f04", 0.533845977031506),
-    (_acceptance_chain, 200_000, GlauberConfig(200, 13),
+    (_acceptance_chain, 200_000,
      "1a3ba2647f945956ac7000e6c10837959cf6a6961fb2ab08aba312350bc346dd", 0.9851483619613073)],
     ids=["oracles-exact", "test_03"])
-def test_multi_chain_spins_are_pinned(chain, count, cfg, digest, after):
-    spec, rng = chain()
-    X = glauber_sample_many(spec, count, cfg, rng)
+def test_multi_chain_spins_are_pinned(chain, count, digest, after, request):
+    X, next_uniform = chain(request)
     assert X.dtype == np.int64 and X.shape == (count, 8)
     assert hashlib.sha256(X.tobytes()).hexdigest() == digest
-    assert rng.random() == after
+    assert next_uniform == after

@@ -73,18 +73,28 @@ class MatrixBasis:
         a = np.abs(u)
         return np.bincount(rows[:m], a, self.n) + np.bincount(cols[:m], a, self.n)
 
-    def fields(self, x):
-        """Bx = (A_s x)_s, shape (k, n), in O(m k).
-
-        One ``bincount`` pair over all k members: bin s n + i receives
-        member s's terms at node i in edge order, as a per-member
-        ``bincount`` would, so each entry has the same bits.
-        """
+    def _member_sums(self, at_row, at_col):
+        """(sum_e coef[e, s] w_e over the edges e at node i)_{s, i}, shape
+        (k, n), where w_e is ``at_row[e]`` when i is e's row and
+        ``at_col[e]`` when i is its column.  One ``bincount`` pair over
+        all k members: bin s n + i receives member s's terms at node i in
+        edge order, as a per-member ``bincount`` would, so each entry has
+        the same bits."""
         rows, cols, coef_t = self._flat
         k, n = coef_t.shape[0], self.n
-        xr, xc = x[self.rows], x[self.cols]
-        return (np.bincount(rows, (coef_t * xc).ravel(), k * n)
-                + np.bincount(cols, (coef_t * xr).ravel(), k * n)).reshape(k, n)
+        return (np.bincount(rows, (coef_t * at_row).ravel(), k * n)
+                + np.bincount(cols, (coef_t * at_col).ravel(), k * n)).reshape(k, n)
+
+    def row_signed_sums(self, u):
+        """(sum_{e at i} coef[e, s] sgn(u_e))_{s, i}, shape (k, n): column
+        i is the gradient in beta of row i's absolute sum of U where U's
+        edge values u = coef @ beta are nonzero."""
+        sgn = np.sign(u)
+        return self._member_sums(sgn, sgn)
+
+    def fields(self, x):
+        """Bx = (A_s x)_s, shape (k, n), in O(m k)."""
+        return self._member_sums(x[self.cols], x[self.rows])
 
     def stacked(self, values=None):
         """The (j, n, n) symmetric matrices whose strictly-upper entries on

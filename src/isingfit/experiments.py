@@ -236,12 +236,14 @@ def run_trial(cfg, k, trial):
     is nonzero there.  J* is u* = sum_s beta_s v_s on these edges, summed
     left to right as a dense sum of the raw matrices would be.  The basis
     scatters it densely once, for its infinity norm alone (which scales
-    u* to the budget); the model is built from u* on the edges
-    (``IsingSpec.from_edges``), which checks them in O(m) instead of
-    validating the dense J* again, and its read-only J is the returned
-    ``J_star``, the one n x n array the trial keeps.  beta* is <J*, A_i>,
-    gathered on the edges, and J* less its projection onto the span is
-    the residual r there, so
+    u* to the budget).  The edges and u* are checked once, in O(m)
+    instead of validating the dense J* again: by ``component_sample`` for
+    a component draw, and otherwise by ``IsingSpec.from_edges``, which
+    builds the sampled model.  The returned ``J_star`` is u* scattered
+    read-only (the model's own J where there is a model, with the same
+    bits either way), the one n x n array the trial keeps.  beta* is
+    <J*, A_i>, gathered on the edges, and J* less its projection onto the
+    span is the residual r there, so
     ``frob_error`` = ||J_hat - J*||_F = sqrt(||beta_hat - beta*||^2 +
     2 ||r||^2) with no n x n work.  Returns (record, basis, J_star, fit
     result).
@@ -273,16 +275,21 @@ def run_trial(cfg, k, trial):
     inf = infinity_norm(basis.stacked(u_star[:, None])[0])
     if inf > cfg.M and inf > 0:
         u_star = u_star * (cfg.M / inf)
-    spec = IsingSpec.from_edges(n, basis.rows, basis.cols, u_star)
-    if n <= EXACT_SAMPLE_LIMIT:
-        x = exact_sample(enumerate_distribution(spec), rng)
-        sampler = "exact"
-    elif cfg.generator in ("matchings", "blocks"):
+    if n > EXACT_SAMPLE_LIMIT and cfg.generator in ("matchings", "blocks"):
+        # component_sample checks the edges, so J* is scattered unchecked
         x = component_sample(n, basis.rows, basis.cols, u_star, rng)
+        J_star = _scatter(n, (basis.rows, basis.cols, u_star))
+        J_star.flags.writeable = False
         sampler = "exact"
     else:
-        x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
-        sampler = "glauber"
+        spec = IsingSpec.from_edges(n, basis.rows, basis.cols, u_star)
+        J_star = spec.J
+        if n <= EXACT_SAMPLE_LIMIT:
+            x = exact_sample(enumerate_distribution(spec), rng)
+            sampler = "exact"
+        else:
+            x = glauber_sample(spec, GlauberConfig(cfg.glauber_sweeps, seed), rng)
+            sampler = "glauber"
     beta_star = basis.coef.T @ (u_star + u_star)
     residual = u_star - basis.coef @ beta_star
     res = fit(basis, x, MpleConfig(M=cfg.M, max_programs=cfg.max_iters,
@@ -304,7 +311,7 @@ def run_trial(cfg, k, trial):
         iterations=res.iterations,
         sampler=sampler,
     )
-    return rec, basis, spec.J, res
+    return rec, basis, J_star, res
 
 
 _CSV_FIELDS = [f.name for f in fields(TrialRecord)]

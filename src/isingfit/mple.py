@@ -16,14 +16,17 @@ read off the edge-coordinate basis in O(m k), as each A_i is symmetric):
 for directional_derivative, grad_beta, fit and oneparam's bisection;
 ``curvature_at_fields`` for directional_second_derivative and fit's
 Hessian; and ``infnorm_subgradient`` over the basis edges for fit's
-budget cuts.  fit has one solver, Lawson and Hanson's non-negative least
-squares ``_nnls``, started warm from the rows that its right-hand side
-breaks: its certificate ``_kkt_residual`` is one projection onto the
-cone of the tight cuts, and its Newton step ``_newton_step`` is one
-least-distance program reduced to the same NNLS, whose warm start is the
-set of cuts the Newton step breaks.  ``fit`` reports psi and
-||A_beta||_inf at its estimate from the same fields and edge row sums,
-so it never forms an n x n matrix.
+budget cuts.  A trial point outside the budget adds, in one program, the
+most violated row's cut and every other violated row's cut whose support
+in beta is disjoint from those chosen before it (``_new_cuts``), so
+``iterations`` counts programs, not cuts.  fit has one solver, Lawson
+and Hanson's non-negative least squares ``_nnls``, started warm from the
+rows that its right-hand side breaks: its certificate ``_kkt_residual``
+is one projection onto the cone of the tight cuts, and its Newton step
+``_newton_step`` is one least-distance program reduced to the same NNLS,
+whose warm start is the set of cuts the Newton step breaks.  ``fit``
+reports psi and ||A_beta||_inf at its estimate from the same fields and
+edge row sums, so it never forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -129,6 +132,53 @@ def infnorm_subgradient(basis, u, row_sums=None):
     return basis.coef[e].T @ np.sign(u[e])
 
 
+def _new_cuts(basis, u, row_sums, bound, cuts):
+    """fit's batch of cuts at a trial point with edge values u, as a list
+    (possibly empty): ``infnorm_subgradient``, then, most violated first,
+    the cut of each other row above ``bound`` whose support in beta is
+    disjoint from those chosen, less the rows of ``cuts``.  The other
+    rows' cuts (``row_signed_sums``) are computed only when the first
+    misses a coordinate, which an Erdos-Renyi row's does only where a
+    coordinate cancels to 0, and are chosen by support bitmasks."""
+    first = infnorm_subgradient(basis, u, row_sums)
+    chosen = [first]
+    if np.count_nonzero(first) < basis.k:
+        violated = np.flatnonzero(row_sums > bound)
+        # most violated first, lowest index on ties, so the first is the
+        # argmax row that infnorm_subgradient differentiated through
+        rest = violated[np.argsort(-row_sums[violated], kind="stable")[1:]]
+        if rest.size:
+            node_cuts = basis.row_signed_sums(u).T[rest]
+            taken, *masks = _bitmasks(np.vstack([first, node_cuts]) != 0.0)
+            full = (1 << basis.k) - 1
+            picked = []
+            for j, mask in enumerate(masks):
+                if mask and not mask & taken:
+                    picked.append(j)
+                    taken |= mask
+                    if taken == full:
+                        break
+            chosen.extend(node_cuts[picked])
+    if len(cuts):
+        chosen = [c for c in chosen if not (cuts == c).all(axis=1).any()]
+    return chosen
+
+
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _bitmasks(support):
+    """Each row of the boolean (p, k) ``support`` as a Python int whose
+    bit s is its column s, built 64 columns at a time."""
+    k = support.shape[1]
+    masks = (support[:, :64] @ _BITS[:min(k, 64)]).tolist()
+    for start in range(64, k, 64):
+        block = support[:, start:start + 64]
+        words = (block @ _BITS[:block.shape[1]]).tolist()
+        masks = [m | w << start for m, w in zip(masks, words)]
+    return masks
+
+
 def check_budget(M):
     """Raise InvalidBudget unless the budget M is finite and >= 0."""
     if not (math.isfinite(M) and M >= 0.0):
@@ -161,7 +211,7 @@ class EstimationResult:
     objective_trace: np.ndarray  # psi at beta = 0 and at every Newton iterate
     psi_hat: float               # objective_trace[-1]
     inf_norm_hat: float          # ||A_beta_hat||_inf
-    iterations: int              # quadratic programs solved (steps and cuts)
+    iterations: int              # quadratic programs solved (steps and cut batches)
     stop_reason: str = ""        # "kkt", "stalled" or "iter_cap"
     kkt_residual: float = math.nan
     budget_active: bool = False  # inf_norm_hat within relative 1e-9 of M
@@ -337,13 +387,22 @@ def fit(basis, x, cfg):
     H = curvature_at_fields(Bx, f) (k x k), subject to the cuts
     c'(beta + d) <= M found so far (``_newton_step``: at most one NNLS,
     on the whitening of H, one eigh per iterate), then backtracks (Armijo)
-    on psi.  A trial point beta + d outside the budget adds the cut
-    c = infnorm_subgradient at that point and the program is solved again
-    from the same beta, with the same whitening.  c is a subgradient of a
-    norm, so c'beta' <= ||A_beta'||_inf for every beta': each cut holds on
-    the whole budget, the iterates never leave it and psi never increases.
+    on psi.  A trial point beta + d outside the budget adds cuts
+    (``_new_cuts``) and the program is solved again from the same beta,
+    with the same whitening: the cut c = infnorm_subgradient at that
+    point, through the row with the largest absolute sum, then, most
+    violated first, the signed sum of every other row above
+    M (1 + 1e-9) whose support in beta is disjoint from the cuts chosen
+    before it.  On matchings and blocks each row touches one member, so
+    one program cuts every member that the point breaks; an Erdos-Renyi
+    row touches every member, so there the first cut is the only one
+    chosen.
+    Each row's signed sum is a subgradient of a norm, so
+    c'beta' <= ||A_beta'||_inf for every beta': each cut holds on the
+    whole budget, the iterates never leave it and psi never increases.
     A trial point within relative 1e-9 above M is scaled onto the budget
-    instead, and a cut is never added twice.
+    instead, and a cut is never added twice; when every chosen cut is
+    already there, the point is scaled onto the budget too.
 
     ``kkt_residual`` is min over mu >= 0 of ||g + sum_i mu_i c_i|| over the
     cuts tight at beta, the NNLS projection ``_kkt_residual``; it is
@@ -357,7 +416,8 @@ def fit(basis, x, cfg):
     <= cfg.grad_tol (with grad_tol = 0: once no step decreases psi in
     floating point), "stalled" when no step decreases psi while the
     residual is still above grad_tol > 0, and "iter_cap" after
-    cfg.max_programs programs.
+    cfg.max_programs programs.  ``iterations`` counts these programs, one
+    per Newton step and one per batch of cuts, whatever its size.
 
     ``psi_hat`` is psi at the last iterate, ``objective_trace[-1]``, and
     ``inf_norm_hat`` is ||A_beta_hat||_inf from the edge row sums that the
@@ -377,6 +437,7 @@ def fit(basis, x, cfg):
     g = gradient_at_fields(Bx, f, x)
     W = _whitening(curvature_at_fields(Bx, f))
     certified = None  # the tight cuts that residual was computed over, at beta
+    bound = M * (1.0 + _BALL_RTOL)  # a row above it is violated
     while True:
         slack = M - cuts @ beta
         tight = np.flatnonzero(slack <= _BALL_RTOL * M)
@@ -396,10 +457,10 @@ def fit(basis, x, cfg):
         u = basis.coef @ trial
         row_sums = basis.row_abs_sums(u)
         peak = float(row_sums.max())
-        if peak > M * (1.0 + _BALL_RTOL):
-            c = infnorm_subgradient(basis, u, row_sums)
-            if not (cuts == c).all(axis=1).any():
-                cuts = np.vstack([cuts, c])
+        if peak > bound:
+            new = _new_cuts(basis, u, row_sums, bound, cuts)
+            if new:
+                cuts = np.vstack([cuts, *new])
                 continue
         if peak > M:
             d = trial * (M / peak) - beta
@@ -413,7 +474,7 @@ def fit(basis, x, cfg):
         trace.append(value)
 
     inf_hat = float(basis.row_abs_sums(basis.coef @ beta).max())
-    if inf_hat > M * (1.0 + _BALL_RTOL):
+    if inf_hat > bound:
         raise IsingfitError(f"estimate escaped the budget: {inf_hat!r} > {M!r}")
     return EstimationResult(
         beta_hat=beta,

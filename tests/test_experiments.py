@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isingfit import core, experiments
+from isingfit import core, experiments, sampler
 from isingfit.basis import (
     combine,
     edge_union,
@@ -470,6 +470,22 @@ def test_run_trial_builds_its_model_from_the_edges(generator, monkeypatch):
     monkeypatch.undo()
     assert validated == []
     _check_sampled_model(generator, specs, edges, stars)
+
+
+@pytest.mark.parametrize("generator,n", [("matchings", 64), ("blocks", 64),
+                                         ("erdos_renyi_incidence", 64), ("matchings", 16)])
+def test_run_trial_checks_its_edges_once(generator, n, monkeypatch):
+    # component_sample's check stands for the model's, so a component
+    # trial builds J* without checking its edges again
+    checked = []
+    check = core.check_edges
+    watched = lambda *a: checked.append(a) or check(*a)
+    monkeypatch.setattr(core, "check_edges", watched)
+    monkeypatch.setattr(sampler, "check_edges", watched)
+    cfg = ExperimentConfig(generator=generator, n=n, k_grid=(4,), seed=97,
+                           er_p=0.1, glauber_sweeps=5, max_iters=5_000)
+    run_trial(cfg, 4, 0)
+    assert len(checked) == 1
 
 
 # M = 0.5 scales J* down to the budget; M = 100 leaves it as drawn

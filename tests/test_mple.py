@@ -10,8 +10,8 @@ import pytest
 
 from isingfit.basis import MatrixBasis, combine, gram_schmidt, project
 from isingfit.core import IsingSpec, check_spins, conditional_prob_plus, infinity_norm
-from isingfit.errors import (DimensionMismatch, InvalidBudget, InvalidTolerance, LengthMismatch,
-                             NonFinite)
+from isingfit.errors import (DimensionMismatch, InvalidBudget, InvalidTolerance, IsingfitError,
+                             LengthMismatch, NonFinite)
 from isingfit.experiments import gen_blocks, gen_erdos_renyi_incidence, gen_matchings
 import isingfit.mple as mple_mod
 from isingfit import experiments
@@ -347,8 +347,9 @@ def test_fit_solves_one_program_per_step(monkeypatch):
 
 def _fit_every_certificate(basis, x, cfg):
     """fit as it was before it kept its certificate: the gradient and the
-    NNLS over the tight cuts computed afresh on every pass, also after a
-    cut that leaves beta and the tight cuts as they were."""
+    NNLS over the tight cuts computed afresh on every pass, also after
+    cuts that leave beta and the tight cuts as they were.  It adds fit's
+    batch of cuts (``_new_cuts``)."""
     x = check_spins(x, basis.n)
     M = float(cfg.M)
     tol = mple_mod._BALL_RTOL
@@ -377,9 +378,9 @@ def _fit_every_certificate(basis, x, cfg):
         row_sums = basis.row_abs_sums(u)
         peak = float(row_sums.max())
         if peak > M * (1.0 + tol):
-            c = mple_mod.infnorm_subgradient(basis, u, row_sums)
-            if not any(np.array_equal(c, old) for old in cuts):
-                cuts = np.vstack([cuts, c])
+            new = mple_mod._new_cuts(basis, u, row_sums, M * (1.0 + tol), cuts)
+            if new:
+                cuts = np.vstack([cuts, *new])
                 continue
         if peak > M:
             d = trial * (M / peak) - beta
@@ -438,6 +439,196 @@ def test_fit_keeps_its_certificate_with_the_same_bits(monkeypatch):
             else:
                 assert repr(a) == repr(w), f.name
     assert len(cases) == 9 and saved > 0
+
+
+def _one_cut_fit(basis, x, cfg):
+    """fit as it was when a trial point outside the budget added one cut,
+    infnorm_subgradient's, per program (kept verbatim but for module
+    prefixes)."""
+    x = check_spins(x, basis.n)
+    M = float(cfg.M)
+    Bx = basis.fields(x)
+
+    beta = np.zeros(basis.k)
+    f = beta @ Bx
+    value = mple_mod.value_at_fields(f, x)
+    cuts = np.zeros((0, basis.k))
+    trace = [value]
+    stop_reason = "iter_cap"
+    it = 0
+    g = mple_mod.gradient_at_fields(Bx, f, x)
+    W = _whitening(mple_mod.curvature_at_fields(Bx, f))
+    certified = None  # the tight cuts that residual was computed over, at beta
+    while True:
+        slack = M - cuts @ beta
+        tight = np.flatnonzero(slack <= mple_mod._BALL_RTOL * M)
+        # a cut added at the same beta changes the certificate only if it
+        # is tight there
+        if certified is None or not np.array_equal(tight, certified):
+            residual = _kkt_residual(g, cuts[tight])
+            certified = tight
+        if residual <= cfg.grad_tol:
+            stop_reason = "kkt"
+            break
+        if it >= cfg.max_programs:
+            break
+        it += 1
+        d = _newton_step(W, g, cuts, slack)
+        trial = beta + d
+        u = basis.coef @ trial
+        row_sums = basis.row_abs_sums(u)
+        peak = float(row_sums.max())
+        if peak > M * (1.0 + mple_mod._BALL_RTOL):
+            c = mple_mod.infnorm_subgradient(basis, u, row_sums)
+            if not (cuts == c).all(axis=1).any():
+                cuts = np.vstack([cuts, c])
+                continue
+        if peak > M:
+            d = trial * (M / peak) - beta
+        step = mple_mod._armijo(Bx, x, beta, value, g @ d, d)
+        if step is None:
+            stop_reason = "kkt" if cfg.grad_tol == 0 else "stalled"
+            break
+        beta, f, value = step
+        g, W = (mple_mod.gradient_at_fields(Bx, f, x),
+                _whitening(mple_mod.curvature_at_fields(Bx, f)))
+        certified = None
+        trace.append(value)
+
+    inf_hat = float(basis.row_abs_sums(basis.coef @ beta).max())
+    if inf_hat > M * (1.0 + mple_mod._BALL_RTOL):
+        raise IsingfitError(f"estimate escaped the budget: {inf_hat!r} > {M!r}")
+    return mple_mod.EstimationResult(
+        beta_hat=beta,
+        objective_trace=np.array(trace),
+        psi_hat=value,
+        inf_norm_hat=inf_hat,
+        iterations=it,
+        stop_reason=stop_reason,
+        kkt_residual=residual,
+        budget_active=inf_hat >= M * (1.0 - mple_mod._BALL_RTOL),
+    )
+
+
+def _trial_fits(monkeypatch, generator, k, trials):
+    """fit's (basis, x, cfg) in run_trial's first trials at n = 128, k."""
+    cases = []
+    monkeypatch.setattr(experiments, "fit",
+                        lambda b, x, cfg: cases.append((b, x, cfg)) or fit(b, x, cfg))
+    cfg = experiments.ExperimentConfig(generator=generator, n=128, k_grid=(k,), seed=61,
+                                       max_iters=30_000, grad_tol=1e-4)
+    for trial in range(trials):
+        experiments.run_trial(cfg, k, trial)
+    return cases
+
+
+@pytest.mark.parametrize("generator,k,trials", [("matchings", 8, 6),
+                                                ("erdos_renyi_incidence", 8, 3),
+                                                ("blocks", 4, 3), ("blocks", 8, 3)])
+def test_fit_matches_the_one_cut_fit_in_fewer_programs(generator, k, trials, monkeypatch):
+    # matchings cuts have one edge each, so the batch has the one-cut
+    # fit's bits; an Erdos-Renyi row touches every member, so its first
+    # cut has full support and nothing changes, iterations included;
+    # blocks cuts sum several edges in another order, so within 1e-12
+    got_total = want_total = 0
+    for b, x, cfg in _trial_fits(monkeypatch, generator, k, trials):
+        got, want = fit(b, x, cfg), _one_cut_fit(b, x, cfg)
+        if generator == "erdos_renyi_incidence":
+            for f in dataclasses.fields(want):
+                a, w = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(w, np.ndarray):
+                    assert a.dtype == w.dtype and np.array_equal(a, w), f.name
+                else:
+                    assert repr(a) == repr(w), f.name
+        elif generator == "matchings":
+            assert np.array_equal(got.beta_hat, want.beta_hat)
+            assert repr(got.psi_hat) == repr(want.psi_hat)
+            assert repr(got.kkt_residual) == repr(want.kkt_residual)
+        else:
+            assert np.abs(got.beta_hat - want.beta_hat).max() <= 1e-12
+            assert got.psi_hat == pytest.approx(want.psi_hat, rel=1e-12, abs=0)
+        assert got.iterations <= want.iterations
+        got_total += got.iterations
+        want_total += want.iterations
+    if generator == "erdos_renyi_incidence":
+        assert got_total == want_total
+    else:
+        assert got_total < want_total
+
+
+def _row_by_row_batch(basis, u, row_sums, bound):
+    """_new_cuts's choice before it drops the cuts it already has, one
+    violated row at a time, most violated first, each row's cut summed
+    over its own edges."""
+    chosen, taken = [], np.zeros(basis.k, dtype=bool)
+    for i in sorted(np.flatnonzero(row_sums > bound).tolist(), key=lambda i: (-row_sums[i], i)):
+        e = np.flatnonzero((basis.rows == i) | (basis.cols == i))
+        c = basis.coef[e].T @ np.sign(u[e])
+        support = c != 0.0
+        if not chosen or (support.any() and not (support & taken).any()):
+            chosen.append(c)
+            taken |= support
+    return chosen
+
+
+def test_fit_cuts_are_disjoint_fresh_subgradients(monkeypatch):
+    # every batch fit adds at run_trial's trial points: the first cut is
+    # infnorm_subgradient's bits, the supports are pairwise disjoint and
+    # disjoint from it, none is a cut fit already had, the choice is the
+    # row-by-row greedy one, and each holds on the whole budget
+    calls = []
+    new_cuts = mple_mod._new_cuts
+    monkeypatch.setattr(mple_mod, "_new_cuts", lambda *a: calls.append(
+        (a, new_cuts(*a))) or calls[-1][1])
+    for generator, k in (("matchings", 8), ("blocks", 4), ("blocks", 8),
+                         ("erdos_renyi_incidence", 8)):
+        _trial_fits(monkeypatch, generator, k, trials=2)
+    rng = make_rng(5)
+    sizes = [len(out) for _, out in calls]
+    assert max(sizes) >= 3 and 1 in sizes
+    for (b, u, row_sums, bound, cuts), out in calls:
+        first = mple_mod.infnorm_subgradient(b, u, row_sums)
+        assert out and out[0].tobytes() == first.tobytes()
+        want = _row_by_row_batch(b, u, row_sums, bound)
+        assert len(out) == len(want)
+        for c, w in zip(out, want):
+            np.testing.assert_allclose(c, w, rtol=1e-14, atol=0)
+        assert ((np.array(out) != 0.0).sum(axis=0) <= 1).all()
+        assert not any(np.array_equal(c, old) for c in out for old in cuts)
+        assert len({c.tobytes() for c in out}) == len(out)
+        for _ in range(5):
+            beta = rng.normal(size=b.k)
+            norm = b.row_abs_sums(b.coef @ beta).max()
+            assert all(c @ beta <= norm * (1.0 + 1e-12) for c in out)
+        # cuts already present are dropped and the others kept, in order
+        have = np.vstack([cuts, out[0], out[-1]])
+        again = new_cuts(b, u, row_sums, bound, have)
+        assert [c.tobytes() for c in again] == [c.tobytes() for c in out[1:-1]]
+
+
+def test_fit_sums_rows_once_per_trial_point_with_several_cuts(monkeypatch):
+    # a program that adds several cuts makes no second row_abs_sums pass
+    calls, sizes = [], []
+    row_abs_sums = MatrixBasis.row_abs_sums
+    monkeypatch.setattr(MatrixBasis, "row_abs_sums",
+                        lambda self, u: calls.append(1) or row_abs_sums(self, u))
+    new_cuts = mple_mod._new_cuts
+    monkeypatch.setattr(mple_mod, "_new_cuts",
+                        lambda *a: sizes.append(len(out := new_cuts(*a))) or out)
+    cases = _trial_fits(monkeypatch, "blocks", 8, trials=1)
+    calls.clear()
+    sizes.clear()
+    res = fit(*cases[0])
+    assert max(sizes) >= 3
+    assert len(calls) == res.iterations + 1
+
+
+@pytest.mark.parametrize("k", [3, 64, 65, 130])
+def test_bitmasks_set_bit_s_for_column_s(k):
+    rng = make_rng(k)
+    support = rng.random((7, k)) < 0.3
+    want = [sum(1 << s for s in np.flatnonzero(row).tolist()) for row in support]
+    assert mple_mod._bitmasks(support) == want
 
 
 # ---------------------------------------------------------------------------
